@@ -7,18 +7,17 @@ experiment harness driven by the `mcstat` command.
 """
 
 from .estimators import (EvidenceEstimate, RunningEstimate, SnisResult,
-                         WeightedSample, bridge_log_evidence, chib_log_evidence,
-                         ess, harmonic_mean_log_evidence, mc_estimate,
-                         running_update, self_normalized_is)
+                         bridge_log_evidence, chib_log_evidence, ess,
+                         harmonic_mean_log_evidence, mc_estimate,
+                         running_moments, self_normalized_is)
 from .harness import (EXPERIMENTS, ConfigError, EnvelopeSummary,
                       ExperimentConfig, ExperimentResult, checkpoints,
                       evidence, export_csv, export_svg, figure1, figure2,
                       figure3, run_envelope, run_experiment)
 from .mcmc import (CalibrationError, CalibrationReport, ChainTrace, RwProposal,
                    batch_means_se, calibrate_scale, calibrate_scale_report,
-                   discrete_mh_transition_matrix, mh_acceptance_log_prob,
-                   mh_step, run_gibbs_chain, run_mh_chain, slice_gibbs_step,
-                   slice_truncation_bound)
+                   discrete_mh_transition_matrix, run_gibbs_chain,
+                   run_mh_chain, slice_gibbs_step, slice_truncation_bound)
 from .quadrature import (QuadratureError, QuadratureResult,
                          gauss_legendre_integrate, quadrature_integrate)
 from .rng import (NormalDist, RngStream, StudentTDist, derive_substream,
@@ -30,7 +29,7 @@ from .targets import (EXAMPLE_TARGET, ConjugateNormalModel, TargetDensity,
                       cubic_ratio, example_target_cdf, example_target_cdf_many,
                       example_target_logpdf, example_target_moment,
                       example_target_norm_const, example_target_pdf_many,
-                      gaussian_functional_expectation, get_model, get_target,
+                      gaussian_functional_expectation, get_model,
                       posterior_params)
 
 __version__ = "0.1.0"

@@ -20,9 +20,6 @@ from .quadrature import QuadratureError
 
 __all__ = ["main", "build_config"]
 
-_FILE_KEYS = ("seed", "runs", "iters", "mu", "scale", "target_accept",
-              "burn_in", "out")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments; here that is a
@@ -45,27 +42,33 @@ def _parse_scale(text: str):
     return value
 
 
+# One row per ExperimentConfig field except `experiment`:
+# field -> (flag, converter, help). A flag's config-file key is its name
+# with underscores (--burn-in -> burn_in, --out -> out).
+_OPTIONS = {
+    "seed": ("--seed", int,
+             "root seed; replications use derived substreams (default 0)"),
+    "runs": ("--runs", int, "number of independent replications (default 100)"),
+    "iters": ("--iters", int, "iterations per replication (default 10000)"),
+    "mu": ("--mu", float, "sampling mean for figure1 (default 0)"),
+    "scale": ("--scale", _parse_scale,
+              "figure3 proposal scale, or 'auto' to calibrate (default auto)"),
+    "target_accept": ("--target-accept", float,
+                      "acceptance rate targeted by auto calibration (default 0.5)"),
+    "burn_in": ("--burn-in", int, "chain burn-in steps (default: 10%% of iters)"),
+    "out_dir": ("--out", Path, "output directory for CSV/SVG files"),
+}
+_FILE_KEYS = {flag[2:].replace("-", "_"): name
+              for name, (flag, _, _) in _OPTIONS.items()}
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="mcstat",
                 description="Monte Carlo / MCMC convergence and evidence experiments")
     p.add_argument("experiment", choices=EXPERIMENTS,
                    help="which experiment to run")
-    p.add_argument("--seed", type=int, default=None,
-                   help="root seed; replications use derived substreams (default 0)")
-    p.add_argument("--runs", type=int, default=None,
-                   help="number of independent replications (default 100)")
-    p.add_argument("--iters", type=int, default=None,
-                   help="iterations per replication (default 10000)")
-    p.add_argument("--mu", type=float, default=None,
-                   help="sampling mean for figure1 (default 0)")
-    p.add_argument("--scale", type=_parse_scale, default=None,
-                   help="figure3 proposal scale, or 'auto' to calibrate (default auto)")
-    p.add_argument("--target-accept", type=float, default=None, dest="target_accept",
-                   help="acceptance rate targeted by auto calibration (default 0.5)")
-    p.add_argument("--burn-in", type=int, default=None, dest="burn_in",
-                   help="chain burn-in steps (default: 10%% of iters)")
-    p.add_argument("--out", type=Path, default=None, dest="out_dir",
-                   help="output directory for CSV/SVG files")
+    for name, (flag, convert, help_text) in _OPTIONS.items():
+        p.add_argument(flag, type=convert, default=None, dest=name, help=help_text)
     p.add_argument("--config", type=Path, default=None,
                    help="flat key=value file supplying defaults for the flags above")
     return p
@@ -78,12 +81,6 @@ def _load_config_file(path: Path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict = {}
-    converters = {
-        "seed": int, "runs": int, "iters": int, "burn_in": int,
-        "mu": float, "target_accept": float,
-        "scale": lambda s: "auto" if s == "auto" else float(s),
-        "out": Path,
-    }
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -95,9 +92,10 @@ def _load_config_file(path: Path) -> dict:
         if key not in _FILE_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
                               f"(known: {', '.join(_FILE_KEYS)})")
+        name = _FILE_KEYS[key]
         try:
-            values["out_dir" if key == "out" else key] = converters[key](val)
-        except ValueError as exc:
+            values[name] = _OPTIONS[name][1](val)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
@@ -106,8 +104,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge CLI flags over config-file values over defaults."""
     file_vals = _load_config_file(args.config) if args.config else {}
     merged = {}
-    for name in ("seed", "runs", "iters", "mu", "scale", "target_accept",
-                 "burn_in", "out_dir"):
+    for name in _OPTIONS:
         cli_val = getattr(args, name)
         if cli_val is not None:
             merged[name] = cli_val

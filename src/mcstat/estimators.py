@@ -1,9 +1,10 @@
 """Monte Carlo estimators: running means, importance sampling, evidence.
 
-The running-mean type uses the one-pass Welford recurrence so traces of
-partial estimates come for free. Importance sampling keeps every weight in
-log space with a max shift; the effective sample size and a bootstrap
-standard error are the instability diagnostics.
+running_moments is the one Welford (one-pass mean/variance) loop; it
+snapshots RunningEstimate values at checkpoint counts, so traces of partial
+estimates come for free. Importance sampling keeps every weight in log
+space with a max shift; the effective sample size and a bootstrap standard
+error are the instability diagnostics.
 
 Three marginal-likelihood (evidence) estimators share the EvidenceEstimate
 result type: the harmonic mean of likelihoods, the iterative optimal-bridge
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,10 +27,9 @@ from .targets import ConjugateNormalModel, TargetDensity
 
 __all__ = [
     "RunningEstimate",
-    "WeightedSample",
     "SnisResult",
     "EvidenceEstimate",
-    "running_update",
+    "running_moments",
     "mc_estimate",
     "self_normalized_is",
     "ess",
@@ -71,16 +71,36 @@ class RunningEstimate:
         return math.sqrt(self.m2 / self.count) / math.sqrt(self.count)
 
 
-def running_update(est: RunningEstimate, h_value: float) -> RunningEstimate:
-    """One Welford step; returns a new estimate, leaving `est` untouched."""
-    if not math.isfinite(h_value):
-        raise ValueError(
-            f"non-finite value {h_value!r} at iteration {est.count + 1}")
-    n = est.count + 1
-    delta = h_value - est.mean
-    mean = est.mean + delta / n
-    m2 = est.m2 + delta * (h_value - mean)
-    return RunningEstimate(n, mean, m2)
+def running_moments(values: Iterable[float],
+                    cps: Sequence[int]) -> list[RunningEstimate]:
+    """One-pass Welford mean and variance, snapshotted at checkpoint counts.
+
+    Element i of the result is the estimate after the first cps[i] values;
+    `cps` must be strictly increasing. Values past the last checkpoint are
+    not read, so a generator is consumed no further than needed. A
+    non-finite value raises, naming its 1-based iteration.
+    """
+    if not len(cps):
+        return []
+    snaps: list[RunningEstimate] = []
+    todo = iter(cps)
+    cp = next(todo)
+    n = 0
+    mean = 0.0
+    m2 = 0.0
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value {v!r} at iteration {n + 1}")
+        n += 1
+        d = v - mean
+        mean += d / n
+        m2 += d * (v - mean)
+        if n == cp:
+            snaps.append(RunningEstimate(n, mean, m2))
+            cp = next(todo, None)
+            if cp is None:
+                return snaps
+    raise ValueError(f"sequence shorter than final checkpoint {cps[-1]}")
 
 
 def mc_estimate(target_sampler: Callable[[RngStream], float],
@@ -94,8 +114,7 @@ def mc_estimate(target_sampler: Callable[[RngStream], float],
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    trace: list[RunningEstimate] = []
-    est = RunningEstimate()
+    values: list[float] = []
     for t in range(1, T + 1):
         try:
             x = target_sampler(rng)
@@ -104,16 +123,8 @@ def mc_estimate(target_sampler: Callable[[RngStream], float],
             raise ValueError(f"iteration {t}: {exc}") from exc
         if not math.isfinite(val):
             raise ValueError(f"iteration {t}: h returned non-finite value {val!r}")
-        est = running_update(est, val)
-        trace.append(est)
-    return trace
-
-
-class WeightedSample(NamedTuple):
-    """One importance draw: h(x) and its unnormalized log weight."""
-
-    value: float
-    log_weight: float
+        values.append(val)
+    return running_moments(values, range(1, T + 1))
 
 
 def ess(log_weights: Sequence[float]) -> float:
@@ -161,7 +172,8 @@ def self_normalized_is(target: TargetDensity,
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    samples: list[WeightedSample] = []
+    hs: list[float] = []
+    log_ws: list[float] = []
     for t in range(1, T + 1):
         x = proposal_sampler.sample(rng)
         lg = proposal_sampler.logpdf(x)
@@ -169,10 +181,11 @@ def self_normalized_is(target: TargetDensity,
         if lg == -math.inf and lf > -math.inf:
             raise ValueError(
                 f"iteration {t}: target has mass at {x!r} outside proposal support")
-        samples.append(WeightedSample(h(x), lf - lg))
+        hs.append(h(x))
+        log_ws.append(lf - lg)
 
-    values = np.array([s.value for s in samples])
-    lw = np.array([s.log_weight for s in samples])
+    values = np.array(hs)
+    lw = np.array(log_ws)
     m = float(np.max(lw))
     if m == -math.inf:
         raise ValueError("all importance weights are zero")

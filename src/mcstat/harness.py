@@ -23,19 +23,20 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import (bridge_log_evidence, chib_log_evidence,
-                         harmonic_mean_log_evidence)
+from .estimators import (RunningEstimate, bridge_log_evidence,
+                         chib_log_evidence, harmonic_mean_log_evidence,
+                         running_moments)
 from .mcmc import RwProposal, calibrate_scale_report, run_gibbs_chain, run_mh_chain
 from .rng import RngStream, derive_substream, rng_new, sample_normal
 from .svgplot import Band, Series, svg_histogram, svg_line_plot
-from .targets import (EXAMPLE_TARGET, analytic_log_bayes_factor,
-                      analytic_log_evidence, cubic_ratio,
+from .targets import (EXAMPLE_TARGET, analytic_log_evidence, cubic_ratio,
                       example_target_cdf_many, example_target_pdf_many,
                       gaussian_functional_expectation, get_model,
                       posterior_params)
@@ -71,6 +72,14 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 1)."""
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -87,21 +96,21 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {EXPERIMENTS}")
-        if not (isinstance(self.runs, int) and self.runs >= 1):
+        if not (_is_int(self.runs) and self.runs >= 1):
             raise ConfigError(f"runs must be an integer >= 1, got {self.runs!r}")
-        if not (isinstance(self.iters, int) and self.iters >= 100):
+        if not (_is_int(self.iters) and self.iters >= 100):
             raise ConfigError(f"iters must be an integer >= 100, got {self.iters!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not (isinstance(self.mu, float) and math.isfinite(self.mu)):
+        if not (_is_real(self.mu) and math.isfinite(self.mu)):
             raise ConfigError(f"mu must be a finite real, got {self.mu!r}")
-        if not 0.0 < self.target_accept < 1.0:
+        if not (_is_real(self.target_accept) and 0.0 < self.target_accept < 1.0):
             raise ConfigError(f"target_accept must be in (0, 1), got {self.target_accept!r}")
         if self.scale != "auto":
-            if not (isinstance(self.scale, float) and self.scale > 0.0):
+            if not (_is_real(self.scale) and self.scale > 0.0):
                 raise ConfigError(f"scale must be a positive real or 'auto', got {self.scale!r}")
         if self.burn_in is not None:
-            if not (isinstance(self.burn_in, int) and 0 <= self.burn_in < self.iters):
+            if not (_is_int(self.burn_in) and 0 <= self.burn_in < self.iters):
                 raise ConfigError(f"burn_in must be an integer in [0, iters), got {self.burn_in!r}")
 
     def effective_burn_in(self) -> int:
@@ -183,28 +192,6 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 # Shared pieces
 # ---------------------------------------------------------------------------
-
-def _welford_at_checkpoints(values, cps) -> tuple[list[float], list[float]]:
-    """Running mean and SE of an iterable, sampled at checkpoint counts."""
-    means: list[float] = []
-    ses: list[float] = []
-    n = 0
-    mean = 0.0
-    m2 = 0.0
-    nxt = 0
-    for v in values:
-        n += 1
-        d = v - mean
-        mean += d / n
-        m2 += d * (v - mean)
-        if nxt < len(cps) and n == cps[nxt]:
-            means.append(mean)
-            ses.append(math.sqrt(m2 / n) / math.sqrt(n) if n > 1 else 0.0)
-            nxt += 1
-    if nxt != len(cps):
-        raise ValueError(f"sequence shorter than final checkpoint {cps[-1]}")
-    return means, ses
-
 
 def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
@@ -306,22 +293,23 @@ def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSumma
 def figure1(config: ExperimentConfig) -> ExperimentResult:
     """iid Monte Carlo envelope for E[X^3/(1+X^2+X^4)], X ~ N(mu, 1)."""
     config.validate()
-    mu = config.mu
+    mu = float(config.mu)
     reference = gaussian_functional_expectation(mu)
+
+    run0: list[RunningEstimate] = []  # run_envelope runs replication 0 first
 
     def make_trace(rng: RngStream, cps):
         draws = (cubic_ratio(sample_normal(rng, mu, 1.0)) for _ in range(cps[-1]))
-        return _welford_at_checkpoints(draws, cps)[0]
+        snaps = running_moments(draws, cps)
+        if not run0:
+            run0.extend(snaps)
+        return [e.mean for e in snaps]
 
     summary = run_envelope(make_trace, config.runs, config.iters, config.seed)
 
-    # Re-run substream 0 to recover its SE trace for the +-3 SE overlay.
-    cps = list(summary.iters_axis)
-    rng0 = derive_substream(rng_new(config.seed), 0)
-    draws0 = (cubic_ratio(sample_normal(rng0, mu, 1.0)) for _ in range(cps[-1]))
-    means0, ses0 = _welford_at_checkpoints(draws0, cps)
-    se_lo = [m - 3.0 * s for m, s in zip(means0, ses0)]
-    se_hi = [m + 3.0 * s for m, s in zip(means0, ses0)]
+    # +-3 SE overlay around the single (substream-0) run.
+    se_lo = [e.mean - 3.0 * e.se for e in run0]
+    se_hi = [e.mean + 3.0 * e.se for e in run0]
 
     info = {"experiment": "figure1", "seed": config.seed, "runs": config.runs,
             "iters": config.iters, "mu": mu, "reference_value": reference,
@@ -350,7 +338,7 @@ def _chain_envelope(config: ExperimentConfig, run_chain) -> tuple[EnvelopeSummar
         trace = run_chain(burn + cps[-1], burn, rng)
         xs = trace.retained()
         stash.append(trace)
-        return _welford_at_checkpoints(xs**3, cps)[0]
+        return [e.mean for e in running_moments(xs**3, cps)]
 
     summary = run_envelope(make_trace, config.runs, config.iters, config.seed)
     return summary, stash

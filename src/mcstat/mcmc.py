@@ -1,9 +1,10 @@
 """MCMC kernels: random-walk Metropolis-Hastings and a slice/Gibbs sampler.
 
-The MH engine works on any TargetDensity. Proposal scale can be calibrated
-to a desired acceptance rate by a stochastic-approximation loop whose
-output is then frozen: downstream chains never adapt, so their invariant
-distribution is untouched. Calibration draws are discarded.
+The MH chain runner, run_mh_chain, is the one random-walk MH transition and
+works on any TargetDensity. Proposal scale can be calibrated to a desired
+acceptance rate by a stochastic-approximation loop over short run_mh_chain
+windows whose output is then frozen: downstream chains never adapt, so
+their invariant distribution is untouched. Calibration draws are discarded.
 
 The slice sampler is specialized to the ratio density
 exp(-x^2/2)/(1 + x^2 + x^4): an auxiliary u | x ~ U(0, 1/(1+x^2+x^4))
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .rng import RngStream, sample_normal, sample_truncated_normal
@@ -32,8 +31,6 @@ __all__ = [
     "RwProposal",
     "CalibrationReport",
     "CalibrationError",
-    "mh_acceptance_log_prob",
-    "mh_step",
     "run_mh_chain",
     "calibrate_scale",
     "calibrate_scale_report",
@@ -88,46 +85,15 @@ class RwProposal:
             raise ValueError(f"scale must be positive, got {self.scale!r}")
 
 
-def mh_acceptance_log_prob(x: float, y: float, target: TargetDensity,
-                           proposal_logpdf: Callable[[float, float], float] | None = None,
-                           ) -> float:
-    """Log acceptance probability min(0, log[f(y)q(x|y)] - log[f(x)q(y|x)]).
-
-    `proposal_logpdf(to, from_)` may be None for symmetric proposals, whose
-    q terms cancel. Proposals outside the target support return -inf; a
-    current state outside the support is a chain invariant violation and
-    raises.
-    """
-    lfx = target.logpdf(x)
-    if not math.isfinite(lfx):
-        raise ValueError(f"current state {x!r} has zero target density")
-    lfy = target.logpdf(y)
-    if lfy == -math.inf:
-        return -math.inf
-    num, den = lfy, lfx
-    if proposal_logpdf is not None:
-        num += proposal_logpdf(x, y)
-        den += proposal_logpdf(y, x)
-    return min(0.0, num - den)
-
-
-def mh_step(x: float, target: TargetDensity, prop: RwProposal,
-            rng: RngStream) -> tuple[float, bool]:
-    """One random-walk MH transition from x; returns (next state, accepted).
-
-    Consumes exactly one normal and one uniform draw regardless of the
-    accept/reject outcome, keeping stream alignment predictable.
-    """
-    y = sample_normal(rng, x, prop.scale)
-    log_alpha = mh_acceptance_log_prob(x, y, target)
-    u = rng.next_float_open()
-    accepted = log_alpha >= 0.0 or math.log(u) < log_alpha
-    return (y, True) if accepted else (x, False)
-
-
 def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
                  iters: int, burn_in: int, rng: RngStream) -> ChainTrace:
     """Run an MH chain for `iters` steps from `init` on a fresh stream.
+
+    Each step draws y ~ N(x, scale^2), then one open uniform u, and accepts
+    iff log_alpha = log f(y) - log f(x) is >= 0 or exceeds log u; proposals
+    outside the support have log f(y) = -inf and are always rejected. Every
+    step consumes exactly one normal and one uniform draw whatever the
+    outcome, so stream positions stay predictable.
 
     The trace holds all `iters` post-move states; `burn_in` marks how many
     lead states retained() drops. Pass a freshly constructed (sub)stream:
@@ -140,8 +106,6 @@ def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
     lfx = target.logpdf(x)
     if not math.isfinite(lfx):
         raise ValueError(f"init {init!r} has zero target density")
-    # Inlined mh_step with the current log density cached; draw-for-draw
-    # and branch-for-branch identical to calling mh_step in a loop.
     logpdf = target.logpdf
     scale = prop.scale
     for t in range(iters):
@@ -210,12 +174,10 @@ def calibrate_scale_report(target: TargetDensity, target_accept: float,
     x = float(init)
     tail: list[float] = []
     for k in range(1, windows + 1):
-        prop = RwProposal(math.exp(log_scale))
-        acc = 0
-        for _ in range(window_steps):
-            x, a = mh_step(x, target, prop, rng)
-            acc += a
-        rate = acc / window_steps
+        window = run_mh_chain(target, RwProposal(math.exp(log_scale)), x,
+                              window_steps, 0, rng)
+        x = float(window.states[-1])
+        rate = int(window.accepted.sum()) / window_steps
         log_scale += (4.0 / k**0.6) * (rate - target_accept)
         tail.append(log_scale)
 

@@ -88,7 +88,9 @@ class RngStream:
 
     def next_float_open(self) -> float:
         """Uniform double in (0, 1); safe to feed to log() or an inverse CDF."""
-        return ((self.next_u64() >> 11) + 0.5) * 2.0**-53
+        u = ((self.next_u64() >> 11) + 0.5) * 2.0**-53
+        # The top 53-bit value rounds to exactly 1.0; map it just below.
+        return u if u < 1.0 else 1.0 - 2.0**-53
 
     def state_bytes(self) -> bytes:
         """16-byte little-endian checkpoint (state, increment)."""

@@ -36,7 +36,6 @@ __all__ = [
     "analytic_log_evidence",
     "analytic_log_bayes_factor",
     "posterior_params",
-    "get_target",
     "get_model",
     "EXAMPLE_TARGET",
 ]
@@ -283,30 +282,13 @@ def numeric_log_evidence(model: ConjugateNormalModel, data: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# Named registries for the CLI
+# Named models of the evidence experiment
 # ---------------------------------------------------------------------------
-
-def _gauss_target(mu: float, name: str) -> TargetDensity:
-    return TargetDensity(lambda x, _m=mu: -0.5 * (x - _m) ** 2, name=name)
-
-
-_TARGETS: dict[str, Callable[[], TargetDensity]] = {
-    "example": lambda: EXAMPLE_TARGET,
-    "gauss-mu0": lambda: _gauss_target(0.0, "gauss-mu0"),
-    "gauss-mu2.5": lambda: _gauss_target(2.5, "gauss-mu2.5"),
-}
 
 _MODELS: dict[str, Callable[[], ConjugateNormalModel]] = {
     "conj-n01": lambda: ConjugateNormalModel(0.0, 1.0, 1.0, name="conj-n01"),
     "conj-n14": lambda: ConjugateNormalModel(1.0, 4.0, 1.0, name="conj-n14"),
 }
-
-
-def get_target(name: str) -> TargetDensity:
-    try:
-        return _TARGETS[name]()
-    except KeyError:
-        raise KeyError(f"unknown target {name!r}; choose from {sorted(_TARGETS)}") from None
 
 
 def get_model(name: str) -> ConjugateNormalModel:

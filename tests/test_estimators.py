@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcstat.estimators import (
-    RunningEstimate,
     SnisResult,
-    WeightedSample,
     bridge_log_evidence,
     chib_log_evidence,
     ess,
     harmonic_mean_log_evidence,
     mc_estimate,
-    running_update,
+    running_moments,
     self_normalized_is,
 )
 from mcstat.rng import NormalDist, StudentTDist, rng_new, sample_normal
@@ -26,56 +24,63 @@ from mcstat.targets import (
     cubic_ratio,
     example_target_logpdf,
     gaussian_functional_expectation,
-    get_target,
     posterior_params,
 )
 
+GAUSS0 = TargetDensity(lambda x: -0.5 * x * x)
+
 
 # ---------------------------------------------------------------------------
-# RunningEstimate / running_update
+# RunningEstimate / running_moments
 # ---------------------------------------------------------------------------
 
-def test_running_update_constant_sequence():
-    est = RunningEstimate()
-    for _ in range(10):
-        est = running_update(est, 3.25)
+def _final(xs):
+    return running_moments(xs, [len(xs)])[0]
+
+
+def test_running_moments_constant_sequence():
+    est = _final([3.25] * 10)
     assert est.count == 10
     assert est.mean == 3.25
     assert est.variance == 0.0
     assert est.se == 0.0
 
 
-def test_running_update_small_example():
-    est = RunningEstimate()
-    for v in (1.0, 2.0, 3.0, 4.0):
-        est = running_update(est, v)
+def test_running_moments_small_example():
+    first, second, est = running_moments([1.0, 2.0, 3.0, 4.0], [1, 2, 4])
+    assert (first.count, first.mean, first.m2) == (1, 1.0, 0.0)
+    assert (second.count, second.mean, second.m2) == (2, 1.5, 0.5)
     assert est.mean == pytest.approx(2.5, rel=1e-15)
     assert est.m2 == pytest.approx(5.0, rel=1e-15)
     assert est.variance == pytest.approx(5.0 / 4.0, rel=1e-15)
     assert est.se == pytest.approx(math.sqrt(5.0 / 4.0) / 2.0, rel=1e-15)
 
 
+def test_running_moments_checkpoint_bounds():
+    values = iter([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert [e.count for e in running_moments(values, [2, 3])] == [2, 3]
+    assert next(values) == 4.0  # nothing read past the last checkpoint
+    with pytest.raises(ValueError, match="shorter"):
+        running_moments([1.0, 2.0], [1, 3])
+    assert running_moments([1.0], []) == []
+
+
 def test_single_observation_has_zero_se():
-    est = running_update(RunningEstimate(), 7.0)
+    est = _final([7.0])
     assert est.count == 1
     assert est.se == 0.0
 
 
 def test_non_finite_update_reports_iteration():
-    est = RunningEstimate()
-    for v in (1.0, 2.0, 3.0):
-        est = running_update(est, v)
     with pytest.raises(ValueError, match="4"):
-        running_update(est, math.nan)
+        running_moments([1.0, 2.0, 3.0, math.nan], [4])
     with pytest.raises(ValueError, match="4"):
-        running_update(est, math.inf)
+        running_moments([1.0, 2.0, 3.0, math.inf], [4])
 
 
 def test_shifted_large_magnitude_variance():
     # classic cancellation trap for naive sum-of-squares accumulators
-    est = RunningEstimate()
-    for v in (1e8, 1e8 + 1.0, 1e8 + 2.0):
-        est = running_update(est, v)
+    est = _final([1e8, 1e8 + 1.0, 1e8 + 2.0])
     assert est.m2 == pytest.approx(2.0, rel=1e-10)
     assert est.variance == pytest.approx(2.0 / 3.0, rel=1e-10)
 
@@ -88,9 +93,7 @@ _adversarial = st.lists(
 @given(xs=_adversarial)
 @settings(max_examples=200, deadline=None)
 def test_one_pass_matches_batch(xs):
-    est = RunningEstimate()
-    for v in xs:
-        est = running_update(est, v)
+    est = _final(xs)
     arr = np.array(xs)
     batch_mean = math.fsum(xs) / len(xs)
     batch_m2 = math.fsum((v - batch_mean) ** 2 for v in xs)
@@ -182,18 +185,13 @@ def test_ess_rejects_bad_input():
         ess([-math.inf, -math.inf])
 
 
-def test_weighted_sample_fields():
-    ws = WeightedSample(1.5, -0.25)
-    assert ws.value == 1.5 and ws.log_weight == -0.25
-
-
 # ---------------------------------------------------------------------------
 # Self-normalized importance sampling
 # ---------------------------------------------------------------------------
 
 def test_snis_identity_proposal_reduces_to_plain_mean():
     # proposal == target: all weights equal, so SNIS is the sample mean
-    target = get_target("gauss-mu0")
+    target = GAUSS0
     res = self_normalized_is(target, NormalDist(0.0, 1.0), lambda x: x * x,
                              2000, rng_new(31))
     replay = rng_new(31)
@@ -213,7 +211,7 @@ def test_snis_heavy_tailed_proposal_odd_moment(goldens):
 
 
 def test_snis_wide_normal_proposal_second_moment():
-    target = get_target("gauss-mu0")
+    target = GAUSS0
     res = self_normalized_is(target, NormalDist(0.0, 2.0), lambda x: x * x,
                              100_000, rng_new(33))
     assert abs(res.estimate - 1.0) <= 0.05
@@ -248,7 +246,7 @@ def test_snis_support_violation_raises():
 
 def test_snis_low_ess_warning():
     # proposal centred far in the tail: a handful of draws carry everything
-    target = get_target("gauss-mu0")
+    target = GAUSS0
     res = self_normalized_is(target, NormalDist(8.0, 0.5), lambda x: x,
                              200, rng_new(36))
     assert res.low_ess_warning
@@ -257,7 +255,7 @@ def test_snis_low_ess_warning():
 
 def test_snis_rejects_empty():
     with pytest.raises(ValueError):
-        self_normalized_is(get_target("gauss-mu0"), NormalDist(0.0, 1.0),
+        self_normalized_is(GAUSS0, NormalDist(0.0, 1.0),
                            lambda x: x, 0, rng_new(0))
 
 

@@ -3,11 +3,13 @@
 import csv
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mcstat.cli import _OPTIONS
 from mcstat.cli import main as cli_main
 from mcstat.harness import (
     ConfigError,
@@ -65,6 +67,9 @@ def test_config_accepts_reasonable_values(tmp_path):
     assert cfg.effective_burn_in() == 50  # default: iters // 10
     cfg2 = ExperimentConfig("figure2", iters=500, burn_in=7, out_dir=tmp_path)
     assert cfg2.effective_burn_in() == 7
+    # integer-valued reals are reals
+    ExperimentConfig("figure1", mu=0, out_dir=tmp_path).validate()
+    ExperimentConfig("figure3", scale=1, out_dir=tmp_path).validate()
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -81,6 +86,8 @@ def test_config_accepts_reasonable_values(tmp_path):
     {"scale": "fast"},
     {"burn_in": 10_000},
     {"burn_in": -5},
+    {"runs": True},
+    {"seed": True},
 ])
 def test_config_rejects_bad_values(tmp_path, kwargs):
     base = dict(experiment="figure1", seed=0, runs=2, iters=10_000,
@@ -386,6 +393,20 @@ def test_cli_config_file_precedence(tmp_path, capsys):
     info = {r["key"]: r["value"] for r in _read_csv(tmp_path / "out" / "info.csv")}
     assert info["iters"] == "800"
     assert info["seed"] == "9"
+    capsys.readouterr()
+
+
+def test_cli_options_cover_config_fields():
+    names = {f.name for f in fields(ExperimentConfig)} - {"experiment"}
+    assert set(_OPTIONS) == names
+
+
+def test_cli_rejects_bad_config_file_value(tmp_path, capsys):
+    for line in ("runs = many", "scale = fast", "mu = x"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert cli_main(["figure1", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 1, line
     capsys.readouterr()
 
 

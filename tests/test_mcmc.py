@@ -14,19 +14,17 @@ from mcstat.mcmc import (
     calibrate_scale,
     calibrate_scale_report,
     discrete_mh_transition_matrix,
-    mh_acceptance_log_prob,
-    mh_step,
     run_gibbs_chain,
     run_mh_chain,
     slice_gibbs_step,
     slice_truncation_bound,
 )
-from mcstat.rng import RngStream, derive_substream, rng_new
+from mcstat.rng import (RngStream, derive_substream, norm_cdf, rng_new,
+                        sample_normal)
 from mcstat.targets import (
     TargetDensity,
     example_target_cdf_many,
     example_target_logpdf,
-    get_target,
 )
 
 from conftest import ks_critical, ks_statistic
@@ -35,74 +33,76 @@ EXAMPLE = TargetDensity(example_target_logpdf, -10.0, 10.0, "example")
 
 
 # ---------------------------------------------------------------------------
-# Acceptance probability
+# Acceptance rule, observed through one-step chains on scripted uniforms
 # ---------------------------------------------------------------------------
 
+class _ScriptedStream(RngStream):
+    """Replays fixed open uniforms; an MH step draws the proposal's normal
+    by inversion of the first and compares the second with alpha."""
+
+    def __init__(self, *us):
+        super().__init__(0)
+        self._us = list(us)
+
+    def next_float_open(self):
+        return self._us.pop(0)
+
+
+def _one_step(x, z_u, u):
+    tr = run_mh_chain(EXAMPLE, RwProposal(1.0), x, 1, 0, _ScriptedStream(z_u, u))
+    return tr.states[0], bool(tr.accepted[0])
+
+
 def test_acceptance_log_prob_reference_values():
-    assert mh_acceptance_log_prob(0.0, 0.0, EXAMPLE) == 0.0
-    # downhill move 0 -> 1: log alpha = logpdf(1) - logpdf(0)
-    assert mh_acceptance_log_prob(0.0, 1.0, EXAMPLE) == pytest.approx(
-        -0.5 - math.log(3.0), abs=1e-14)
-    # uphill move is always accepted
-    assert mh_acceptance_log_prob(1.0, 0.0, EXAMPLE) == 0.0
+    # downhill move 0 -> 1: alpha = f(1)/f(0) = exp(-0.5)/3
+    alpha = math.exp(-0.5 - math.log(3.0))
+    y, a = _one_step(0.0, norm_cdf(1.0), 0.99 * alpha)
+    assert a and y == pytest.approx(1.0, abs=1e-12)
+    assert _one_step(0.0, norm_cdf(1.0), 1.01 * alpha) == (0.0, False)
+    # uphill move 1 -> 0 is accepted whatever the uniform
+    y, a = _one_step(1.0, norm_cdf(-1.0), 1.0 - 2.0**-53)
+    assert a and y == pytest.approx(0.0, abs=1e-12)
 
 
 def test_acceptance_log_prob_support_handling():
-    assert mh_acceptance_log_prob(0.0, 11.0, EXAMPLE) == -math.inf
+    # a proposal outside [-10, 10] is rejected even for the smallest uniform
+    assert _one_step(9.5, norm_cdf(2.0), 2.0**-54) == (9.5, False)
     with pytest.raises(ValueError):
-        mh_acceptance_log_prob(11.0, 0.0, EXAMPLE)
-
-
-def test_acceptance_log_prob_asymmetric_proposal():
-    # a drifted proposal must contribute its q-ratio
-    def qlogpdf(to, from_):
-        return -0.5 * (to - from_ - 0.3) ** 2
-
-    got = mh_acceptance_log_prob(0.0, 1.0, EXAMPLE, qlogpdf)
-    expect = min(0.0, (example_target_logpdf(1.0) + qlogpdf(0.0, 1.0))
-                 - (example_target_logpdf(0.0) + qlogpdf(1.0, 0.0)))
-    assert got == pytest.approx(expect, abs=1e-14)
+        run_mh_chain(EXAMPLE, RwProposal(1.0), 11.0, 1, 0, rng_new(0))
 
 
 # ---------------------------------------------------------------------------
-# mh_step
+# Single MH steps, run as run_mh_chain windows
 # ---------------------------------------------------------------------------
 
 def test_tiny_scale_accepts_almost_everything():
-    r = rng_new(40)
-    x = 0.5
-    accepted = 0
-    for _ in range(1000):
-        x, a = mh_step(x, EXAMPLE, RwProposal(1e-12), r)
-        accepted += a
-    assert accepted >= 990
-    assert abs(x - 0.5) < 1e-8  # the chain barely moved
+    tr = run_mh_chain(EXAMPLE, RwProposal(1e-12), 0.5, 1000, 0, rng_new(40))
+    assert int(tr.accepted.sum()) >= 990
+    assert abs(tr.states[-1] - 0.5) < 1e-8  # the chain barely moved
 
 
 def test_mh_step_consumes_fixed_draw_count():
     # same stream position after a step regardless of scale or outcome
     r1, r2 = rng_new(41), rng_new(41)
-    mh_step(0.0, EXAMPLE, RwProposal(0.5), r1)
-    mh_step(0.0, EXAMPLE, RwProposal(50.0), r2)
+    small = run_mh_chain(EXAMPLE, RwProposal(0.5), 0.0, 1, 0, r1)
+    large = run_mh_chain(EXAMPLE, RwProposal(50.0), 0.0, 1, 0, r2)
+    assert small.accepted[0] != large.accepted[0]  # one accept, one reject
     assert r1.next_u64() == r2.next_u64()
 
 
 def test_mh_step_rejection_returns_exact_state():
-    r = rng_new(42)
-    x = 0.25
-    seen_reject = False
-    for _ in range(200):
-        y, a = mh_step(x, EXAMPLE, RwProposal(8.0), r)
-        if not a:
-            assert y == x  # bitwise, not approximately
-            seen_reject = True
-        x = y
-    assert seen_reject
+    tr = run_mh_chain(EXAMPLE, RwProposal(8.0), 0.25, 200, 0, rng_new(42))
+    prev = np.concatenate(([0.25], tr.states[:-1]))
+    rejected = ~tr.accepted
+    assert rejected.any()
+    assert np.array_equal(tr.states[rejected], prev[rejected])  # bitwise
 
 
 def test_mh_step_rejects_invalid_current_state():
     with pytest.raises(ValueError):
-        mh_step(11.0, EXAMPLE, RwProposal(1.0), rng_new(0))
+        run_mh_chain(EXAMPLE, RwProposal(1.0), -10.5, 1, 0, rng_new(0))
+    with pytest.raises(ValueError):
+        calibrate_scale_report(EXAMPLE, 0.5, 11.0, rng_new(0))
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +127,25 @@ def test_chain_replay_from_seed_info():
     assert np.array_equal(tr.accepted, replay.accepted)
 
 
+def _mh_reference_steps(target, scale, x, steps, rng):
+    """Step-by-step MH replay: proposal, log ratio, uniform, accept rule."""
+    out = []
+    for _ in range(steps):
+        y = sample_normal(rng, x, scale)
+        log_alpha = min(0.0, target.logpdf(y) - target.logpdf(x))
+        u = rng.next_float_open()
+        accepted = log_alpha >= 0.0 or math.log(u) < log_alpha
+        if accepted:
+            x = y
+        out.append((x, accepted))
+    return out
+
+
 def test_chain_matches_stepwise_execution():
-    # the inlined loop must be draw-for-draw identical to repeated mh_step
+    # the chain loop must be draw-for-draw identical to the reference replay
     tr = run_mh_chain(EXAMPLE, RwProposal(1.2), 0.3, 200, 0, rng_new(44))
-    r = rng_new(44)
-    x = 0.3
-    for t in range(200):
-        x, a = mh_step(x, EXAMPLE, RwProposal(1.2), r)
+    ref = _mh_reference_steps(EXAMPLE, 1.2, 0.3, 200, rng_new(44))
+    for t, (x, a) in enumerate(ref):
         assert tr.states[t] == x
         assert tr.accepted[t] == a
 
@@ -230,6 +242,21 @@ def test_calibrate_failure_carries_best_attempt():
     err = exc.value
     assert err.best_scale > 0.0
     assert 0.0 <= err.measured_rate <= 1.0
+
+
+@pytest.mark.parametrize("target_accept, scale, rate", [
+    (0.5, 1.116912815552888, 0.50765),
+    (0.25, 2.769425465572066, 0.2523),
+])
+def test_calibrate_is_bit_exact(target_accept, scale, rate):
+    # pinned outputs: any change to the window kernel or its draw order
+    # moves the scale, the rate or the stream position
+    r = rng_new(6)
+    rep = calibrate_scale_report(EXAMPLE, target_accept, 0.0, r)
+    assert rep.scale == scale
+    assert rep.measured_rate == rate
+    assert rep.windows_used == 50
+    assert r.next_u64() == 12351011021388903774
 
 
 def test_calibrate_rejects_bad_target():

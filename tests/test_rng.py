@@ -109,6 +109,21 @@ def test_streams_are_pure_functions_of_seed(seed):
            [rng_new(seed).next_u32() for _ in range(3)]
 
 
+@pytest.mark.parametrize("word, expected", [
+    (2**64 - 1, 1.0 - 2.0**-53),  # (2^53 - 1 + 0.5) * 2^-53 rounds to 1.0
+    (0, 2.0**-54),
+])
+def test_next_float_open_stays_inside_unit_interval(word, expected):
+    class FixedStream(RngStream):
+        def next_u64(self):
+            return word
+
+    u = FixedStream(0).next_float_open()
+    assert u == expected
+    assert 0.0 < u < 1.0
+    assert math.isfinite(norm_ppf(u))
+
+
 # ---------------------------------------------------------------------------
 # Uniform sampler
 # ---------------------------------------------------------------------------

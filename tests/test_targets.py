@@ -21,7 +21,6 @@ from mcstat.targets import (
     example_target_pdf_many,
     gaussian_functional_expectation,
     get_model,
-    get_target,
     numeric_log_evidence,
     posterior_params,
 )
@@ -146,14 +145,6 @@ def test_target_density_support():
 
 
 def test_registries():
-    assert get_target("example").name == "example"
-    assert get_target("gauss-mu0").logpdf(0.0) == pytest.approx(0.0)
-    mu = 2.5
-    g = get_target("gauss-mu2.5")
-    assert g.logpdf(mu) == pytest.approx(0.0)
-    assert g.logpdf(mu + 1.0) == pytest.approx(-0.5)
-    with pytest.raises(KeyError):
-        get_target("nope")
     with pytest.raises(KeyError):
         get_model("nope")
     m = get_model("conj-n01")
