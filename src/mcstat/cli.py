@@ -15,8 +15,6 @@ import sys
 from pathlib import Path
 
 from .harness import EXPERIMENTS, ConfigError, ExperimentConfig, run_experiment
-from .mcmc import CalibrationError
-from .quadrature import QuadratureError
 
 __all__ = ["main", "build_config"]
 
@@ -128,8 +126,8 @@ def main(argv=None) -> int:
         return 1
     try:
         result = run_experiment(config)
-    except (CalibrationError, QuadratureError, ValueError, RuntimeError,
-            ArithmeticError, OSError) as exc:
+    # CalibrationError and QuadratureError are RuntimeErrors.
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(f"mcstat: {config.experiment} failed: {exc}", file=sys.stderr)
         return 2
     print(f"{config.experiment}: wrote {len(result.files)} files to {config.out_dir}")

@@ -168,7 +168,8 @@ def self_normalized_is(target: TargetDensity,
     `proposal_sampler` needs .sample(rng) and .logpdf(x). Weights are
     exp(log f - log g) after a max shift, so the target may be unnormalized.
     A draw where the target has mass but the proposal density is zero is a
-    support violation and raises.
+    support violation and raises; so do weights that `ess` rejects (NaN
+    from a draw where both densities are zero, +inf, or all zero).
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -186,13 +187,9 @@ def self_normalized_is(target: TargetDensity,
 
     values = np.array(hs)
     lw = np.array(log_ws)
-    m = float(np.max(lw))
-    if m == -math.inf:
-        raise ValueError("all importance weights are zero")
-    w = np.exp(lw - m)
-    wsum = float(np.sum(w))
-    estimate = float(np.dot(w, values) / wsum)
-    eff = float(wsum * wsum / np.dot(w, w))
+    eff = ess(lw)
+    w = np.exp(lw - np.max(lw))
+    estimate = float(np.dot(w, values) / np.sum(w))
 
     # Bootstrap over (value, weight) pairs; no closed-form SE exists under
     # self-normalization. numpy's generator is seeded from the stream so the
@@ -251,23 +248,24 @@ def harmonic_mean_log_evidence(log_liks_at_posterior_draws: Sequence[float]) -> 
 
 
 def _eval_log_fn(fn, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar-or-vectorized log density over an array of points."""
-    try:
-        out = np.asarray(fn(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(x)) for x in xs])
+    """Evaluate a vectorized log density at every point of `xs` in one call."""
+    out = np.asarray(fn(xs), dtype=float)
+    if out.shape != xs.shape:
+        raise ValueError(f"log density returned shape {out.shape} for draws of "
+                         f"shape {xs.shape}; pass a vectorized log density")
+    return out
 
 
 def bridge_log_evidence(post_draws: Sequence[float],
                         prop_draws: Sequence[float],
-                        log_post_unnorm: Callable[[float], float],
-                        log_prop: Callable[[float], float],
+                        log_post_unnorm: Callable[[np.ndarray], np.ndarray],
+                        log_prop: Callable[[np.ndarray], np.ndarray],
                         tol: float = 1e-8,
                         max_iter: int = 1000) -> EvidenceEstimate:
     """Iterative optimal-bridge estimate of log integral exp(log_post_unnorm).
+
+    Both densities must be vectorized log densities: called once with the
+    array of draws, they return an array of the same shape.
 
     Meng-Wong fixed point on the log ratio lam = log evidence, with
     s1 = n1/(n1+n2), s2 = n2/(n1+n2):

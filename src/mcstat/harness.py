@@ -16,7 +16,8 @@ Four experiments share one config type:
 Replication k always consumes substream k of the config seed; datasets and
 calibration get reserved substream ids far above any run index. All CSV
 floats carry 17 significant digits, so outputs are byte-stable and the
-files round-trip to full precision.
+files round-trip to full precision. The keys every info.csv shares
+(experiment, seed, runs, iters) are written in one place, `_write_info`.
 """
 
 from __future__ import annotations
@@ -26,15 +27,16 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .estimators import (RunningEstimate, bridge_log_evidence,
                          chib_log_evidence, harmonic_mean_log_evidence,
                          running_moments)
-from .mcmc import RwProposal, calibrate_scale_report, run_gibbs_chain, run_mh_chain
-from .rng import RngStream, derive_substream, rng_new, sample_normal
+from .mcmc import (ChainTrace, RwProposal, calibrate_scale_report, run_gibbs_chain,
+                   run_mh_chain)
+from .rng import RngStream, derive_substream, normal_logpdf, rng_new, sample_normal
 from .svgplot import Band, Series, svg_histogram, svg_line_plot
 from .targets import (EXAMPLE_TARGET, analytic_log_evidence, cubic_ratio,
                       example_target_cdf_many, example_target_pdf_many,
@@ -66,6 +68,10 @@ _CAL_STREAM = 10**9 + 9
 
 _HIST_BINS = 50
 _HIST_RANGE = (-4.0, 4.0)
+
+# Diagnostic written to the evidence CSVs' ess_or_iterations column.
+_EVIDENCE_DIAGNOSTIC = {"harmonic_mean": "ess", "bridge": "iterations",
+                        "chib": "n_draws"}
 
 
 class ConfigError(ValueError):
@@ -107,8 +113,9 @@ class ExperimentConfig:
         if not (_is_real(self.target_accept) and 0.0 < self.target_accept < 1.0):
             raise ConfigError(f"target_accept must be in (0, 1), got {self.target_accept!r}")
         if self.scale != "auto":
-            if not (_is_real(self.scale) and self.scale > 0.0):
-                raise ConfigError(f"scale must be a positive real or 'auto', got {self.scale!r}")
+            if not (_is_real(self.scale) and 0.0 < self.scale < math.inf):
+                raise ConfigError(
+                    f"scale must be a positive finite real or 'auto', got {self.scale!r}")
         if self.burn_in is not None:
             if not (_is_int(self.burn_in) and 0 <= self.burn_in < self.iters):
                 raise ConfigError(f"burn_in must be an integer in [0, iters), got {self.burn_in!r}")
@@ -263,7 +270,10 @@ def _histogram_block(states: np.ndarray, out: Path, title: str) -> tuple[dict, d
     return files, info
 
 
-def _write_info(out: Path, info: dict) -> Path:
+def _write_info(config: ExperimentConfig, out: Path, info: dict) -> Path:
+    """Add the keys every experiment shares to `info`; write it as info.csv."""
+    info.update({"experiment": config.experiment, "seed": config.seed,
+                 "runs": config.runs, "iters": config.iters})
     rows = ([k, _fmt17(v) if isinstance(v, float) else str(v)]
             for k, v in sorted(info.items()))
     return _write_csv(out / "info.csv", ["key", "value"], rows)
@@ -272,18 +282,43 @@ def _write_info(out: Path, info: dict) -> Path:
 def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSummary,
                                 info: dict, *, ref_y: float | None, ref_label: str,
                                 title: str, extra_series: Sequence[Series] = (),
-                                extra_files: dict | None = None) -> ExperimentResult:
+                                hist: tuple[list[ChainTrace], str] | None = None
+                                ) -> ExperimentResult:
+    """Write the envelope CSVs and figure, the optional histogram of the
+    chains' pooled retained states (`hist=(traces, title)`), and info.csv."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     env_path, sum_path = export_csv(summary, out)
     svg_path = export_svg(summary, out / "figure.svg", title=title,
                           y_label="running mean", ref_y=ref_y, ref_label=ref_label,
                           extra_series=extra_series)
     files = {"envelope.csv": env_path, "summary.csv": sum_path, "figure.svg": svg_path}
-    if extra_files:
-        files.update(extra_files)
-    files["info.csv"] = _write_info(out, info)
+    if hist is not None:
+        traces, hist_title = hist
+        pooled = np.concatenate([t.retained() for t in traces])
+        hist_files, hist_info = _histogram_block(pooled, out, hist_title)
+        files.update(hist_files)
+        info.update(hist_info)
+    files["info.csv"] = _write_info(config, out, info)
     return ExperimentResult(summary, files, info)
+
+
+def _running_mean_envelope(config: ExperimentConfig,
+                           values: Callable[[RngStream, int], Iterable[float]]
+                           ) -> tuple[EnvelopeSummary, list[RunningEstimate]]:
+    """Envelope of running means of `values(rng, n)`, n the last checkpoint.
+
+    Replication k reads its values from substream k. Returns the summary
+    and run 0's checkpoint snapshots, whose SEs draw the single-run band.
+    """
+    run0: list[RunningEstimate] = []  # run_envelope runs replication 0 first
+
+    def make_trace(rng: RngStream, cps):
+        snaps = running_moments(values(rng, cps[-1]), cps)
+        if not run0:
+            run0.extend(snaps)
+        return [e.mean for e in snaps]
+
+    return run_envelope(make_trace, config.runs, config.iters, config.seed), run0
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +330,14 @@ def figure1(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
     mu = float(config.mu)
     reference = gaussian_functional_expectation(mu)
-
-    run0: list[RunningEstimate] = []  # run_envelope runs replication 0 first
-
-    def make_trace(rng: RngStream, cps):
-        draws = (cubic_ratio(sample_normal(rng, mu, 1.0)) for _ in range(cps[-1]))
-        snaps = running_moments(draws, cps)
-        if not run0:
-            run0.extend(snaps)
-        return [e.mean for e in snaps]
-
-    summary = run_envelope(make_trace, config.runs, config.iters, config.seed)
+    summary, run0 = _running_mean_envelope(
+        config, lambda rng, n: (cubic_ratio(sample_normal(rng, mu, 1.0)) for _ in range(n)))
 
     # +-3 SE overlay around the single (substream-0) run.
     se_lo = [e.mean - 3.0 * e.se for e in run0]
     se_hi = [e.mean + 3.0 * e.se for e in run0]
 
-    info = {"experiment": "figure1", "seed": config.seed, "runs": config.runs,
-            "iters": config.iters, "mu": mu, "reference_value": reference,
+    info = {"mu": mu, "reference_value": reference,
             "terminal_ensemble_mean": float(np.mean(summary.per_run_traces[:, -1])),
             "terminal_ensemble_sd": float(np.std(summary.per_run_traces[:, -1], ddof=1))
             if config.runs > 1 else 0.0}
@@ -324,51 +349,43 @@ def figure1(config: ExperimentConfig) -> ExperimentResult:
                       Series("single run +3 se", se_hi, dashed=True)))
 
 
-def _chain_envelope(config: ExperimentConfig, run_chain) -> tuple[EnvelopeSummary, list]:
+def _chain_envelope(config: ExperimentConfig,
+                    run_chain) -> tuple[EnvelopeSummary, list[ChainTrace], dict]:
     """Envelope of running means of x^3 over retained chain states.
 
     Each run executes burn_in + iters chain steps and retains `iters`
     states, so the envelope axis always ends at config.iters. Returns the
-    summary plus each run's retained states for histogram pooling.
+    summary, each run's trace, and the info entries both chain figures share.
     """
     burn = config.effective_burn_in()
-    stash: list[np.ndarray] = []
+    traces: list[ChainTrace] = []
 
-    def make_trace(rng: RngStream, cps):
-        trace = run_chain(burn + cps[-1], burn, rng)
-        xs = trace.retained()
-        stash.append(trace)
-        return [e.mean for e in running_moments(xs**3, cps)]
+    def values(rng: RngStream, n: int) -> np.ndarray:
+        trace = run_chain(burn + n, burn, rng)
+        traces.append(trace)
+        return trace.retained() ** 3
 
-    summary = run_envelope(make_trace, config.runs, config.iters, config.seed)
-    return summary, stash
+    summary, _ = _running_mean_envelope(config, values)
+    info = {"burn_in": burn,
+            "terminal_band_width": float(summary.band_hi[-1] - summary.band_lo[-1])}
+    return summary, traces, info
 
 
 def figure2(config: ExperimentConfig) -> ExperimentResult:
     """Slice/Gibbs envelope of running mean x^3, plus state histogram."""
     config.validate()
-    summary, traces = _chain_envelope(
+    summary, traces, info = _chain_envelope(
         config, lambda iters, burn, rng: run_gibbs_chain(0.0, iters, burn, rng))
-    pooled = np.concatenate([t.retained() for t in traces])
-
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    hist_files, hist_info = _histogram_block(pooled, out, "Slice/Gibbs draws vs target density")
-    info = {"experiment": "figure2", "seed": config.seed, "runs": config.runs,
-            "iters": config.iters, "burn_in": config.effective_burn_in(),
-            "terminal_band_width": float(summary.band_hi[-1] - summary.band_lo[-1]),
-            **hist_info}
     return _finish_envelope_experiment(
         config, summary, info, ref_y=0.0, ref_label="truth 0",
-        title="Slice/Gibbs running means of x^3", extra_files=hist_files)
+        title="Slice/Gibbs running means of x^3",
+        hist=(traces, "Slice/Gibbs draws vs target density"))
 
 
 def figure3(config: ExperimentConfig) -> ExperimentResult:
     """Random-walk MH envelope of running mean x^3, scale fixed or calibrated."""
     config.validate()
-    info: dict = {"experiment": "figure3", "seed": config.seed, "runs": config.runs,
-                  "iters": config.iters, "burn_in": config.effective_burn_in(),
-                  "target_accept": config.target_accept}
+    info: dict = {"target_accept": config.target_accept}
     if config.scale == "auto":
         cal_rng = derive_substream(rng_new(config.seed), _CAL_STREAM)
         report = calibrate_scale_report(EXAMPLE_TARGET, config.target_accept,
@@ -383,22 +400,16 @@ def figure3(config: ExperimentConfig) -> ExperimentResult:
     info["scale"] = scale
 
     prop = RwProposal(scale)
-    summary, traces = _chain_envelope(
+    summary, traces, chain_info = _chain_envelope(
         config,
         lambda iters, burn, rng: run_mh_chain(EXAMPLE_TARGET, prop, 0.0, iters, burn, rng))
-    pooled = np.concatenate([t.retained() for t in traces])
+    info.update(chain_info)
     rates = [float(np.mean(t.accepted[t.burn_in:])) for t in traces]
     info["measured_acceptance"] = float(np.mean(rates))
-
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    hist_files, hist_info = _histogram_block(pooled, out, "RW Metropolis draws vs target density")
-    info.update(hist_info)
-    info["terminal_band_width"] = float(summary.band_hi[-1] - summary.band_lo[-1])
     return _finish_envelope_experiment(
         config, summary, info, ref_y=0.0, ref_label="truth 0",
         title=f"RW Metropolis running means of x^3 (scale {scale:.3g})",
-        extra_files=hist_files)
+        hist=(traces, "RW Metropolis draws vs target density"))
 
 
 def _synthetic_dataset(seed: int, n: int = 20) -> np.ndarray:
@@ -425,11 +436,12 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
 
     model_rows: list[list[list]] = [[], []]
     bf_rows: list[list] = []
-    errors: dict[str, list[float]] = {"harmonic_mean": [], "bridge": [], "chib": []}
+    errors: dict[str, list[float]] = {name: [] for name in _EVIDENCE_DIAGNOSTIC}
+    analytic_bf = truths[0] - truths[1]
 
     for r in range(config.runs):
         rng = derive_substream(root, r)
-        per_est: dict[str, list] = {}
+        ests = []
         for mi, model in enumerate(models):
             pm, pv = posterior_params(model, data)
             psd = math.sqrt(pv)
@@ -440,31 +452,23 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
             fit_m = float(np.mean(post))
             fit_s = float(np.std(post, ddof=1))
             prop = np.array([sample_normal(rng, fit_m, fit_s) for _ in range(T)])
+            bridge = bridge_log_evidence(post, prop,
+                                         lambda th: model.log_posterior_unnorm(data, th),
+                                         lambda th: normal_logpdf(th, fit_m, fit_s))
+            ests.append([hm, bridge, chib_log_evidence(model, data, post)])
 
-            def log_prop(th, _m=fit_m, _s=fit_s):
-                return (-0.5 * ((np.asarray(th) - _m) / _s) ** 2
-                        - math.log(_s) - 0.5 * math.log(2.0 * math.pi))
-
-            br = bridge_log_evidence(post, prop,
-                                     lambda th, _mo=model: _mo.log_posterior_unnorm(data, th),
-                                     log_prop)
-            ch = chib_log_evidence(model, data, post)
-
-            for est, extra in ((hm, hm.diagnostics["ess"]),
-                               (br, br.diagnostics["iterations"]),
-                               (ch, ch.diagnostics["n_draws"])):
+            for est in ests[mi]:
                 err = est.log_evidence - truths[mi]
+                diag = est.diagnostics[_EVIDENCE_DIAGNOSTIC[est.estimator]]
                 model_rows[mi].append(
                     [est.estimator, r, T, _fmt17(est.log_evidence), _fmt17(truths[mi]),
-                     _fmt17(err), _fmt17(float(extra)), est.converged])
-                per_est.setdefault(est.estimator, [None, None])[mi] = est
+                     _fmt17(err), _fmt17(float(diag)), est.converged])
                 if mi == 0:
                     errors[est.estimator].append(err)
 
-        analytic_bf = truths[0] - truths[1]
-        for name, (e0, e1) in per_est.items():
+        for e0, e1 in zip(*ests):
             log_bf = e0.log_evidence - e1.log_evidence
-            bf_rows.append([name, r, _fmt17(log_bf), _fmt17(analytic_bf),
+            bf_rows.append([e0.estimator, r, _fmt17(log_bf), _fmt17(analytic_bf),
                             _fmt17(log_bf - analytic_bf),
                             e0.converged and e1.converged])
 
@@ -480,15 +484,14 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
             ["estimator", "seed", "log_bf", "analytic_log_bf", "error", "converged"],
             bf_rows),
     }
-    info = {"experiment": "evidence", "seed": config.seed, "runs": config.runs,
-            "iters": T, "n_data": len(data), "data_mean": float(np.mean(data)),
+    info = {"n_data": len(data), "data_mean": float(np.mean(data)),
             "model0": models[0].name, "model1": models[1].name,
             "analytic_log_evidence_m0": truths[0],
             "analytic_log_evidence_m1": truths[1],
-            "analytic_log_bf": truths[0] - truths[1]}
+            "analytic_log_bf": analytic_bf}
     for name, errs in errors.items():
         info[f"{name}_error_sd_m0"] = float(np.std(errs, ddof=1)) if len(errs) > 1 else 0.0
-    files["info.csv"] = _write_info(out, info)
+    files["info.csv"] = _write_info(config, out, info)
     return ExperimentResult(None, files, info)
 
 

@@ -81,8 +81,8 @@ class RwProposal:
     scale: float
 
     def __post_init__(self) -> None:
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
 
 
 def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
@@ -278,8 +278,11 @@ def batch_means_se(values, n_batches: int = 50) -> float:
 
     Splits the sequence into equal contiguous batches (tail remainder
     dropped) and reports std(batch means)/sqrt(n_batches). The iid SE is
-    too small for MCMC output; this is the honest band width.
+    too small for MCMC output; this is the honest band width. At least two
+    batches are needed for a spread.
     """
+    if n_batches < 2:
+        raise ValueError(f"n_batches must be >= 2, got {n_batches!r}")
     v = np.asarray(values, dtype=float)
     if v.size < 4:
         raise ValueError("need at least 4 values for batch means")

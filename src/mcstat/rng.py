@@ -174,15 +174,12 @@ _PPF_P_LOW = 0.02425
 
 
 def _ppf_estimate(p: float) -> float:
+    # Acklam's rational approximation on (0, 0.5]; norm_ppf reflects p > 0.5.
     a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
     if p < _PPF_P_LOW:
         q = math.sqrt(-2.0 * math.log(p))
         return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
                ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - _PPF_P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
     q = p - 0.5
     r = q * q
     return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \

@@ -14,6 +14,7 @@ bounds the discarded tail mass below 1e-22, far under every tolerance used.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -137,14 +138,9 @@ class _ExampleOracle:
         return self._pdf_unnorm_vec(xs) / self.norm_const
 
 
-_oracle: _ExampleOracle | None = None
-
-
+@functools.cache
 def _get_oracle() -> _ExampleOracle:
-    global _oracle
-    if _oracle is None:
-        _oracle = _ExampleOracle()
-    return _oracle
+    return _ExampleOracle()
 
 
 def example_target_norm_const() -> float:

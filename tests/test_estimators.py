@@ -230,18 +230,28 @@ def test_snis_unnormalized_target_invariance():
     assert a.ess == pytest.approx(b.ess, rel=1e-12)
 
 
+class _BoxDist:
+    """Proposal with density on [0, 1] whose draws land in [2, 3)."""
+
+    def sample(self, rng):
+        return 2.0 + rng.next_float()
+
+    def logpdf(self, x):
+        return 0.0 if 0.0 <= x <= 1.0 else -math.inf
+
+
 def test_snis_support_violation_raises():
     # proposal density is zero at a point where the target still has mass
-    class BoxDist:
-        def sample(self, rng):
-            return 2.0 + rng.next_float()  # lands outside [0, 1]
-
-        def logpdf(self, x):
-            return 0.0 if 0.0 <= x <= 1.0 else -math.inf
-
     target = TargetDensity(example_target_logpdf, -10.0, 10.0, "example")
     with pytest.raises(ValueError, match="support"):
-        self_normalized_is(target, BoxDist(), lambda x: x, 10, rng_new(35))
+        self_normalized_is(target, _BoxDist(), lambda x: x, 10, rng_new(35))
+
+
+def test_snis_rejects_nan_weights():
+    # draws where both densities are zero give log weight -inf - -inf = NaN
+    target = TargetDensity(example_target_logpdf, -10.0, 1.5, "example")
+    with pytest.raises(ValueError, match="NaN"):
+        self_normalized_is(target, _BoxDist(), lambda x: x, 10, rng_new(35))
 
 
 def test_snis_low_ess_warning():
@@ -389,6 +399,12 @@ def test_bridge_reports_non_convergence():
 def test_bridge_rejects_empty_draws():
     with pytest.raises(ValueError):
         bridge_log_evidence([], [0.0], lambda x: 0.0, lambda x: 0.0)
+
+
+def test_bridge_rejects_scalar_log_density():
+    draws = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="vectorized"):
+        bridge_log_evidence(draws, draws, lambda th: 0.0, lambda th: -0.5 * th * th)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Experiment harness: envelopes, exports, the four experiments, the CLI."""
 
 import csv
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import fields
@@ -83,6 +84,7 @@ def test_config_accepts_reasonable_values(tmp_path):
     {"target_accept": 0.0},
     {"target_accept": 1.0},
     {"scale": -1.0},
+    {"scale": math.inf},
     {"scale": "fast"},
     {"burn_in": 10_000},
     {"burn_in": -5},
@@ -330,6 +332,37 @@ def test_export_csv_runs_equal_one(tmp_path):
         assert row["band_lo"] == row["band_hi"] == row["single_run"]
 
 
+# sha256 over (file name, bytes) of every CSV an experiment writes. Any
+# change to a drawn number, a row or a formatted digit changes the digest,
+# so a refactor of the experiment layer must leave these unchanged.
+_PINNED_OUTPUTS = [
+    ("figure1", {"mu": 2.5},
+     "29d22f3dbb5bb7f2197305a05c9442c24976ac5aefc6b3c34aff3f48fdab1d66"),
+    ("figure2", {},
+     "ef71aad2dd691214afb26988176292071bb594dda8c7c43b4bc1a0368a8864c7"),
+    ("figure3", {"scale": "auto"},
+     "5925b63ceb9f7d93330ae9597273faf76e58e7fd856c65b850ffd9ed7b37c179"),
+    ("figure3", {"scale": 0.8},
+     "a940057801618ddaf7d0d802db17880a7c9269a5b7c7405988ac71bcbeeec818"),
+    ("evidence", {},
+     "47d2257d7118d20c0e5a04ca82d265cb9ef8c331dc4e728e8e818b8ff3c3a201"),
+]
+
+
+@pytest.mark.parametrize("exp, extra, digest", _PINNED_OUTPUTS,
+                         ids=["figure1", "figure2", "figure3-auto",
+                              "figure3-fixed", "evidence"])
+def test_experiment_outputs_are_pinned(tmp_path, exp, extra, digest):
+    res = run_experiment(ExperimentConfig(exp, seed=5, runs=4, iters=400,
+                                          out_dir=tmp_path, **extra))
+    h = hashlib.sha256()
+    for name in sorted(res.files):
+        if Path(name).suffix == ".csv":
+            h.update(name.encode())
+            h.update(res.files[name].read_bytes())
+    assert h.hexdigest() == digest
+
+
 def test_run_experiment_dispatch(tmp_path):
     res = run_experiment(ExperimentConfig("figure1", seed=1, runs=2,
                                           iters=200, out_dir=tmp_path))
@@ -365,6 +398,7 @@ def test_cli_validation_failures_exit_1(tmp_path, capsys):
     assert _cli_rc(["figure1"]) == 1  # no --out anywhere
     assert _cli_rc(["figure1", "--runs", "0", "--out", str(tmp_path)]) == 1
     assert _cli_rc(["figure1", "--scale", "quick", "--out", str(tmp_path)]) == 1
+    assert _cli_rc(["figure3", "--scale", "inf", "--out", str(tmp_path)]) == 1
     assert _cli_rc(["figure1", "--config", str(tmp_path / "missing.cfg"),
                     "--out", str(tmp_path)]) == 1
     capsys.readouterr()

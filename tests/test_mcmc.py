@@ -177,6 +177,13 @@ def test_chain_length_validation():
         run_mh_chain(EXAMPLE, RwProposal(1.0), 11.0, 100, 0, rng_new(0))
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_rw_proposal_rejects_degenerate_scale(scale):
+    # an infinite scale would freeze the chain at its initial state
+    with pytest.raises(ValueError):
+        RwProposal(scale)
+
+
 def test_minimal_chain_retains_one_state():
     tr = run_mh_chain(EXAMPLE, RwProposal(1.0), 0.0, 101, 100, rng_new(47))
     assert len(tr.retained()) == 1
@@ -444,3 +451,9 @@ def test_batch_means_short_input():
         batch_means_se([1.0, 2.0, 3.0])
     # 8 values fall back to fewer, wider batches instead of failing
     assert batch_means_se(np.arange(8.0)) > 0.0
+
+
+@pytest.mark.parametrize("n_batches", [1, 0, -3])
+def test_batch_means_needs_two_batches(n_batches):
+    with pytest.raises(ValueError, match="n_batches"):
+        batch_means_se(np.arange(100.0), n_batches=n_batches)
