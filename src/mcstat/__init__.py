@@ -21,9 +21,9 @@ from .mcmc import (CalibrationError, CalibrationReport, ChainTrace, RwProposal,
 from .quadrature import (QuadratureError, QuadratureResult,
                          gauss_legendre_integrate, quadrature_integrate)
 from .rng import (NormalDist, RngStream, StudentTDist, derive_substream,
-                  norm_cdf, norm_ppf, norm_sf, normal_logpdf, rng_new,
-                  sample_normal, sample_student_t, sample_truncated_normal,
-                  sample_uniform, student_t_logpdf)
+                  norm_cdf, norm_ppf, norm_ppf_many, norm_sf, normal_logpdf,
+                  normals, rng_new, sample_normal, sample_student_t,
+                  sample_truncated_normal, sample_uniform, student_t_logpdf)
 from .targets import (EXAMPLE_TARGET, ConjugateNormalModel, TargetDensity,
                       analytic_log_bayes_factor, analytic_log_evidence,
                       cubic_ratio, example_target_cdf, example_target_cdf_many,

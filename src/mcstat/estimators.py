@@ -168,8 +168,9 @@ def self_normalized_is(target: TargetDensity,
     `proposal_sampler` needs .sample(rng) and .logpdf(x). Weights are
     exp(log f - log g) after a max shift, so the target may be unnormalized.
     A draw where the target has mass but the proposal density is zero is a
-    support violation and raises; so do weights that `ess` rejects (NaN
-    from a draw where both densities are zero, +inf, or all zero).
+    support violation and raises; so does a non-finite h value, naming its
+    iteration as mc_estimate does, and so do weights that `ess` rejects
+    (NaN from a draw where both densities are zero, +inf, or all zero).
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -182,7 +183,10 @@ def self_normalized_is(target: TargetDensity,
         if lg == -math.inf and lf > -math.inf:
             raise ValueError(
                 f"iteration {t}: target has mass at {x!r} outside proposal support")
-        hs.append(h(x))
+        val = h(x)
+        if not math.isfinite(val):
+            raise ValueError(f"iteration {t}: h returned non-finite value {val!r}")
+        hs.append(val)
         log_ws.append(lf - lg)
 
     values = np.array(hs)

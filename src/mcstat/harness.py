@@ -31,12 +31,15 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .estimators import (RunningEstimate, bridge_log_evidence,
+from .estimators import (EvidenceEstimate, RunningEstimate, bridge_log_evidence,
                          chib_log_evidence, harmonic_mean_log_evidence,
                          running_moments)
 from .mcmc import (ChainTrace, RwProposal, calibrate_scale_report, run_gibbs_chain,
                    run_mh_chain)
-from .rng import RngStream, derive_substream, normal_logpdf, rng_new, sample_normal
+from .rng import RngStream, derive_substream, normal_logpdf, normals, rng_new
+# Not called here: kept as a module attribute because perfbench's tracer
+# wraps mcstat.harness.sample_normal.
+from .rng import sample_normal  # noqa: F401
 from .svgplot import Band, Series, svg_histogram, svg_line_plot
 from .targets import (EXAMPLE_TARGET, analytic_log_evidence, cubic_ratio,
                       example_target_cdf_many, example_target_pdf_many,
@@ -331,7 +334,7 @@ def figure1(config: ExperimentConfig) -> ExperimentResult:
     mu = float(config.mu)
     reference = gaussian_functional_expectation(mu)
     summary, run0 = _running_mean_envelope(
-        config, lambda rng, n: (cubic_ratio(sample_normal(rng, mu, 1.0)) for _ in range(n)))
+        config, lambda rng, n: cubic_ratio(normals(rng, n, mu, 1.0)).tolist())
 
     # +-3 SE overlay around the single (substream-0) run.
     se_lo = [e.mean - 3.0 * e.se for e in run0]
@@ -414,8 +417,25 @@ def figure3(config: ExperimentConfig) -> ExperimentResult:
 
 def _synthetic_dataset(seed: int, n: int = 20) -> np.ndarray:
     """The evidence experiment's fixed dataset: n draws from N(0.5, 1)."""
-    rng = derive_substream(rng_new(seed), _DATA_STREAM)
-    return np.array([sample_normal(rng, 0.5, 1.0) for _ in range(n)])
+    return normals(derive_substream(rng_new(seed), _DATA_STREAM), n, 0.5, 1.0)
+
+
+def _evidence_replication(rng: RngStream, models, data: np.ndarray,
+                          T: int) -> list[list[EvidenceEstimate]]:
+    """One replication of `evidence`: [harmonic mean, bridge, Chib] per model."""
+    ests = []
+    for model in models:
+        pm, pv = posterior_params(model, data)
+        post = normals(rng, T, pm, math.sqrt(pv))
+        hm = harmonic_mean_log_evidence(model.log_likelihood(data, post))
+        fit_m = float(np.mean(post))
+        fit_s = float(np.std(post, ddof=1))
+        prop = normals(rng, T, fit_m, fit_s)
+        bridge = bridge_log_evidence(post, prop,
+                                     lambda th: model.log_posterior_unnorm(data, th),
+                                     lambda th: normal_logpdf(th, fit_m, fit_s))
+        ests.append([hm, bridge, chib_log_evidence(model, data, post)])
+    return ests
 
 
 def evidence(config: ExperimentConfig) -> ExperimentResult:
@@ -440,24 +460,13 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
     analytic_bf = truths[0] - truths[1]
 
     for r in range(config.runs):
-        rng = derive_substream(root, r)
-        ests = []
-        for mi, model in enumerate(models):
-            pm, pv = posterior_params(model, data)
-            psd = math.sqrt(pv)
-            post = np.array([sample_normal(rng, pm, psd) for _ in range(T)])
-
-            hm = harmonic_mean_log_evidence(model.log_likelihood(data, post))
-
-            fit_m = float(np.mean(post))
-            fit_s = float(np.std(post, ddof=1))
-            prop = np.array([sample_normal(rng, fit_m, fit_s) for _ in range(T)])
-            bridge = bridge_log_evidence(post, prop,
-                                         lambda th: model.log_posterior_unnorm(data, th),
-                                         lambda th: normal_logpdf(th, fit_m, fit_s))
-            ests.append([hm, bridge, chib_log_evidence(model, data, post)])
-
-            for est in ests[mi]:
+        try:
+            ests = _evidence_replication(derive_substream(root, r), models, data, T)
+        except Exception as exc:
+            raise RuntimeError(
+                f"evidence replication {r} (substream {r}) failed: {exc}") from exc
+        for mi, model_ests in enumerate(ests):
+            for est in model_ests:
                 err = est.log_evidence - truths[mi]
                 diag = est.diagnostics[_EVIDENCE_DIAGNOSTIC[est.estimator]]
                 model_rows[mi].append(

@@ -14,16 +14,24 @@ matters because b(u) -> 0 as u -> 1).
 
 Chains are strictly sequential; parallelism belongs across chains, one
 derived substream each. A trace replays bit-exactly from a fresh stream
-with the recorded (seed, stream_id).
+with the recorded (seed, stream_id). Both chain runners read their draws in
+blocks of rng's block size: step t of a chain uses open floats 2t and 2t+1
+of its stream, exactly as the step-by-step scalar draws would, and the
+stream ends where those scalar draws would leave it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
-from .rng import RngStream, sample_normal, sample_truncated_normal
+from .rng import _BLOCK, RngStream, _truncated_normal, norm_ppf_many
+# Not called here: kept as module attributes because perfbench's tracer
+# wraps mcstat.mcmc.sample_normal and mcstat.mcmc.sample_truncated_normal.
+from .rng import sample_normal, sample_truncated_normal  # noqa: F401
 from .targets import TargetDensity
 
 __all__ = [
@@ -93,7 +101,8 @@ def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
     iff log_alpha = log f(y) - log f(x) is >= 0 or exceeds log u; proposals
     outside the support have log f(y) = -inf and are always rejected. Every
     step consumes exactly one normal and one uniform draw whatever the
-    outcome, so stream positions stay predictable.
+    outcome, so stream positions stay predictable: step t inverts open
+    float 2t into y and compares open float 2t+1 as u.
 
     The trace holds all `iters` post-move states; `burn_in` marks how many
     lead states retained() drops. Pass a freshly constructed (sub)stream:
@@ -108,17 +117,20 @@ def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
         raise ValueError(f"init {init!r} has zero target density")
     logpdf = target.logpdf
     scale = prop.scale
-    for t in range(iters):
-        y = sample_normal(rng, x, scale)
-        lfy = logpdf(y)
-        log_alpha = lfy - lfx
-        u = rng.next_float_open()
-        if log_alpha >= 0.0 or math.log(u) < log_alpha:
-            x, lfx = y, lfy
-            accepted[t] = True
-        else:
-            accepted[t] = False
-        states[t] = x
+    for start in range(0, iters, _BLOCK):
+        stop = min(start + _BLOCK, iters)
+        block = rng.floats_open(2 * (stop - start))
+        zs = norm_ppf_many(block[0::2]).tolist()
+        for t, z, u in zip(range(start, stop), zs, block[1::2].tolist()):
+            y = x + scale * z  # sample_normal(rng, x, scale), bit for bit
+            lfy = logpdf(y)
+            log_alpha = lfy - lfx
+            if log_alpha >= 0.0 or math.log(u) < log_alpha:
+                x, lfx = y, lfy
+                accepted[t] = True
+            else:
+                accepted[t] = False
+            states[t] = x
     return ChainTrace(states, accepted, burn_in, (rng.seed, rng.stream_id))
 
 
@@ -223,23 +235,35 @@ def slice_gibbs_step(x: float, rng: RngStream) -> float:
     truncation bound always exceeds |x| (the slice contains the current
     state by construction).
     """
+    return _slice_gibbs_update(x, rng.next_float_open)
+
+
+def _slice_gibbs_update(x: float, draw: Callable[[], float]) -> float:
+    # slice_gibbs_step with its two open uniforms taken from draw(), in the
+    # order the stream would give them.
     if not math.isfinite(x):
         raise ValueError(f"state must be finite, got {x!r}")
     x2 = x * x
-    u = rng.next_float_open() / (1.0 + x2 + x2 * x2)
+    u = draw() / (1.0 + x2 + x2 * x2)
     b = slice_truncation_bound(u)
-    return sample_truncated_normal(rng, 0.0, 1.0, -b, b)
+    return _truncated_normal(0.0, 1.0, -b, b, draw)
 
 
 def run_gibbs_chain(init: float, iters: int, burn_in: int,
                     rng: RngStream) -> ChainTrace:
-    """Run the slice/Gibbs chain for the ratio target; accepted is None."""
+    """Run the slice/Gibbs chain for the ratio target; accepted is None.
+
+    Step t is slice_gibbs_step on open floats 2t and 2t+1 of the stream.
+    """
     _check_lengths(iters, burn_in)
     states = np.empty(iters)
     x = float(init)
-    for t in range(iters):
-        x = slice_gibbs_step(x, rng)
-        states[t] = x
+    for start in range(0, iters, _BLOCK):
+        stop = min(start + _BLOCK, iters)
+        draw = iter(rng.floats_open(2 * (stop - start)).tolist()).__next__
+        for t in range(start, stop):
+            x = _slice_gibbs_update(x, draw)
+            states[t] = x
     return ChainTrace(states, None, burn_in, (rng.seed, rng.stream_id))
 
 

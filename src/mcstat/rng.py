@@ -4,12 +4,33 @@ The generator is PCG32 (64-bit state, 64-bit odd increment), chosen for
 cross-platform bit-reproducibility, a 16-byte serializable state, and cheap
 substream derivation.  Normal-family draws go through the inverse CDF so that
 truncated sampling has bounded runtime even on narrow or far-tail intervals.
+
+Block draws.  `RngStream.floats_open(n)` and `normals(rng, n, mean, sd)`
+return numpy arrays equal bit for bit to n calls of `next_float_open()` and
+`sample_normal(rng, mean, sd)`, and advance the stream by the same number of
+32-bit words, so scalar and block calls can be mixed freely.  The PCG state
+after t steps is a^t s + inc S_t (mod 2^64) with S_t = a^0 + ... + a^(t-1);
+one table of (a^t, S_t), built by doubling on first use, gives a whole block
+of states from the current one (O'Neill 2014, "PCG"; Brown 1994, "Random
+Number Generation with Arbitrary Strides").  Blocks hold at most `_BLOCK`
+floats, so transient memory does not grow with n; the chain runners in
+mcmc step through their runs in blocks of the same size.
+
+`norm_ppf_many` is `norm_ppf` over an array.  The two share the rational
+approximations and the Halley step, written once for floats and arrays, and
+take every transcendental (log, erfc, exp) from the C library one element at
+a time: numpy's own log and exp differ from libm in the last ulp on a few
+percent of inputs, which would break the bit-for-bit contract.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "RngStream",
@@ -17,11 +38,13 @@ __all__ = [
     "derive_substream",
     "sample_uniform",
     "sample_normal",
+    "normals",
     "sample_truncated_normal",
     "sample_student_t",
     "norm_cdf",
     "norm_sf",
     "norm_ppf",
+    "norm_ppf_many",
     "normal_logpdf",
     "student_t_logpdf",
     "NormalDist",
@@ -31,10 +54,14 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _PCG_MULT = 6364136223846793005
 _SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Smallest truncation-interval probability we are willing to invert through.
 _MIN_TAIL_MASS = 1e-300
+
+# Most open floats one block computes at once (two PCG words each).
+_BLOCK = 1024
 
 
 def _splitmix64(z: int) -> int:
@@ -92,6 +119,24 @@ class RngStream:
         # The top 53-bit value rounds to exactly 1.0; map it just below.
         return u if u < 1.0 else 1.0 - 2.0**-53
 
+    def floats_open(self, n: int) -> np.ndarray:
+        """n open uniforms as a float64 array, equal bit for bit to n calls
+        of next_float_open(); the stream advances by the same 2n words."""
+        if n < 0:
+            raise ValueError(f"block length must be >= 0, got {n!r}")
+        out = np.empty(n)
+        powers, sums = _jump_table()
+        shifts = sums * np.uint64(self._inc)
+        for start in range(0, n, _BLOCK):
+            words = 2 * min(_BLOCK, n - start)
+            states = powers[:words] * np.uint64(self._state) + shifts[:words]
+            self._state = (int(states[-1]) * _PCG_MULT + self._inc) & _MASK64
+            out32 = _pcg_output(states)
+            # next_u64 is the high word then the low word
+            out[start:start + words // 2] = _open_floats(
+                out32[0::2] << np.uint64(32) | out32[1::2])
+        return out
+
     def state_bytes(self) -> bytes:
         """16-byte little-endian checkpoint (state, increment)."""
         return self._state.to_bytes(8, "little") + self._inc.to_bytes(8, "little")
@@ -114,6 +159,39 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+@functools.cache
+def _jump_table() -> tuple[np.ndarray, np.ndarray]:
+    """(a^t, S_t) mod 2^64 for t < 2 * _BLOCK, S_t = a^0 + ... + a^(t-1).
+
+    The state t steps after s is a^t s + inc S_t. Built by doubling:
+    a^(m+t) = a^m a^t and S_(m+t) = S_m + a^m S_t; the uint64 products wrap
+    mod 2^64, as the generator does.
+    """
+    powers = np.ones(1, dtype=np.uint64)
+    sums = np.zeros(1, dtype=np.uint64)
+    a_m, s_m = _PCG_MULT, 1  # a^m and S_m for m = len(powers)
+    while powers.size < 2 * _BLOCK:
+        am = np.uint64(a_m)
+        powers, sums = (np.concatenate((powers, powers * am)),
+                        np.concatenate((sums, np.uint64(s_m) + sums * am)))
+        a_m, s_m = (a_m * a_m) & _MASK64, (s_m + a_m * s_m) & _MASK64
+    return powers, sums
+
+
+def _pcg_output(states: np.ndarray) -> np.ndarray:
+    # next_u32's XSH-RR output of each state, as uint64 words below 2^32.
+    low32 = np.uint64(0xFFFFFFFF)
+    xorshifted = (((states >> np.uint64(18)) ^ states) >> np.uint64(27)) & low32
+    rot = states >> np.uint64(59)
+    return (xorshifted >> rot | xorshifted << (np.uint64(32) - rot)) & low32
+
+
+def _open_floats(words: np.ndarray) -> np.ndarray:
+    # next_float_open on uint64 words, including its clamp of 1.0 to 1 - 2^-53.
+    u = ((words >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53)
 
 
 def rng_new(seed: int) -> RngStream:
@@ -173,17 +251,27 @@ _PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _PPF_P_LOW = 0.02425
 
 
-def _ppf_estimate(p: float) -> float:
-    # Acklam's rational approximation on (0, 0.5]; norm_ppf reflects p > 0.5.
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    if p < _PPF_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+def _ppf_central(p):
+    # Acklam's central rational approximation, _PPF_P_LOW <= p <= 0.5.
+    # Like _ppf_tail and _halley, takes a float or an array.
+    a, b = _PPF_A, _PPF_B
     q = p - 0.5
     r = q * q
     return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+
+
+def _ppf_tail(q):
+    # Acklam's lower-tail rational approximation in q = sqrt(-2 log p).
+    c, d = _PPF_C, _PPF_D
+    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+
+
+def _halley(x, p, cdf, growth):
+    # One Halley step on Phi(x) = p, given cdf = Phi(x) and growth = exp(x^2/2).
+    u = (cdf - p) * _SQRT_2PI * growth
+    return x - u / (1.0 + x * u / 2.0)
 
 
 def norm_ppf(p: float) -> float:
@@ -203,21 +291,54 @@ def norm_ppf(p: float) -> float:
 
 def _norm_ppf_lower(p: float) -> float:
     # p in (0, 0.5]; result <= 0, so Phi(x) = erfc(|x|/sqrt(2))/2 is exact.
-    x = _ppf_estimate(p)
+    x = _ppf_tail(math.sqrt(-2.0 * math.log(p))) if p < _PPF_P_LOW else _ppf_central(p)
     half_sq = 0.5 * x * x
     if half_sq < 700.0:
-        err = 0.5 * math.erfc(-x / _SQRT2) - p
-        u = err * math.sqrt(2.0 * math.pi) * math.exp(half_sq)
-        return x - u / (1.0 + x * u / 2.0)
+        return _halley(x, p, norm_cdf(x), math.exp(half_sq))
     # Far tail: Newton on log Phi, all quantities representable.
     target = math.log(p)
     for _ in range(2):
-        tail = 0.5 * math.erfc(-x / _SQRT2)
+        tail = norm_cdf(x)
         if tail <= 0.0:
             break
         log_tail = math.log(tail)
         log_pdf = -0.5 * x * x - _LOG_SQRT_2PI
         x -= (log_tail - target) * math.exp(log_tail - log_pdf)
+    return x
+
+
+def _libm(fn, a: np.ndarray) -> np.ndarray:
+    # fn from math applied per element: the C library's result, bit for bit.
+    return np.fromiter(map(fn, a.tolist()), dtype=float, count=a.size)
+
+
+def norm_ppf_many(p) -> np.ndarray:
+    """norm_ppf of every element of `p`, equal bit for bit to the scalar.
+
+    Raises unless every element lies in (0, 1).
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise ValueError("norm_ppf_many requires 0 < p < 1 for every element")
+    upper = p > 0.5
+    x = _norm_ppf_lower_many(np.where(upper, 1.0 - p, p))
+    return np.where(upper, -x, x)
+
+
+def _norm_ppf_lower_many(p: np.ndarray) -> np.ndarray:
+    # _norm_ppf_lower per element of an array p in (0, 0.5].
+    x = np.empty_like(p)
+    tail = p < _PPF_P_LOW
+    x[tail] = _ppf_tail(np.sqrt(-2.0 * _libm(math.log, p[tail])))
+    x[~tail] = _ppf_central(p[~tail])
+    half_sq = 0.5 * x * x
+    near = half_sq < 700.0
+    xn = x[near]
+    x[near] = _halley(xn, p[near], 0.5 * _libm(math.erfc, -xn / _SQRT2),
+                      _libm(math.exp, half_sq[near]))
+    far = ~near
+    if far.any():
+        x[far] = [_norm_ppf_lower(v) for v in p[far].tolist()]
     return x
 
 
@@ -244,7 +365,19 @@ def sample_normal(rng: RngStream, mean: float, sd: float) -> float:
     return mean + sd * norm_ppf(rng.next_float_open())
 
 
-def _std_truncnorm_upper(rng: RngStream, a: float, b: float) -> float:
+def normals(rng: RngStream, n: int, mean: float, sd: float) -> np.ndarray:
+    """n draws from N(mean, sd^2) as an array, equal bit for bit to n calls
+    of sample_normal(rng, mean, sd) and leaving the stream where they would."""
+    if not sd > 0.0:
+        raise ValueError(f"normal sd must be positive, got {sd!r}")
+    out = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        out[start:stop] = mean + sd * norm_ppf_many(rng.floats_open(stop - start))
+    return out
+
+
+def _std_truncnorm_upper(draw: Callable[[], float], a: float, b: float) -> float:
     # Both endpoints in the upper half-line: invert on the survival scale,
     # where erfc keeps far-tail masses representable.
     qa = norm_sf(a)
@@ -253,7 +386,7 @@ def _std_truncnorm_upper(rng: RngStream, a: float, b: float) -> float:
     if not mass > _MIN_TAIL_MASS:
         raise ValueError(
             f"truncation interval [{a}, {b}] has probability {mass:.3e}, below machine threshold")
-    q = qb + rng.next_float_open() * mass
+    q = qb + draw() * mass
     return -norm_ppf(q)
 
 
@@ -262,8 +395,16 @@ def sample_truncated_normal(rng: RngStream, mean: float, sd: float,
     """One draw from N(mean, sd^2) restricted to [lo, hi], by inversion.
 
     Endpoints may be infinite.  Raises if the interval carries no numerically
-    representable probability mass.
+    representable probability mass; a call that raises consumes no draw.
     """
+    return _truncated_normal(mean, sd, lo, hi, rng.next_float_open)
+
+
+def _truncated_normal(mean: float, sd: float, lo: float, hi: float,
+                      draw: Callable[[], float]) -> float:
+    # sample_truncated_normal with the open uniform taken from draw(), which
+    # is called once, after every check has passed: a stream's
+    # next_float_open, or the next float of a block drawn ahead.
     if not sd > 0.0:
         raise ValueError(f"truncated normal sd must be positive, got {sd!r}")
     if not lo < hi:
@@ -271,9 +412,9 @@ def sample_truncated_normal(rng: RngStream, mean: float, sd: float,
     a = (lo - mean) / sd
     b = (hi - mean) / sd
     if a >= 0.0:
-        z = _std_truncnorm_upper(rng, a, b)
+        z = _std_truncnorm_upper(draw, a, b)
     elif b <= 0.0:
-        z = -_std_truncnorm_upper(rng, -b, -a)
+        z = -_std_truncnorm_upper(draw, -b, -a)
     else:
         pa = norm_cdf(a)  # 0.0 when a = -inf
         pb = norm_cdf(b)
@@ -282,7 +423,7 @@ def sample_truncated_normal(rng: RngStream, mean: float, sd: float,
             raise ValueError(
                 f"truncation interval [{lo}, {hi}] has probability {mass:.3e}, "
                 "below machine threshold")
-        z = norm_ppf(pa + rng.next_float_open() * mass)
+        z = norm_ppf(pa + draw() * mass)
     # Inversion error is ~1 ulp; clamp so the range contract is exact.
     z = min(max(z, a), b)
     x = mean + sd * z

@@ -254,6 +254,16 @@ def test_snis_rejects_nan_weights():
         self_normalized_is(target, _BoxDist(), lambda x: x, 10, rng_new(35))
 
 
+def test_snis_rejects_non_finite_h():
+    # h turns NaN past x = 3; the error names the first draw beyond it
+    prop = NormalDist(0.0, 2.0)
+    replay = rng_new(1)
+    first = next(t for t in range(1, 2001) if prop.sample(replay) > 3.0)
+    with pytest.raises(ValueError, match=rf"^iteration {first}: h returned non-finite"):
+        self_normalized_is(GAUSS0, prop, lambda x: math.nan if x > 3.0 else x,
+                           2000, rng_new(1))
+
+
 def test_snis_low_ess_warning():
     # proposal centred far in the tail: a handful of draws carry everything
     target = GAUSS0

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 from mcstat.cli import _OPTIONS
 from mcstat.cli import main as cli_main
+from mcstat.estimators import chib_log_evidence
 from mcstat.harness import (
     ConfigError,
     ExperimentConfig,
@@ -304,6 +306,28 @@ def test_evidence_is_deterministic(tmp_path):
            b.files["evidence_m0.csv"].read_bytes()
     assert a.files["bayes_factors.csv"].read_bytes() == \
            b.files["bayes_factors.csv"].read_bytes()
+
+
+def test_evidence_failure_names_the_replication(tmp_path, capsys, monkeypatch):
+    # replication 3 calls Chib for its first model on the 7th call overall
+    calls = []
+
+    def flaky_chib(*args):
+        calls.append(None)
+        if len(calls) == 7:
+            raise ValueError("boom")
+        return chib_log_evidence(*args)
+
+    monkeypatch.setattr("mcstat.harness.chib_log_evidence", flaky_chib)
+    msg = r"evidence replication 3 \(substream 3\) failed: boom"
+    with pytest.raises(RuntimeError, match=msg):
+        evidence(ExperimentConfig("evidence", seed=0, runs=5, iters=200,
+                                  out_dir=tmp_path / "lib"))
+    calls.clear()
+    rc = cli_main(["evidence", "--runs", "5", "--iters", "200",
+                   "--out", str(tmp_path / "cli")])
+    assert rc == 2
+    assert re.search(msg, capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

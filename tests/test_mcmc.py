@@ -19,8 +19,8 @@ from mcstat.mcmc import (
     slice_gibbs_step,
     slice_truncation_bound,
 )
-from mcstat.rng import (RngStream, derive_substream, norm_cdf, rng_new,
-                        sample_normal)
+from mcstat.rng import (_BLOCK, RngStream, derive_substream, norm_cdf,
+                        rng_new, sample_normal)
 from mcstat.targets import (
     TargetDensity,
     example_target_cdf_many,
@@ -38,14 +38,15 @@ EXAMPLE = TargetDensity(example_target_logpdf, -10.0, 10.0, "example")
 
 class _ScriptedStream(RngStream):
     """Replays fixed open uniforms; an MH step draws the proposal's normal
-    by inversion of the first and compares the second with alpha."""
+    by inversion of the first and compares the second with alpha. The
+    chain reads its uniforms as blocks, so the script serves floats_open."""
 
     def __init__(self, *us):
         super().__init__(0)
         self._us = list(us)
 
-    def next_float_open(self):
-        return self._us.pop(0)
+    def floats_open(self, n):
+        return np.array([self._us.pop(0) for _ in range(n)])
 
 
 def _one_step(x, z_u, u):
@@ -148,6 +149,18 @@ def test_chain_matches_stepwise_execution():
     for t, (x, a) in enumerate(ref):
         assert tr.states[t] == x
         assert tr.accepted[t] == a
+
+
+def test_chain_matches_stepwise_execution_across_blocks():
+    # several draw blocks plus a partial one; the stream ends where the
+    # step-by-step replay leaves it
+    n = 3 * _BLOCK + 7
+    rng, ref_rng = rng_new(46), rng_new(46)
+    tr = run_mh_chain(EXAMPLE, RwProposal(2.0), -0.4, n, 0, rng)
+    ref = _mh_reference_steps(EXAMPLE, 2.0, -0.4, n, ref_rng)
+    assert tr.states.tolist() == [x for x, _ in ref]
+    assert tr.accepted.tolist() == [a for _, a in ref]
+    assert rng.state_bytes() == ref_rng.state_bytes()
 
 
 def test_chain_rejected_steps_repeat_state():
@@ -334,6 +347,19 @@ def test_gibbs_chain_shape_and_replay():
         tr.acceptance_rate
     replay = run_gibbs_chain(0.0, 400, 100, RngStream(*tr.seed_info))
     assert np.array_equal(tr.states, replay.states)
+
+
+def test_gibbs_chain_matches_stepwise_execution():
+    # slice_gibbs_step replayed on the scalar stream, over several blocks
+    n = 3 * _BLOCK + 7
+    rng, ref_rng = rng_new(56), rng_new(56)
+    tr = run_gibbs_chain(0.7, n, 0, rng)
+    x, ref = 0.7, []
+    for _ in range(n):
+        x = slice_gibbs_step(x, ref_rng)
+        ref.append(x)
+    assert tr.states.tolist() == ref
+    assert rng.state_bytes() == ref_rng.state_bytes()
 
 
 def test_gibbs_running_cubic_mean_within_batch_means_band():

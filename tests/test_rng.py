@@ -8,14 +8,19 @@ import scipy.stats as sps
 from hypothesis import given, settings, strategies as st
 
 from mcstat.rng import (
+    _BLOCK,
+    _PPF_P_LOW,
+    _open_floats,
     NormalDist,
     RngStream,
     StudentTDist,
     derive_substream,
     norm_cdf,
     norm_ppf,
+    norm_ppf_many,
     norm_sf,
     normal_logpdf,
+    normals,
     rng_new,
     sample_normal,
     sample_student_t,
@@ -122,6 +127,77 @@ def test_next_float_open_stays_inside_unit_interval(word, expected):
     assert u == expected
     assert 0.0 < u < 1.0
     assert math.isfinite(norm_ppf(u))
+    # the block path converts the same word to the same float
+    assert _open_floats(np.array([word], dtype=np.uint64))[0] == expected
+
+
+# ---------------------------------------------------------------------------
+# Block draws: bit for bit the scalar stream
+# ---------------------------------------------------------------------------
+
+def _bits(xs):
+    return np.asarray(xs, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_block_draws_match_scalar_draws(n):
+    a, b = derive_substream(rng_new(60), n), derive_substream(rng_new(60), n)
+    assert _bits([a.next_float_open() for _ in range(n)]) == _bits(b.floats_open(n))
+    assert a.state_bytes() == b.state_bytes()
+    assert _bits([sample_normal(a, -1.5, 0.7) for _ in range(n)]) == \
+           _bits(normals(b, n, -1.5, 0.7))
+    assert a.state_bytes() == b.state_bytes()
+
+
+def test_block_normals_match_scalar_across_substreams():
+    root = rng_new(0)
+    for k in range(20):
+        a, b = derive_substream(root, k), derive_substream(root, k)
+        assert _bits([sample_normal(a, 0.0, 1.0) for _ in range(3000)]) == \
+               _bits(normals(b, 3000, 0.0, 1.0))
+
+
+def test_interleaved_scalar_and_block_draws_leave_equal_state():
+    # odd word counts (next_u32) put block calls at every word alignment
+    a, b = rng_new(61), rng_new(61)
+    got, want = [], []
+    for n in (3, _BLOCK + 2, 1, 0, 17):
+        got.append(float(b.next_u32()))
+        want.append(float(a.next_u32()))
+        got.extend(b.floats_open(n))
+        want.extend(a.next_float_open() for _ in range(n))
+        got.append(sample_normal(b, 1.0, 2.0))
+        want.append(sample_normal(a, 1.0, 2.0))
+        got.extend(normals(b, n, 1.0, 2.0))
+        want.extend(sample_normal(a, 1.0, 2.0) for _ in range(n))
+        assert a.state_bytes() == b.state_bytes()
+    assert _bits(got) == _bits(want)
+
+
+def test_block_draws_reject_bad_arguments():
+    r = rng_new(0)
+    with pytest.raises(ValueError):
+        r.floats_open(-1)
+    for sd in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            normals(r, 10, 0.0, sd)
+    for p in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ValueError):
+            norm_ppf_many([0.3, p])
+    assert r.state_bytes() == rng_new(0).state_bytes()  # no draw consumed
+
+
+def test_norm_ppf_many_matches_scalar_at_branch_edges():
+    ps = [2.0**-54, math.nextafter(_PPF_P_LOW, 0.0), _PPF_P_LOW,
+          math.nextafter(_PPF_P_LOW, 1.0), 0.5, math.nextafter(0.5, 1.0),
+          1.0 - _PPF_P_LOW, 1.0 - 2.0**-53, 1e-310, 5e-324, 1e-300]
+    assert _bits(norm_ppf_many(ps)) == _bits([norm_ppf(p) for p in ps])
+
+
+@given(ps=st.lists(st.floats(5e-324, 1.0, exclude_max=True), max_size=50))
+@settings(max_examples=100, deadline=None)
+def test_norm_ppf_many_matches_scalar_property(ps):
+    assert _bits(norm_ppf_many(ps)) == _bits([norm_ppf(p) for p in ps])
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +340,7 @@ def test_truncnorm_rejects_empty_or_dead_interval():
     with pytest.raises(ValueError):
         # interval mass below the machine threshold
         sample_truncated_normal(r, 0.0, 1.0, 400.0, 401.0)
+    assert r.state_bytes() == rng_new(0).state_bytes()  # no draw consumed
 
 
 @given(mean=st.floats(-5, 5), sd=st.floats(0.1, 3.0),
