@@ -12,6 +12,9 @@ it is written:
   vs quadrature of the evidence integral.
 
 The script aborts rather than writing goldens if any two routes disagree.
+With --check it writes nothing: it prints every key whose recomputed value
+differs from the stored one, with both values and their distance in ulps,
+and exits 1 if any key differs.
 """
 
 from __future__ import annotations
@@ -43,10 +46,36 @@ def _require(label: str, a: float, b: float, tol: float) -> None:
     print(f"  {label}: {a:.17g}  (routes agree to {abs(a - b):.2e})")
 
 
+def _flatten(d: dict, prefix: str = "") -> dict:
+    flat = {}
+    for key, value in d.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def _check(goldens: dict, path: Path) -> int:
+    stored = _flatten(json.loads(path.read_text(encoding="utf-8")))
+    fresh = _flatten(goldens)
+    keys = sorted(stored.keys() | fresh.keys())
+    differ = [k for k in keys if stored.get(k) != fresh.get(k)]
+    for key in differ:
+        a, b = stored.get(key), fresh.get(key)
+        dist = "missing" if a is None or b is None else f"{abs(a - b) / math.ulp(a):.0f} ulp"
+        print(f"  differs: {key}: stored {a!r}, computed {b!r} ({dist})")
+    print(f"{len(differ)} of {len(keys)} keys differ from {path}")
+    return 1 if differ else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="skip the 10^7-draw Monte Carlo cross-check")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the goldens file instead of writing it; "
+                             "exit 1 if any key differs")
     parser.add_argument("--out", type=Path,
                         default=Path(__file__).resolve().parent.parent / "tests" / "goldens.json")
     args = parser.parse_args()
@@ -111,6 +140,8 @@ def main() -> int:
             "log_bayes_factor": ev0 - ev1,
         },
     }
+    if args.check:
+        return _check(goldens, args.out)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(goldens, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")

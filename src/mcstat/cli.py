@@ -30,14 +30,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse_scale(text: str):
     if text == "auto":
         return "auto"
+    # The range check is ExperimentConfig.validate's.
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"scale must be a positive number or 'auto', got {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"scale must be positive, got {text!r}")
-    return value
+            f"scale must be a number or 'auto', got {text!r}") from None
 
 
 # One row per ExperimentConfig field except `experiment`:

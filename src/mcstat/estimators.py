@@ -1,10 +1,10 @@
 """Monte Carlo estimators: running means, importance sampling, evidence.
 
-running_moments is the one Welford (one-pass mean/variance) loop; it
-snapshots RunningEstimate values at checkpoint counts, so traces of partial
-estimates come for free. Importance sampling keeps every weight in log
-space with a max shift; the effective sample size and a bootstrap standard
-error are the instability diagnostics.
+running_moments is the one Welford (one-pass mean/variance) loop, over one
+sequence or K in lockstep; its snapshots at checkpoint counts, as
+RunningEstimate values, make traces of partial estimates come for free.
+Importance sampling keeps every weight in log space with a max shift; the
+effective sample size and a bootstrap standard error are the diagnostics.
 
 Three marginal-likelihood (evidence) estimators share the EvidenceEstimate
 result type: the harmonic mean of likelihoods, the iterative optimal-bridge
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,36 +71,42 @@ class RunningEstimate:
         return math.sqrt(self.m2 / self.count) / math.sqrt(self.count)
 
 
-def running_moments(values: Iterable[float],
-                    cps: Sequence[int]) -> list[RunningEstimate]:
-    """One-pass Welford mean and variance, snapshotted at checkpoint counts.
+def running_moments(values, cps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """One-pass Welford mean and sum of squared deviations at checkpoints.
 
-    Element i of the result is the estimate after the first cps[i] values;
-    `cps` must be strictly increasing. Values past the last checkpoint are
-    not read, so a generator is consumed no further than needed. A
-    non-finite value raises, naming its 1-based iteration.
+    `values` has shape (T,), or (K, T) for K sequences in lockstep; the
+    returned (mean, m2) have shape values.shape[:-1] + (len(cps),), and
+    RunningEstimate(cps[i], mean[..., i], m2[..., i]) is the snapshot after
+    cps[i] values. `cps` must be strictly increasing positive counts. Values
+    past the last checkpoint are not read; a non-finite value before it
+    raises, naming its 1-based iteration and, for 2-D input, its row.
     """
-    if not len(cps):
-        return []
-    snaps: list[RunningEstimate] = []
-    todo = iter(cps)
-    cp = next(todo)
-    n = 0
-    mean = 0.0
-    m2 = 0.0
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite value {v!r} at iteration {n + 1}")
-        n += 1
-        d = v - mean
-        mean += d / n
-        m2 += d * (v - mean)
-        if n == cp:
-            snaps.append(RunningEstimate(n, mean, m2))
-            cp = next(todo, None)
-            if cp is None:
-                return snaps
-    raise ValueError(f"sequence shorter than final checkpoint {cps[-1]}")
+    v = np.asarray(values, dtype=float)
+    last = cps[-1] if len(cps) else 0
+    if v.ndim not in (1, 2) or v.shape[-1] < last:
+        raise ValueError(f"values of shape {v.shape} are not (T,) or (K, T), or are "
+                         f"shorter than the final checkpoint {last}")
+    block = v[..., :last]
+    bad = np.argwhere(~np.isfinite(block))
+    if len(bad):
+        *row, t = bad[0]
+        raise ValueError(f"non-finite value {float(block[tuple(bad[0])])!r} at iteration "
+                         f"{t + 1}" + (f" of row {row[0]}" if row else ""))
+    means, m2s = np.empty((2, len(cps)) + v.shape[:-1])  # row j: checkpoint j
+    # The same step on a float (1-D input, as Python floats) or a column.
+    mean = m2 = 0.0
+    j = 0
+    for n, x in enumerate(block.tolist() if v.ndim == 1 else block.T, start=1):
+        d = x - mean
+        mean = mean + d / n
+        m2 = m2 + d * (x - mean)
+        if n == cps[j]:
+            means[j] = mean
+            m2s[j] = m2
+            j += 1
+    if j < len(cps):
+        raise ValueError(f"checkpoints must be strictly increasing positive counts: {cps}")
+    return means.T, m2s.T
 
 
 def mc_estimate(target_sampler: Callable[[RngStream], float],
@@ -124,7 +130,8 @@ def mc_estimate(target_sampler: Callable[[RngStream], float],
         if not math.isfinite(val):
             raise ValueError(f"iteration {t}: h returned non-finite value {val!r}")
         values.append(val)
-    return running_moments(values, range(1, T + 1))
+    mean, m2 = running_moments(values, range(1, T + 1))
+    return list(map(RunningEstimate, range(1, T + 1), mean.tolist(), m2.tolist()))
 
 
 def ess(log_weights: Sequence[float]) -> float:

@@ -14,7 +14,10 @@ Four experiments share one config type:
   synthetic conjugate-normal dataset with analytic ground truth.
 
 Replication k always consumes substream k of the config seed; datasets and
-calibration get reserved substream ids far above any run index. All CSV
+calibration get reserved substream ids far above any run index. Every
+experiment replicates through one loop, `_replicate`, which names the
+replication and substream of a failure; the envelope figures reduce their
+(runs, iters) block of values with one lockstep `running_moments`. All CSV
 floats carry 17 significant digits, so outputs are byte-stable and the
 files round-trip to full precision. The keys every info.csv shares
 (experiment, seed, runs, iters) are written in one place, `_write_info`.
@@ -27,7 +30,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -159,6 +162,20 @@ class EnvelopeSummary:
     single_run: np.ndarray      # the substream-0 run
 
 
+def _replicate(label: str, seed: int, runs: int,
+               fn: Callable[[RngStream], object]) -> list:
+    """[fn(substream k of `seed`) for k < runs]; a failure is re-raised as a
+    RuntimeError naming the replication and its substream."""
+    root = rng_new(seed)
+    results = []
+    for k in range(runs):
+        try:
+            results.append(fn(derive_substream(root, k)))
+        except Exception as exc:
+            raise RuntimeError(f"{label} {k} (substream {k}) failed: {exc}") from exc
+    return results
+
+
 def run_envelope(make_trace: Callable[[RngStream, Sequence[int]], Sequence[float]],
                  runs: int, iters: int, seed: int) -> EnvelopeSummary:
     """Run `runs` independent replications and collect their envelope.
@@ -169,18 +186,18 @@ def run_envelope(make_trace: Callable[[RngStream, Sequence[int]], Sequence[float
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     cps = checkpoints(iters)
-    root = rng_new(seed)
-    traces = np.empty((runs, len(cps)))
-    for k in range(runs):
-        rng = derive_substream(root, k)
-        try:
-            tr = np.asarray(make_trace(rng, cps), dtype=float)
-        except Exception as exc:
-            raise RuntimeError(f"envelope run {k} failed: {exc}") from exc
+
+    def trace(rng: RngStream) -> np.ndarray:
+        tr = np.asarray(make_trace(rng, cps), dtype=float)
         if tr.shape != (len(cps),):
-            raise RuntimeError(
-                f"envelope run {k} returned {tr.shape}, expected ({len(cps)},)")
-        traces[k] = tr
+            raise ValueError(f"returned {tr.shape}, expected ({len(cps)},)")
+        return tr
+
+    return _summarize(cps, np.array(_replicate("envelope run", seed, runs, trace)))
+
+
+def _summarize(cps: Sequence[int], traces: np.ndarray) -> EnvelopeSummary:
+    """Envelope bands of per-run running means, shape (runs, len(cps))."""
     return EnvelopeSummary(
         iters_axis=np.asarray(cps, dtype=int),
         per_run_traces=traces,
@@ -305,25 +322,6 @@ def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSumma
     return ExperimentResult(summary, files, info)
 
 
-def _running_mean_envelope(config: ExperimentConfig,
-                           values: Callable[[RngStream, int], Iterable[float]]
-                           ) -> tuple[EnvelopeSummary, list[RunningEstimate]]:
-    """Envelope of running means of `values(rng, n)`, n the last checkpoint.
-
-    Replication k reads its values from substream k. Returns the summary
-    and run 0's checkpoint snapshots, whose SEs draw the single-run band.
-    """
-    run0: list[RunningEstimate] = []  # run_envelope runs replication 0 first
-
-    def make_trace(rng: RngStream, cps):
-        snaps = running_moments(values(rng, cps[-1]), cps)
-        if not run0:
-            run0.extend(snaps)
-        return [e.mean for e in snaps]
-
-    return run_envelope(make_trace, config.runs, config.iters, config.seed), run0
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -333,10 +331,14 @@ def figure1(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
     mu = float(config.mu)
     reference = gaussian_functional_expectation(mu)
-    summary, run0 = _running_mean_envelope(
-        config, lambda rng, n: cubic_ratio(normals(rng, n, mu, 1.0)).tolist())
+    cps = checkpoints(config.iters)
+    values = _replicate("envelope run", config.seed, config.runs,
+                        lambda rng: cubic_ratio(normals(rng, config.iters, mu, 1.0)))
+    mean, m2 = running_moments(values, cps)
+    summary = _summarize(cps, mean)
 
     # +-3 SE overlay around the single (substream-0) run.
+    run0 = list(map(RunningEstimate, cps, mean[0].tolist(), m2[0].tolist()))
     se_lo = [e.mean - 3.0 * e.se for e in run0]
     se_hi = [e.mean + 3.0 * e.se for e in run0]
 
@@ -361,14 +363,11 @@ def _chain_envelope(config: ExperimentConfig,
     summary, each run's trace, and the info entries both chain figures share.
     """
     burn = config.effective_burn_in()
-    traces: list[ChainTrace] = []
-
-    def values(rng: RngStream, n: int) -> np.ndarray:
-        trace = run_chain(burn + n, burn, rng)
-        traces.append(trace)
-        return trace.retained() ** 3
-
-    summary, _ = _running_mean_envelope(config, values)
+    cps = checkpoints(config.iters)
+    traces = _replicate("envelope run", config.seed, config.runs,
+                        lambda rng: run_chain(burn + config.iters, burn, rng))
+    mean, _ = running_moments(np.stack([t.retained() for t in traces]) ** 3, cps)
+    summary = _summarize(cps, mean)
     info = {"burn_in": burn,
             "terminal_band_width": float(summary.band_hi[-1] - summary.band_lo[-1])}
     return summary, traces, info
@@ -452,19 +451,14 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
     models = [get_model("conj-n01"), get_model("conj-n14")]
     truths = [analytic_log_evidence(m, data) for m in models]
     T = config.iters
-    root = rng_new(config.seed)
-
     model_rows: list[list[list]] = [[], []]
     bf_rows: list[list] = []
     errors: dict[str, list[float]] = {name: [] for name in _EVIDENCE_DIAGNOSTIC}
     analytic_bf = truths[0] - truths[1]
 
-    for r in range(config.runs):
-        try:
-            ests = _evidence_replication(derive_substream(root, r), models, data, T)
-        except Exception as exc:
-            raise RuntimeError(
-                f"evidence replication {r} (substream {r}) failed: {exc}") from exc
+    reps = _replicate("evidence replication", config.seed, config.runs,
+                      lambda rng: _evidence_replication(rng, models, data, T))
+    for r, ests in enumerate(reps):
         for mi, model_ests in enumerate(ests):
             for est in model_ests:
                 err = est.log_evidence - truths[mi]

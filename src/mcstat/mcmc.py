@@ -145,6 +145,11 @@ def _check_lengths(iters: int, burn_in: int) -> None:
 # Proposal scale calibration
 # ---------------------------------------------------------------------------
 
+_CAL_WINDOWS = 50
+_CAL_WINDOW_STEPS = 400
+_CAL_VALIDATION_STEPS = 20_000
+
+
 @dataclass(frozen=True)
 class CalibrationReport:
     scale: float
@@ -163,52 +168,48 @@ class CalibrationError(RuntimeError):
 
 def calibrate_scale_report(target: TargetDensity, target_accept: float,
                            init: float, rng: RngStream, *,
-                           windows: int = 50, window_steps: int = 400,
-                           validation_steps: int = 20_000,
                            tol: float = 0.05) -> CalibrationReport:
     """Calibrate the RW proposal scale to a desired acceptance rate.
 
-    Stochastic approximation on log(scale): after each window of
-    `window_steps` MH steps, log(scale) moves by gain_k * (rate - target)
-    with gain_k = 4 / k**0.6. The gain decays slowly enough to travel the
-    several log-units needed for extreme targets (a 1/k schedule stalls
-    short of, e.g., target 0.999), and the tail average over the last 10
-    windows smooths the remaining oscillation. The averaged scale is then
-    frozen and validated on a fresh `validation_steps` run; a miss beyond
-    `tol` raises CalibrationError carrying the attempt.
+    Stochastic approximation on log(scale): after each of _CAL_WINDOWS
+    windows of _CAL_WINDOW_STEPS MH steps, log(scale) moves by gain_k *
+    (rate - target) with gain_k = 4 / k**0.6. The gain decays slowly enough
+    to travel the several log-units needed for extreme targets (a 1/k
+    schedule stalls short of, e.g., target 0.999), and the tail average over
+    the last 10 windows smooths the remaining oscillation. The averaged
+    scale is then frozen and validated on a _CAL_VALIDATION_STEPS run; a
+    miss beyond `tol` raises CalibrationError carrying the attempt.
     """
     if not 0.0 < target_accept < 1.0:
         raise ValueError(f"target_accept must be in (0, 1), got {target_accept!r}")
-    if windows < 10 or window_steps < 1:
-        raise ValueError("need at least 10 windows of at least 1 step")
 
     log_scale = 0.0
     x = float(init)
     tail: list[float] = []
-    for k in range(1, windows + 1):
+    for k in range(1, _CAL_WINDOWS + 1):
         window = run_mh_chain(target, RwProposal(math.exp(log_scale)), x,
-                              window_steps, 0, rng)
+                              _CAL_WINDOW_STEPS, 0, rng)
         x = float(window.states[-1])
-        rate = int(window.accepted.sum()) / window_steps
+        rate = int(window.accepted.sum()) / _CAL_WINDOW_STEPS
         log_scale += (4.0 / k**0.6) * (rate - target_accept)
         tail.append(log_scale)
 
     scale = math.exp(sum(tail[-10:]) / 10.0)
     validation = run_mh_chain(target, RwProposal(scale), init,
-                              validation_steps, 0, rng)
+                              _CAL_VALIDATION_STEPS, 0, rng)
     measured = validation.acceptance_rate
     if abs(measured - target_accept) > tol:
         raise CalibrationError(
             f"calibration missed: scale {scale:.6g} gives acceptance "
             f"{measured:.4f}, target {target_accept} +/- {tol}",
             best_scale=scale, measured_rate=measured)
-    return CalibrationReport(scale, measured, windows)
+    return CalibrationReport(scale, measured, _CAL_WINDOWS)
 
 
 def calibrate_scale(target: TargetDensity, target_accept: float,
-                    init: float, rng: RngStream, **kwargs) -> float:
+                    init: float, rng: RngStream) -> float:
     """Calibrated proposal scale; see calibrate_scale_report for the method."""
-    return calibrate_scale_report(target, target_accept, init, rng, **kwargs).scale
+    return calibrate_scale_report(target, target_accept, init, rng).scale
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,8 @@ def derive_substream(parent: RngStream, k: int) -> RngStream:
 
 def sample_uniform(rng: RngStream, lo: float, hi: float) -> float:
     """One draw from U[lo, hi)."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"uniform bounds must be finite, got [{lo}, {hi})")
+    if not math.isfinite(hi - lo):  # also rules out infinite and NaN bounds
+        raise ValueError(f"uniform bounds and width must be finite, got [{lo}, {hi})")
     if not lo < hi:
         raise ValueError(f"uniform interval must satisfy lo < hi, got [{lo}, {hi})")
     v = lo + rng.next_float() * (hi - lo)
@@ -360,16 +360,16 @@ def student_t_logpdf(x: float, df: float, loc: float = 0.0, scale: float = 1.0) 
 
 def sample_normal(rng: RngStream, mean: float, sd: float) -> float:
     """One draw from N(mean, sd^2) by inversion."""
-    if not sd > 0.0:
-        raise ValueError(f"normal sd must be positive, got {sd!r}")
+    if not 0.0 < sd < math.inf:
+        raise ValueError(f"normal sd must be positive and finite, got {sd!r}")
     return mean + sd * norm_ppf(rng.next_float_open())
 
 
 def normals(rng: RngStream, n: int, mean: float, sd: float) -> np.ndarray:
     """n draws from N(mean, sd^2) as an array, equal bit for bit to n calls
     of sample_normal(rng, mean, sd) and leaving the stream where they would."""
-    if not sd > 0.0:
-        raise ValueError(f"normal sd must be positive, got {sd!r}")
+    if not 0.0 < sd < math.inf:
+        raise ValueError(f"normal sd must be positive and finite, got {sd!r}")
     out = np.empty(n)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
@@ -405,8 +405,8 @@ def _truncated_normal(mean: float, sd: float, lo: float, hi: float,
     # sample_truncated_normal with the open uniform taken from draw(), which
     # is called once, after every check has passed: a stream's
     # next_float_open, or the next float of a block drawn ahead.
-    if not sd > 0.0:
-        raise ValueError(f"truncated normal sd must be positive, got {sd!r}")
+    if not 0.0 < sd < math.inf:
+        raise ValueError(f"truncated normal sd must be positive and finite, got {sd!r}")
     if not lo < hi:
         raise ValueError(f"truncation interval must satisfy lo < hi, got [{lo}, {hi}]")
     a = (lo - mean) / sd

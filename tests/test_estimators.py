@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcstat.estimators import (
+    RunningEstimate,
     SnisResult,
     bridge_log_evidence,
     chib_log_evidence,
@@ -35,7 +36,22 @@ GAUSS0 = TargetDensity(lambda x: -0.5 * x * x)
 # ---------------------------------------------------------------------------
 
 def _final(xs):
-    return running_moments(xs, [len(xs)])[0]
+    mean, m2 = running_moments(xs, [len(xs)])
+    return RunningEstimate(len(xs), float(mean[0]), float(m2[0]))
+
+
+def _welford_reference(xs, cps):
+    # The scalar Welford loop, one Python float at a time, as the reference
+    # for the lockstep running_moments.
+    snaps, n, mean, m2 = [], 0, 0.0, 0.0
+    for v in xs[:cps[-1]]:
+        n += 1
+        d = v - mean
+        mean += d / n
+        m2 += d * (v - mean)
+        if n in cps:
+            snaps.append((mean, m2))
+    return snaps
 
 
 def test_running_moments_constant_sequence():
@@ -47,7 +63,8 @@ def test_running_moments_constant_sequence():
 
 
 def test_running_moments_small_example():
-    first, second, est = running_moments([1.0, 2.0, 3.0, 4.0], [1, 2, 4])
+    mean, m2 = running_moments([1.0, 2.0, 3.0, 4.0], [1, 2, 4])
+    first, second, est = (RunningEstimate(*e) for e in zip([1, 2, 4], mean, m2))
     assert (first.count, first.mean, first.m2) == (1, 1.0, 0.0)
     assert (second.count, second.mean, second.m2) == (2, 1.5, 0.5)
     assert est.mean == pytest.approx(2.5, rel=1e-15)
@@ -57,12 +74,18 @@ def test_running_moments_small_example():
 
 
 def test_running_moments_checkpoint_bounds():
-    values = iter([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert [e.count for e in running_moments(values, [2, 3])] == [2, 3]
-    assert next(values) == 4.0  # nothing read past the last checkpoint
+    mean, m2 = running_moments([1.0, 2.0, 3.0, 4.0, 5.0], [2, 3])
+    assert mean.tolist() == [1.5, 2.0] and m2.tolist() == [0.5, 2.0]
+    # nothing past the last checkpoint is read, so a NaN there is not rejected
+    mean, _ = running_moments([[1.0, 2.0, 3.0, math.nan]] * 2, [2, 3])
+    assert mean.tolist() == [[1.5, 2.0]] * 2
     with pytest.raises(ValueError, match="shorter"):
         running_moments([1.0, 2.0], [1, 3])
-    assert running_moments([1.0], []) == []
+    for cps in ([2, 2], [3, 1], [0, 2]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            running_moments([1.0, 2.0, 3.0], cps)
+    mean, m2 = running_moments([1.0], [])
+    assert mean.shape == m2.shape == (0,)
 
 
 def test_single_observation_has_zero_se():
@@ -72,10 +95,15 @@ def test_single_observation_has_zero_se():
 
 
 def test_non_finite_update_reports_iteration():
-    with pytest.raises(ValueError, match="4"):
+    with pytest.raises(ValueError, match="iteration 4$"):
         running_moments([1.0, 2.0, 3.0, math.nan], [4])
-    with pytest.raises(ValueError, match="4"):
+    with pytest.raises(ValueError, match="iteration 4$"):
         running_moments([1.0, 2.0, 3.0, math.inf], [4])
+    block = np.ones((4, 6))
+    block[2, 4] = math.nan
+    block[3, 1] = math.inf
+    with pytest.raises(ValueError, match="iteration 5 of row 2$"):
+        running_moments(block, [6])
 
 
 def test_shifted_large_magnitude_variance():
@@ -85,9 +113,9 @@ def test_shifted_large_magnitude_variance():
     assert est.variance == pytest.approx(2.0 / 3.0, rel=1e-10)
 
 
-_adversarial = st.lists(
-    st.one_of(st.floats(-1e8, -1e-8), st.floats(1e-8, 1e8), st.just(0.0)),
-    min_size=2, max_size=50)
+_adversarial_floats = st.one_of(st.floats(-1e8, -1e-8), st.floats(1e-8, 1e8),
+                                st.just(0.0))
+_adversarial = st.lists(_adversarial_floats, min_size=2, max_size=50)
 
 
 @given(xs=_adversarial)
@@ -99,6 +127,24 @@ def test_one_pass_matches_batch(xs):
     batch_m2 = math.fsum((v - batch_mean) ** 2 for v in xs)
     assert abs(est.mean - batch_mean) <= 1e-12 * max(1.0, np.abs(arr).max())
     assert abs(est.m2 - batch_m2) <= 1e-12 * max(1.0, float(np.sum(arr * arr)))
+
+
+@given(rows=st.integers(2, 30).flatmap(lambda t: st.lists(
+           st.lists(_adversarial_floats, min_size=t, max_size=t),
+           min_size=1, max_size=4)),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_lockstep_rows_match_scalar_welford(rows, data):
+    t = len(rows[0])
+    cps = sorted(data.draw(st.sets(st.integers(1, t), min_size=1)))
+    mean, m2 = running_moments(np.array(rows), cps)
+    assert mean.shape == m2.shape == (len(rows), len(cps))
+    for k, row in enumerate(rows):
+        ref = np.array(_welford_reference(row, cps))
+        one_mean, one_m2 = running_moments(row, cps)
+        for got in ((mean[k], m2[k]), (one_mean, one_m2)):
+            assert got[0].tobytes() == ref[:, 0].tobytes()
+            assert got[1].tobytes() == ref[:, 1].tobytes()
 
 
 # ---------------------------------------------------------------------------

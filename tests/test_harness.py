@@ -28,9 +28,9 @@ from mcstat.harness import (
     run_experiment,
     _synthetic_dataset,
 )
-from mcstat.mcmc import CalibrationError
+from mcstat.mcmc import CalibrationError, run_gibbs_chain
 from mcstat.rng import derive_substream, rng_new
-from mcstat.targets import gaussian_functional_expectation
+from mcstat.targets import cubic_ratio, gaussian_functional_expectation
 
 
 def _read_csv(path):
@@ -308,6 +308,51 @@ def test_evidence_is_deterministic(tmp_path):
            b.files["bayes_factors.csv"].read_bytes()
 
 
+def test_figure1_non_finite_value_names_run_and_iteration(tmp_path, capsys,
+                                                         monkeypatch):
+    # the third call is run 2's block; its fifth value is iteration 5
+    calls = []
+
+    def nan_at_run2_iter5(x):
+        calls.append(None)
+        y = cubic_ratio(x)
+        if len(calls) == 3:
+            y[4] = math.nan
+        return y
+
+    monkeypatch.setattr("mcstat.harness.cubic_ratio", nan_at_run2_iter5)
+    msg = r"non-finite value nan at iteration 5 of row 2"
+    with pytest.raises(ValueError, match=msg):
+        figure1(ExperimentConfig("figure1", seed=0, runs=4, iters=200,
+                                 out_dir=tmp_path / "lib"))
+    calls.clear()
+    rc = cli_main(["figure1", "--runs", "4", "--iters", "200",
+                   "--out", str(tmp_path / "cli")])
+    assert rc == 2
+    assert re.search(msg, capsys.readouterr().err)
+
+
+def test_chain_envelope_failure_names_the_run(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def flaky_gibbs(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("boom")
+        return run_gibbs_chain(*args)
+
+    monkeypatch.setattr("mcstat.harness.run_gibbs_chain", flaky_gibbs)
+    msg = r"envelope run 2 \(substream 2\) failed: boom"
+    with pytest.raises(RuntimeError, match=msg):
+        figure2(ExperimentConfig("figure2", seed=0, runs=4, iters=200,
+                                 out_dir=tmp_path / "lib"))
+    calls.clear()
+    rc = cli_main(["figure2", "--runs", "4", "--iters", "200",
+                   "--out", str(tmp_path / "cli")])
+    assert rc == 2
+    assert re.search(msg, capsys.readouterr().err)
+
+
 def test_evidence_failure_names_the_replication(tmp_path, capsys, monkeypatch):
     # replication 3 calls Chib for its first model on the 7th call overall
     calls = []
@@ -422,7 +467,8 @@ def test_cli_validation_failures_exit_1(tmp_path, capsys):
     assert _cli_rc(["figure1"]) == 1  # no --out anywhere
     assert _cli_rc(["figure1", "--runs", "0", "--out", str(tmp_path)]) == 1
     assert _cli_rc(["figure1", "--scale", "quick", "--out", str(tmp_path)]) == 1
-    assert _cli_rc(["figure3", "--scale", "inf", "--out", str(tmp_path)]) == 1
+    for scale in ("inf", "0", "-1", "nan"):
+        assert _cli_rc(["figure3", "--scale", scale, "--out", str(tmp_path)]) == 1, scale
     assert _cli_rc(["figure1", "--config", str(tmp_path / "missing.cfg"),
                     "--out", str(tmp_path)]) == 1
     capsys.readouterr()
@@ -460,7 +506,7 @@ def test_cli_options_cover_config_fields():
 
 
 def test_cli_rejects_bad_config_file_value(tmp_path, capsys):
-    for line in ("runs = many", "scale = fast", "mu = x"):
+    for line in ("runs = many", "scale = fast", "scale = -1", "mu = x"):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         assert cli_main(["figure1", "--config", str(cfg),

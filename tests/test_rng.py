@@ -178,7 +178,7 @@ def test_block_draws_reject_bad_arguments():
     r = rng_new(0)
     with pytest.raises(ValueError):
         r.floats_open(-1)
-    for sd in (0.0, -1.0, math.nan):
+    for sd in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             normals(r, 10, 0.0, sd)
     for p in (0.0, 1.0, -0.5, math.nan):
@@ -226,6 +226,14 @@ def test_uniform_rejects_bad_bounds():
         sample_uniform(r, 0.0, math.inf)
 
 
+def test_uniform_rejects_overflowing_width():
+    # hi - lo overflows to inf although both bounds are finite
+    r = rng_new(0)
+    with pytest.raises(ValueError, match="width must be finite"):
+        sample_uniform(r, -1e308, 1e308)
+    assert r.state_bytes() == rng_new(0).state_bytes()  # no draw consumed
+
+
 @given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32))
 @settings(max_examples=50, deadline=None)
 def test_uniform_containment_property(lo, width, seed):
@@ -253,10 +261,11 @@ def test_normal_location_scale():
 
 
 def test_normal_rejects_bad_sd():
-    with pytest.raises(ValueError):
-        sample_normal(rng_new(0), 0.0, -1.0)
-    with pytest.raises(ValueError):
-        sample_normal(rng_new(0), 0.0, 0.0)
+    r = rng_new(0)
+    for sd in (-1.0, 0.0, math.inf):
+        with pytest.raises(ValueError):
+            sample_normal(r, 0.0, sd)
+    assert r.state_bytes() == rng_new(0).state_bytes()  # no draw consumed
 
 
 def test_norm_cdf_ppf_match_scipy():
@@ -340,6 +349,9 @@ def test_truncnorm_rejects_empty_or_dead_interval():
     with pytest.raises(ValueError):
         # interval mass below the machine threshold
         sample_truncated_normal(r, 0.0, 1.0, 400.0, 401.0)
+    for sd in (0.0, math.inf):
+        with pytest.raises(ValueError, match="sd"):
+            sample_truncated_normal(r, 0.0, sd, -1.0, 1.0)
     assert r.state_bytes() == rng_new(0).state_bytes()  # no draw consumed
 
 
