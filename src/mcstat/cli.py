@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_scale(text: str):
     if text == "auto":
         return "auto"
-    # The range check is ExperimentConfig.validate's.
+    # The range check is ExperimentConfig's, made when it is built.
     try:
         return float(text)
     except ValueError:
@@ -109,9 +109,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if "out_dir" not in merged:
         raise ConfigError("an output directory is required: pass --out DIR "
                           "or set out= in the config file")
-    config = ExperimentConfig(experiment=args.experiment, **merged)
-    config.validate()
-    return config
+    return ExperimentConfig(experiment=args.experiment, **merged)
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,8 @@
 """Monte Carlo estimators: running means, importance sampling, evidence.
 
 running_moments is the one Welford (one-pass mean/variance) loop, over one
-sequence or K in lockstep; its snapshots at checkpoint counts, as
-RunningEstimate values, make traces of partial estimates come for free.
+sequence or K in lockstep; its snapshots at checkpoint counts, one
+RunningEstimate of arrays, make traces of partial estimates come for free.
 Importance sampling keeps every weight in log space with a max shift; the
 effective sample size and a bootstrap standard error are the diagnostics.
 
@@ -52,34 +52,33 @@ def _logsumexp(arr: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RunningEstimate:
-    """Welford accumulator: count, running mean, sum of squared deviations."""
+    """Welford snapshots: after count[i] values, running mean[..., i] and sum
+    of squared deviations m2[..., i]; count has shape (C,)."""
 
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the values seen so far (0 when count < 2)."""
-        return self.m2 / self.count if self.count >= 2 else 0.0
+    count: np.ndarray
+    mean: np.ndarray
+    m2: np.ndarray
 
     @property
-    def se(self) -> float:
-        """Standard error of the mean; 0 when count < 2 (undefined)."""
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self.m2 / self.count) / math.sqrt(self.count)
+    def variance(self) -> np.ndarray:
+        """Population variance of the values seen so far (0 after one)."""
+        return self.m2 / self.count
+
+    @property
+    def se(self) -> np.ndarray:
+        """Standard error of the mean (0 after one value)."""
+        return np.sqrt(self.m2 / self.count) / np.sqrt(self.count)
 
 
-def running_moments(values, cps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def running_moments(values, cps: Sequence[int]) -> RunningEstimate:
     """One-pass Welford mean and sum of squared deviations at checkpoints.
 
     `values` has shape (T,), or (K, T) for K sequences in lockstep; the
-    returned (mean, m2) have shape values.shape[:-1] + (len(cps),), and
-    RunningEstimate(cps[i], mean[..., i], m2[..., i]) is the snapshot after
-    cps[i] values. `cps` must be strictly increasing positive counts. Values
-    past the last checkpoint are not read; a non-finite value before it
-    raises, naming its 1-based iteration and, for 2-D input, its row.
+    result's mean and m2 have shape values.shape[:-1] + (len(cps),). `cps`
+    must be strictly increasing positive counts. After one value m2 is
+    exactly +0.0 (0.0 plus a product that may be -0.0), so se is 0 there.
+    Values past the last checkpoint are not read; a non-finite value before
+    it raises, naming its 1-based iteration and, for 2-D input, its row.
     """
     v = np.asarray(values, dtype=float)
     last = cps[-1] if len(cps) else 0
@@ -106,16 +105,16 @@ def running_moments(values, cps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]
             j += 1
     if j < len(cps):
         raise ValueError(f"checkpoints must be strictly increasing positive counts: {cps}")
-    return means.T, m2s.T
+    return RunningEstimate(np.asarray(cps, dtype=int), means.T, m2s.T)
 
 
 def mc_estimate(target_sampler: Callable[[RngStream], float],
                 h: Callable[[float], float],
                 T: int,
-                rng: RngStream) -> list[RunningEstimate]:
+                rng: RngStream) -> RunningEstimate:
     """Plain Monte Carlo estimate of E[h(X)] with the full running trace.
 
-    Returns a list of T RunningEstimate snapshots; element t-1 is the
+    Returns the snapshots after every draw: entry t-1 of each field is the
     estimate after t draws. Deterministic given the rng stream.
     """
     if T < 1:
@@ -130,8 +129,7 @@ def mc_estimate(target_sampler: Callable[[RngStream], float],
         if not math.isfinite(val):
             raise ValueError(f"iteration {t}: h returned non-finite value {val!r}")
         values.append(val)
-    mean, m2 = running_moments(values, range(1, T + 1))
-    return list(map(RunningEstimate, range(1, T + 1), mean.tolist(), m2.tolist()))
+    return running_moments(values, range(1, T + 1))
 
 
 def ess(log_weights: Sequence[float]) -> float:

@@ -15,9 +15,10 @@ Four experiments share one config type:
 
 Replication k always consumes substream k of the config seed; datasets and
 calibration get reserved substream ids far above any run index. Every
-experiment replicates through one loop, `_replicate`, which names the
-replication and substream of a failure; the envelope figures reduce their
-(runs, iters) block of values with one lockstep `running_moments`. All CSV
+experiment replicates through one loop, `_replicate`, which yields each
+result and names the replication and substream of a failure; the envelope
+figures fill one (runs, iters) block and reduce it with one lockstep
+`running_moments`. An ExperimentConfig is checked when built. All CSV
 floats carry 17 significant digits, so outputs are byte-stable and the
 files round-trip to full precision. The keys every info.csv shares
 (experiment, seed, runs, iters) are written in one place, `_write_info`.
@@ -30,13 +31,12 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .estimators import (EvidenceEstimate, RunningEstimate, bridge_log_evidence,
-                         chib_log_evidence, harmonic_mean_log_evidence,
-                         running_moments)
+from .estimators import (EvidenceEstimate, bridge_log_evidence, chib_log_evidence,
+                         harmonic_mean_log_evidence, running_moments)
 from .mcmc import (ChainTrace, RwProposal, calibrate_scale_report, run_gibbs_chain,
                    run_mh_chain)
 from .rng import RngStream, derive_substream, normal_logpdf, normals, rng_new
@@ -66,8 +66,6 @@ __all__ = [
     "export_svg",
 ]
 
-EXPERIMENTS = ("figure1", "figure2", "figure3", "evidence")
-
 # Reserved substream indices; run indices occupy 0..runs-1.
 _DATA_STREAM = 10**9 + 7
 _CAL_STREAM = 10**9 + 9
@@ -94,6 +92,8 @@ def _is_real(v) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings; a bad value raises ConfigError when built."""
+
     experiment: str
     seed: int = 0
     runs: int = 100
@@ -104,7 +104,7 @@ class ExperimentConfig:
     burn_in: int | None = None      # None -> 10% of iters for MCMC figures
     out_dir: Path = Path(".")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {EXPERIMENTS}")
@@ -163,17 +163,16 @@ class EnvelopeSummary:
 
 
 def _replicate(label: str, seed: int, runs: int,
-               fn: Callable[[RngStream], object]) -> list:
-    """[fn(substream k of `seed`) for k < runs]; a failure is re-raised as a
-    RuntimeError naming the replication and its substream."""
+               fn: Callable[[RngStream], object]) -> Iterator:
+    """Yield fn(substream k of `seed`) for k < runs; a failure is re-raised
+    as a RuntimeError naming the replication and its substream."""
     root = rng_new(seed)
-    results = []
     for k in range(runs):
         try:
-            results.append(fn(derive_substream(root, k)))
+            result = fn(derive_substream(root, k))
         except Exception as exc:
             raise RuntimeError(f"{label} {k} (substream {k}) failed: {exc}") from exc
-    return results
+        yield result
 
 
 def run_envelope(make_trace: Callable[[RngStream, Sequence[int]], Sequence[float]],
@@ -193,7 +192,7 @@ def run_envelope(make_trace: Callable[[RngStream, Sequence[int]], Sequence[float
             raise ValueError(f"returned {tr.shape}, expected ({len(cps)},)")
         return tr
 
-    return _summarize(cps, np.array(_replicate("envelope run", seed, runs, trace)))
+    return _summarize(cps, np.array(list(_replicate("envelope run", seed, runs, trace))))
 
 
 def _summarize(cps: Sequence[int], traces: np.ndarray) -> EnvelopeSummary:
@@ -265,7 +264,7 @@ def export_svg(summary: EnvelopeSummary, path, *, title: str = "",
 
 
 def _histogram_block(states: np.ndarray, out: Path, title: str) -> tuple[dict, dict]:
-    """Histogram CSV/SVG for chain states against the normalized density."""
+    """Histogram CSV/SVG for pooled chain states against the normalized density."""
     counts, edges = np.histogram(states, bins=_HIST_BINS, range=_HIST_RANGE)
     total = counts.sum()
     if total == 0:
@@ -302,10 +301,10 @@ def _write_info(config: ExperimentConfig, out: Path, info: dict) -> Path:
 def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSummary,
                                 info: dict, *, ref_y: float | None, ref_label: str,
                                 title: str, extra_series: Sequence[Series] = (),
-                                hist: tuple[list[ChainTrace], str] | None = None
+                                hist: tuple[np.ndarray, str] | None = None
                                 ) -> ExperimentResult:
     """Write the envelope CSVs and figure, the optional histogram of the
-    chains' pooled retained states (`hist=(traces, title)`), and info.csv."""
+    chains' pooled retained states (`hist=(states, title)`), and info.csv."""
     out = Path(config.out_dir)
     env_path, sum_path = export_csv(summary, out)
     svg_path = export_svg(summary, out / "figure.svg", title=title,
@@ -313,9 +312,8 @@ def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSumma
                           extra_series=extra_series)
     files = {"envelope.csv": env_path, "summary.csv": sum_path, "figure.svg": svg_path}
     if hist is not None:
-        traces, hist_title = hist
-        pooled = np.concatenate([t.retained() for t in traces])
-        hist_files, hist_info = _histogram_block(pooled, out, hist_title)
+        states, hist_title = hist
+        hist_files, hist_info = _histogram_block(states, out, hist_title)
         files.update(hist_files)
         info.update(hist_info)
     files["info.csv"] = _write_info(config, out, info)
@@ -328,19 +326,20 @@ def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSumma
 
 def figure1(config: ExperimentConfig) -> ExperimentResult:
     """iid Monte Carlo envelope for E[X^3/(1+X^2+X^4)], X ~ N(mu, 1)."""
-    config.validate()
     mu = float(config.mu)
     reference = gaussian_functional_expectation(mu)
     cps = checkpoints(config.iters)
-    values = _replicate("envelope run", config.seed, config.runs,
-                        lambda rng: cubic_ratio(normals(rng, config.iters, mu, 1.0)))
-    mean, m2 = running_moments(values, cps)
-    summary = _summarize(cps, mean)
+    runs = _replicate("envelope run", config.seed, config.runs,
+                      lambda rng: cubic_ratio(normals(rng, config.iters, mu, 1.0)))
+    values = np.empty((config.runs, config.iters))
+    for row, run in zip(values, runs):
+        row[:] = run
+    est = running_moments(values, cps)
+    summary = _summarize(cps, est.mean)
 
     # +-3 SE overlay around the single (substream-0) run.
-    run0 = list(map(RunningEstimate, cps, mean[0].tolist(), m2[0].tolist()))
-    se_lo = [e.mean - 3.0 * e.se for e in run0]
-    se_hi = [e.mean + 3.0 * e.se for e in run0]
+    se_lo = summary.single_run - 3.0 * est.se[0]
+    se_hi = summary.single_run + 3.0 * est.se[0]
 
     info = {"mu": mu, "reference_value": reference,
             "terminal_ensemble_mean": float(np.mean(summary.per_run_traces[:, -1])),
@@ -354,39 +353,38 @@ def figure1(config: ExperimentConfig) -> ExperimentResult:
                       Series("single run +3 se", se_hi, dashed=True)))
 
 
-def _chain_envelope(config: ExperimentConfig,
-                    run_chain) -> tuple[EnvelopeSummary, list[ChainTrace], dict]:
+def _chain_envelope(config: ExperimentConfig, run_chain
+                    ) -> tuple[EnvelopeSummary, list[ChainTrace], np.ndarray, dict]:
     """Envelope of running means of x^3 over retained chain states.
 
     Each run executes burn_in + iters chain steps and retains `iters`
     states, so the envelope axis always ends at config.iters. Returns the
-    summary, each run's trace, and the info entries both chain figures share.
+    summary, each run's trace, the (runs, iters) retained states, and the
+    info entries both chain figures share.
     """
     burn = config.effective_burn_in()
     cps = checkpoints(config.iters)
-    traces = _replicate("envelope run", config.seed, config.runs,
-                        lambda rng: run_chain(burn + config.iters, burn, rng))
-    mean, _ = running_moments(np.stack([t.retained() for t in traces]) ** 3, cps)
-    summary = _summarize(cps, mean)
+    traces = list(_replicate("envelope run", config.seed, config.runs,
+                             lambda rng: run_chain(burn + config.iters, burn, rng)))
+    states = np.stack([t.retained() for t in traces])
+    summary = _summarize(cps, running_moments(states ** 3, cps).mean)
     info = {"burn_in": burn,
             "terminal_band_width": float(summary.band_hi[-1] - summary.band_lo[-1])}
-    return summary, traces, info
+    return summary, traces, states, info
 
 
 def figure2(config: ExperimentConfig) -> ExperimentResult:
     """Slice/Gibbs envelope of running mean x^3, plus state histogram."""
-    config.validate()
-    summary, traces, info = _chain_envelope(
+    summary, _, states, info = _chain_envelope(
         config, lambda iters, burn, rng: run_gibbs_chain(0.0, iters, burn, rng))
     return _finish_envelope_experiment(
         config, summary, info, ref_y=0.0, ref_label="truth 0",
         title="Slice/Gibbs running means of x^3",
-        hist=(traces, "Slice/Gibbs draws vs target density"))
+        hist=(states, "Slice/Gibbs draws vs target density"))
 
 
 def figure3(config: ExperimentConfig) -> ExperimentResult:
     """Random-walk MH envelope of running mean x^3, scale fixed or calibrated."""
-    config.validate()
     info: dict = {"target_accept": config.target_accept}
     if config.scale == "auto":
         cal_rng = derive_substream(rng_new(config.seed), _CAL_STREAM)
@@ -402,7 +400,7 @@ def figure3(config: ExperimentConfig) -> ExperimentResult:
     info["scale"] = scale
 
     prop = RwProposal(scale)
-    summary, traces, chain_info = _chain_envelope(
+    summary, traces, states, chain_info = _chain_envelope(
         config,
         lambda iters, burn, rng: run_mh_chain(EXAMPLE_TARGET, prop, 0.0, iters, burn, rng))
     info.update(chain_info)
@@ -411,7 +409,7 @@ def figure3(config: ExperimentConfig) -> ExperimentResult:
     return _finish_envelope_experiment(
         config, summary, info, ref_y=0.0, ref_label="truth 0",
         title=f"RW Metropolis running means of x^3 (scale {scale:.3g})",
-        hist=(traces, "RW Metropolis draws vs target density"))
+        hist=(states, "RW Metropolis draws vs target density"))
 
 
 def _synthetic_dataset(seed: int, n: int = 20) -> np.ndarray:
@@ -446,7 +444,6 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
     schema (estimator, seed, T, log_evidence, analytic_truth, error,
     ess_or_iterations, converged); seed is the replication substream index.
     """
-    config.validate()
     data = _synthetic_dataset(config.seed)
     models = [get_model("conj-n01"), get_model("conj-n14")]
     truths = [analytic_log_evidence(m, data) for m in models]
@@ -500,9 +497,9 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
 
 _DISPATCH = {"figure1": figure1, "figure2": figure2, "figure3": figure3,
              "evidence": evidence}
+EXPERIMENTS = tuple(_DISPATCH)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Validate the config and run its experiment."""
-    config.validate()
+    """Run the config's experiment."""
     return _DISPATCH[config.experiment](config)

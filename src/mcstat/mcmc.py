@@ -17,21 +17,21 @@ derived substream each. A trace replays bit-exactly from a fresh stream
 with the recorded (seed, stream_id). Both chain runners read their draws in
 blocks of rng's block size: step t of a chain uses open floats 2t and 2t+1
 of its stream, exactly as the step-by-step scalar draws would, and the
-stream ends where those scalar draws would leave it.
+stream ends where those scalar draws would leave it; the Gibbs chain runs
+slice_gibbs_step on a read-ahead source of its block's floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .rng import _BLOCK, RngStream, _truncated_normal, norm_ppf_many
-# Not called here: kept as module attributes because perfbench's tracer
-# wraps mcstat.mcmc.sample_normal and mcstat.mcmc.sample_truncated_normal.
-from .rng import sample_normal, sample_truncated_normal  # noqa: F401
+from .rng import _BLOCK, RngStream, norm_ppf_many, sample_truncated_normal
+# Not called here: kept as a module attribute because perfbench's tracer
+# wraps mcstat.mcmc.sample_normal.
+from .rng import sample_normal  # noqa: F401
 from .targets import TargetDensity
 
 __all__ = [
@@ -234,20 +234,23 @@ def slice_gibbs_step(x: float, rng: RngStream) -> float:
 
     u ~ U(0, 1/(1+x^2+x^4)) drawn on the open interval, so u > 0 and the
     truncation bound always exceeds |x| (the slice contains the current
-    state by construction).
+    state by construction). Reads two floats through rng.next_float_open().
     """
-    return _slice_gibbs_update(x, rng.next_float_open)
-
-
-def _slice_gibbs_update(x: float, draw: Callable[[], float]) -> float:
-    # slice_gibbs_step with its two open uniforms taken from draw(), in the
-    # order the stream would give them.
     if not math.isfinite(x):
         raise ValueError(f"state must be finite, got {x!r}")
     x2 = x * x
-    u = draw() / (1.0 + x2 + x2 * x2)
+    u = rng.next_float_open() / (1.0 + x2 + x2 * x2)
     b = slice_truncation_bound(u)
-    return _truncated_normal(0.0, 1.0, -b, b, draw)
+    return sample_truncated_normal(rng, 0.0, 1.0, -b, b)
+
+
+class _ReadAhead:
+    """Floats read ahead from a stream, handed out in order by next_float_open()."""
+
+    __slots__ = ("next_float_open",)
+
+    def __init__(self, floats: np.ndarray):
+        self.next_float_open = iter(floats.tolist()).__next__
 
 
 def run_gibbs_chain(init: float, iters: int, burn_in: int,
@@ -261,9 +264,9 @@ def run_gibbs_chain(init: float, iters: int, burn_in: int,
     x = float(init)
     for start in range(0, iters, _BLOCK):
         stop = min(start + _BLOCK, iters)
-        draw = iter(rng.floats_open(2 * (stop - start)).tolist()).__next__
+        ahead = _ReadAhead(rng.floats_open(2 * (stop - start)))
         for t in range(start, stop):
-            x = _slice_gibbs_update(x, draw)
+            x = slice_gibbs_step(x, ahead)
             states[t] = x
     return ChainTrace(states, None, burn_in, (rng.seed, rng.stream_id))
 

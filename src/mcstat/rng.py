@@ -14,7 +14,8 @@ one table of (a^t, S_t), built by doubling on first use, gives a whole block
 of states from the current one (O'Neill 2014, "PCG"; Brown 1994, "Random
 Number Generation with Arbitrary Strides").  Blocks hold at most `_BLOCK`
 floats, so transient memory does not grow with n; the chain runners in
-mcmc step through their runs in blocks of the same size.
+mcmc step through their runs in blocks of the same size.  The truncated
+normal reads only `rng.next_float_open()`, so floats read ahead can stand in.
 
 `norm_ppf_many` is `norm_ppf` over an array.  The two share the rational
 approximations and the Halley step, written once for floats and arrays, and
@@ -28,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -377,7 +377,7 @@ def normals(rng: RngStream, n: int, mean: float, sd: float) -> np.ndarray:
     return out
 
 
-def _std_truncnorm_upper(draw: Callable[[], float], a: float, b: float) -> float:
+def _std_truncnorm_upper(rng: RngStream, a: float, b: float) -> float:
     # Both endpoints in the upper half-line: invert on the survival scale,
     # where erfc keeps far-tail masses representable.
     qa = norm_sf(a)
@@ -386,7 +386,7 @@ def _std_truncnorm_upper(draw: Callable[[], float], a: float, b: float) -> float
     if not mass > _MIN_TAIL_MASS:
         raise ValueError(
             f"truncation interval [{a}, {b}] has probability {mass:.3e}, below machine threshold")
-    q = qb + draw() * mass
+    q = qb + rng.next_float_open() * mass
     return -norm_ppf(q)
 
 
@@ -395,16 +395,10 @@ def sample_truncated_normal(rng: RngStream, mean: float, sd: float,
     """One draw from N(mean, sd^2) restricted to [lo, hi], by inversion.
 
     Endpoints may be infinite.  Raises if the interval carries no numerically
-    representable probability mass; a call that raises consumes no draw.
+    representable probability mass; a call that raises consumes no draw, as
+    its one rng.next_float_open() comes after every check.  `rng` may be
+    any object with next_float_open(), such as a block of floats drawn ahead.
     """
-    return _truncated_normal(mean, sd, lo, hi, rng.next_float_open)
-
-
-def _truncated_normal(mean: float, sd: float, lo: float, hi: float,
-                      draw: Callable[[], float]) -> float:
-    # sample_truncated_normal with the open uniform taken from draw(), which
-    # is called once, after every check has passed: a stream's
-    # next_float_open, or the next float of a block drawn ahead.
     if not 0.0 < sd < math.inf:
         raise ValueError(f"truncated normal sd must be positive and finite, got {sd!r}")
     if not lo < hi:
@@ -412,9 +406,9 @@ def _truncated_normal(mean: float, sd: float, lo: float, hi: float,
     a = (lo - mean) / sd
     b = (hi - mean) / sd
     if a >= 0.0:
-        z = _std_truncnorm_upper(draw, a, b)
+        z = _std_truncnorm_upper(rng, a, b)
     elif b <= 0.0:
-        z = -_std_truncnorm_upper(draw, -b, -a)
+        z = -_std_truncnorm_upper(rng, -b, -a)
     else:
         pa = norm_cdf(a)  # 0.0 when a = -inf
         pb = norm_cdf(b)
@@ -423,7 +417,7 @@ def _truncated_normal(mean: float, sd: float, lo: float, hi: float,
             raise ValueError(
                 f"truncation interval [{lo}, {hi}] has probability {mass:.3e}, "
                 "below machine threshold")
-        z = norm_ppf(pa + draw() * mass)
+        z = norm_ppf(pa + rng.next_float_open() * mass)
     # Inversion error is ~1 ulp; clamp so the range contract is exact.
     z = min(max(z, a), b)
     x = mean + sd * z

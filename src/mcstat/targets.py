@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import QuadratureResult, quadrature_integrate, gauss_legendre_integrate
+from .quadrature import QuadratureResult, quadrature_integrate
 
 __all__ = [
     "TargetDensity",

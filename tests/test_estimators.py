@@ -35,11 +35,6 @@ GAUSS0 = TargetDensity(lambda x: -0.5 * x * x)
 # RunningEstimate / running_moments
 # ---------------------------------------------------------------------------
 
-def _final(xs):
-    mean, m2 = running_moments(xs, [len(xs)])
-    return RunningEstimate(len(xs), float(mean[0]), float(m2[0]))
-
-
 def _welford_reference(xs, cps):
     # The scalar Welford loop, one Python float at a time, as the reference
     # for the lockstep running_moments.
@@ -54,44 +49,58 @@ def _welford_reference(xs, cps):
     return snaps
 
 
+def _scalar_variance_and_se(count, m2):
+    # The per-snapshot scalar formulas, with their count < 2 branch, as the
+    # reference for RunningEstimate's elementwise array properties.
+    if count < 2:
+        return 0.0, 0.0
+    return m2 / count, math.sqrt(m2 / count) / math.sqrt(count)
+
+
 def test_running_moments_constant_sequence():
-    est = _final([3.25] * 10)
-    assert est.count == 10
-    assert est.mean == 3.25
-    assert est.variance == 0.0
-    assert est.se == 0.0
+    est = running_moments([3.25] * 10, [10])
+    assert isinstance(est, RunningEstimate)
+    assert est.count.tolist() == [10]
+    assert est.mean.tolist() == [3.25]
+    assert est.variance.tolist() == [0.0]
+    assert est.se.tolist() == [0.0]
 
 
 def test_running_moments_small_example():
-    mean, m2 = running_moments([1.0, 2.0, 3.0, 4.0], [1, 2, 4])
-    first, second, est = (RunningEstimate(*e) for e in zip([1, 2, 4], mean, m2))
-    assert (first.count, first.mean, first.m2) == (1, 1.0, 0.0)
-    assert (second.count, second.mean, second.m2) == (2, 1.5, 0.5)
-    assert est.mean == pytest.approx(2.5, rel=1e-15)
-    assert est.m2 == pytest.approx(5.0, rel=1e-15)
-    assert est.variance == pytest.approx(5.0 / 4.0, rel=1e-15)
-    assert est.se == pytest.approx(math.sqrt(5.0 / 4.0) / 2.0, rel=1e-15)
+    est = running_moments([1.0, 2.0, 3.0, 4.0], [1, 2, 4])
+    assert est.count.tolist() == [1, 2, 4]
+    assert (est.mean[0], est.m2[0]) == (1.0, 0.0)
+    assert (est.mean[1], est.m2[1]) == (1.5, 0.5)
+    assert est.mean[2] == pytest.approx(2.5, rel=1e-15)
+    assert est.m2[2] == pytest.approx(5.0, rel=1e-15)
+    assert est.variance[2] == pytest.approx(5.0 / 4.0, rel=1e-15)
+    assert est.se[2] == pytest.approx(math.sqrt(5.0 / 4.0) / 2.0, rel=1e-15)
 
 
 def test_running_moments_checkpoint_bounds():
-    mean, m2 = running_moments([1.0, 2.0, 3.0, 4.0, 5.0], [2, 3])
-    assert mean.tolist() == [1.5, 2.0] and m2.tolist() == [0.5, 2.0]
+    est = running_moments([1.0, 2.0, 3.0, 4.0, 5.0], [2, 3])
+    assert est.mean.tolist() == [1.5, 2.0] and est.m2.tolist() == [0.5, 2.0]
     # nothing past the last checkpoint is read, so a NaN there is not rejected
-    mean, _ = running_moments([[1.0, 2.0, 3.0, math.nan]] * 2, [2, 3])
-    assert mean.tolist() == [[1.5, 2.0]] * 2
+    est = running_moments([[1.0, 2.0, 3.0, math.nan]] * 2, [2, 3])
+    assert est.mean.tolist() == [[1.5, 2.0]] * 2
     with pytest.raises(ValueError, match="shorter"):
         running_moments([1.0, 2.0], [1, 3])
     for cps in ([2, 2], [3, 1], [0, 2]):
         with pytest.raises(ValueError, match="strictly increasing"):
             running_moments([1.0, 2.0, 3.0], cps)
-    mean, m2 = running_moments([1.0], [])
-    assert mean.shape == m2.shape == (0,)
+    est = running_moments([1.0], [])
+    assert est.count.shape == est.mean.shape == est.m2.shape == (0,)
 
 
 def test_single_observation_has_zero_se():
-    est = _final([7.0])
-    assert est.count == 1
-    assert est.se == 0.0
+    # After one value m2 is 0.0 + d * (x - mean), exactly +0.0 even when the
+    # product is -0.0 (a negative value), so variance and se are +0.0 there
+    # without a count < 2 branch; for 1-D and 2-D input alike.
+    for values in ([7.0, 1.0], [-7.0, 1.0], [[-7.0, 2.0], [3.0, -1.5], [-0.25, 4.0]]):
+        est = running_moments(values, [1, 2])
+        assert est.count[0] == 1
+        first = np.stack([est.m2[..., 0], est.variance[..., 0], est.se[..., 0]])
+        assert np.all(first == 0.0) and not np.any(np.signbit(first))
 
 
 def test_non_finite_update_reports_iteration():
@@ -108,9 +117,22 @@ def test_non_finite_update_reports_iteration():
 
 def test_shifted_large_magnitude_variance():
     # classic cancellation trap for naive sum-of-squares accumulators
-    est = _final([1e8, 1e8 + 1.0, 1e8 + 2.0])
-    assert est.m2 == pytest.approx(2.0, rel=1e-10)
-    assert est.variance == pytest.approx(2.0 / 3.0, rel=1e-10)
+    est = running_moments([1e8, 1e8 + 1.0, 1e8 + 2.0], [3])
+    assert est.m2[0] == pytest.approx(2.0, rel=1e-10)
+    assert est.variance[0] == pytest.approx(2.0 / 3.0, rel=1e-10)
+
+
+def test_array_se_and_variance_match_scalar_formulas():
+    gen = np.random.default_rng(7)
+    block = gen.standard_normal((6, 400)) * 10.0 ** gen.integers(-6, 7, size=(6, 1))
+    block[0] = -np.abs(block[0])  # negative first values: m2 = 0.0 + (-0.0)
+    cps = [1, 2, 3, 10, 57, 399, 400]
+    est = running_moments(block, cps)
+    for k in range(block.shape[0]):
+        for i, c in enumerate(cps):
+            variance, se = _scalar_variance_and_se(c, float(est.m2[k, i]))
+            assert est.variance[k, i].tobytes() == np.float64(variance).tobytes()
+            assert est.se[k, i].tobytes() == np.float64(se).tobytes()
 
 
 _adversarial_floats = st.one_of(st.floats(-1e8, -1e-8), st.floats(1e-8, 1e8),
@@ -121,12 +143,12 @@ _adversarial = st.lists(_adversarial_floats, min_size=2, max_size=50)
 @given(xs=_adversarial)
 @settings(max_examples=200, deadline=None)
 def test_one_pass_matches_batch(xs):
-    est = _final(xs)
+    est = running_moments(xs, [len(xs)])
     arr = np.array(xs)
     batch_mean = math.fsum(xs) / len(xs)
     batch_m2 = math.fsum((v - batch_mean) ** 2 for v in xs)
-    assert abs(est.mean - batch_mean) <= 1e-12 * max(1.0, np.abs(arr).max())
-    assert abs(est.m2 - batch_m2) <= 1e-12 * max(1.0, float(np.sum(arr * arr)))
+    assert abs(est.mean[0] - batch_mean) <= 1e-12 * max(1.0, np.abs(arr).max())
+    assert abs(est.m2[0] - batch_m2) <= 1e-12 * max(1.0, float(np.sum(arr * arr)))
 
 
 @given(rows=st.integers(2, 30).flatmap(lambda t: st.lists(
@@ -137,14 +159,14 @@ def test_one_pass_matches_batch(xs):
 def test_lockstep_rows_match_scalar_welford(rows, data):
     t = len(rows[0])
     cps = sorted(data.draw(st.sets(st.integers(1, t), min_size=1)))
-    mean, m2 = running_moments(np.array(rows), cps)
-    assert mean.shape == m2.shape == (len(rows), len(cps))
+    est = running_moments(np.array(rows), cps)
+    assert est.mean.shape == est.m2.shape == (len(rows), len(cps))
     for k, row in enumerate(rows):
         ref = np.array(_welford_reference(row, cps))
-        one_mean, one_m2 = running_moments(row, cps)
-        for got in ((mean[k], m2[k]), (one_mean, one_m2)):
-            assert got[0].tobytes() == ref[:, 0].tobytes()
-            assert got[1].tobytes() == ref[:, 1].tobytes()
+        one = running_moments(row, cps)
+        for mean, m2 in ((est.mean[k], est.m2[k]), (one.mean, one.m2)):
+            assert mean.tobytes() == ref[:, 0].tobytes()
+            assert m2.tobytes() == ref[:, 1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +177,11 @@ def test_mc_estimate_trace_shape_and_batch_mean():
     r = rng_new(21)
     trace = mc_estimate(lambda g: sample_normal(g, 0.0, 1.0), lambda x: x,
                         500, r)
-    assert len(trace) == 500
-    assert trace[-1].count == 500
+    assert trace.count.shape == trace.mean.shape == trace.m2.shape == (500,)
+    assert trace.count[-1] == 500
     replay = rng_new(21)
     xs = [sample_normal(replay, 0.0, 1.0) for _ in range(500)]
-    assert trace[-1].mean == pytest.approx(np.mean(xs), rel=1e-12)
+    assert trace.mean[-1] == pytest.approx(np.mean(xs), rel=1e-12)
 
 
 def test_mc_estimate_se_follows_sqrt_t_law():
@@ -167,7 +189,7 @@ def test_mc_estimate_se_follows_sqrt_t_law():
     trace = mc_estimate(lambda g: sample_normal(g, 0.0, 1.0), lambda x: x,
                         5000, r)
     ts = np.array([100 * 2 ** k for k in range(6)])
-    ses = np.array([trace[t - 1].se for t in ts])
+    ses = trace.se[ts - 1]
     slope = np.polyfit(np.log(ts), np.log(ses), 1)[0]
     assert abs(slope + 0.5) <= 0.1
 
@@ -176,8 +198,7 @@ def test_mc_estimate_gaussian_functional(goldens):
     r = rng_new(23)
     trace = mc_estimate(lambda g: sample_normal(g, 2.5, 1.0), cubic_ratio,
                         100_000, r)
-    final = trace[-1]
-    assert abs(final.mean - goldens["gfe_2.5"]) <= 3.0 * final.se
+    assert abs(trace.mean[-1] - goldens["gfe_2.5"]) <= 3.0 * trace.se[-1]
 
 
 def test_mc_estimate_propagates_bad_h():

@@ -64,15 +64,15 @@ def test_checkpoints_small_budgets():
 # ---------------------------------------------------------------------------
 
 def test_config_accepts_reasonable_values(tmp_path):
+    # each config is checked when built
     cfg = ExperimentConfig("figure1", seed=3, runs=5, iters=500, mu=1.0,
                            out_dir=tmp_path)
-    cfg.validate()
     assert cfg.effective_burn_in() == 50  # default: iters // 10
     cfg2 = ExperimentConfig("figure2", iters=500, burn_in=7, out_dir=tmp_path)
     assert cfg2.effective_burn_in() == 7
     # integer-valued reals are reals
-    ExperimentConfig("figure1", mu=0, out_dir=tmp_path).validate()
-    ExperimentConfig("figure3", scale=1, out_dir=tmp_path).validate()
+    ExperimentConfig("figure1", mu=0, out_dir=tmp_path)
+    ExperimentConfig("figure3", scale=1, out_dir=tmp_path)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -98,7 +98,7 @@ def test_config_rejects_bad_values(tmp_path, kwargs):
                 out_dir=tmp_path)
     base.update(kwargs)
     with pytest.raises(ConfigError):
-        ExperimentConfig(**base).validate()
+        ExperimentConfig(**base)
 
 
 # ---------------------------------------------------------------------------

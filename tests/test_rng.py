@@ -7,6 +7,7 @@ import pytest
 import scipy.stats as sps
 from hypothesis import given, settings, strategies as st
 
+from mcstat.mcmc import _ReadAhead
 from mcstat.rng import (
     _BLOCK,
     _PPF_P_LOW,
@@ -341,18 +342,24 @@ def test_truncnorm_negative_interval_mirrors_positive():
 
 
 def test_truncnorm_rejects_empty_or_dead_interval():
+    # the same on a stream and on the Gibbs chain's read-ahead source
     r = rng_new(0)
-    with pytest.raises(ValueError):
-        sample_truncated_normal(r, 0.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        sample_truncated_normal(r, 0.0, 1.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        # interval mass below the machine threshold
-        sample_truncated_normal(r, 0.0, 1.0, 400.0, 401.0)
-    for sd in (0.0, math.inf):
-        with pytest.raises(ValueError, match="sd"):
-            sample_truncated_normal(r, 0.0, sd, -1.0, 1.0)
+    ahead = _ReadAhead(np.array([0.25, 0.75]))
+    for src in (r, ahead):
+        with pytest.raises(ValueError):
+            sample_truncated_normal(src, 0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            sample_truncated_normal(src, 0.0, 1.0, 2.0, 1.0)
+        with pytest.raises(ValueError):
+            # interval mass below the machine threshold
+            sample_truncated_normal(src, 0.0, 1.0, 400.0, 401.0)
+        with pytest.raises(ValueError):
+            sample_truncated_normal(src, 0.0, 1.0, -401.0, -400.0)
+        for sd in (0.0, math.inf):
+            with pytest.raises(ValueError, match="sd"):
+                sample_truncated_normal(src, 0.0, sd, -1.0, 1.0)
     assert r.state_bytes() == rng_new(0).state_bytes()  # no draw consumed
+    assert ahead.next_float_open() == 0.25  # no float consumed
 
 
 @given(mean=st.floats(-5, 5), sd=st.floats(0.1, 3.0),
