@@ -14,10 +14,11 @@ from .harness import (EXPERIMENTS, ConfigError, EnvelopeSummary,
                       ExperimentConfig, ExperimentResult, checkpoints,
                       evidence, export_csv, export_svg, figure1, figure2,
                       figure3, run_envelope, run_experiment)
-from .mcmc import (CalibrationError, CalibrationReport, ChainTrace, RwProposal,
-                   batch_means_se, calibrate_scale, calibrate_scale_report,
-                   discrete_mh_transition_matrix, run_gibbs_chain,
-                   run_mh_chain, slice_gibbs_step, slice_truncation_bound)
+from .mcmc import (CalibrationError, CalibrationReport, ChainFailure, ChainTrace,
+                   RwProposal, batch_means_se, calibrate_scale,
+                   calibrate_scale_report, discrete_mh_transition_matrix,
+                   run_gibbs_chain, run_gibbs_chains, run_mh_chain,
+                   run_mh_chains, slice_gibbs_step, slice_truncation_bound)
 from .quadrature import (QuadratureError, QuadratureResult,
                          gauss_legendre_integrate, quadrature_integrate)
 from .rng import (NormalDist, RngStream, StudentTDist, derive_substream,

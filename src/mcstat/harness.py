@@ -14,13 +14,16 @@ Four experiments share one config type:
   synthetic conjugate-normal dataset with analytic ground truth.
 
 Replication k always consumes substream k of the config seed; datasets and
-calibration get reserved substream ids far above any run index. Every
-experiment replicates through one loop, `_replicate`, which yields each
-result and names the replication and substream of a failure; the envelope
-figures fill one (runs, iters) block and reduce it with one lockstep
-`running_moments`. An ExperimentConfig is checked when built. All CSV
-floats carry 17 significant digits, so outputs are byte-stable and the
-files round-trip to full precision. The keys every info.csv shares
+calibration get reserved substream ids far above any run index. figure1,
+evidence and run_envelope replicate through one loop, `_replicate`, which
+yields each result; the chain figures hand all their substreams to one
+lockstep chain kernel (`run_gibbs_chains`, `run_mh_chains`), which steps
+every run at once. Either way a failure names its replication and
+substream, in the words of `_run_failed`. The envelope figures fill one
+(runs, iters) block and reduce it with one lockstep `running_moments`. An
+ExperimentConfig is checked when built. All CSV floats carry 17
+significant digits, so outputs are byte-stable and the files round-trip
+to full precision. The keys every info.csv shares
 (experiment, seed, runs, iters) are written in one place, `_write_info`.
 """
 
@@ -37,8 +40,11 @@ import numpy as np
 
 from .estimators import (EvidenceEstimate, bridge_log_evidence, chib_log_evidence,
                          harmonic_mean_log_evidence, running_moments)
-from .mcmc import (ChainTrace, RwProposal, calibrate_scale_report, run_gibbs_chain,
-                   run_mh_chain)
+from .mcmc import (ChainFailure, ChainTrace, RwProposal, calibrate_scale_report,
+                   run_gibbs_chains, run_mh_chains)
+# Not called here: kept as module attributes because perfbench's tracer
+# wraps mcstat.harness.run_gibbs_chain and mcstat.harness.run_mh_chain.
+from .mcmc import run_gibbs_chain, run_mh_chain  # noqa: F401
 from .rng import RngStream, derive_substream, normal_logpdf, normals, rng_new
 # Not called here: kept as a module attribute because perfbench's tracer
 # wraps mcstat.harness.sample_normal.
@@ -162,16 +168,26 @@ class EnvelopeSummary:
     single_run: np.ndarray      # the substream-0 run
 
 
+def _substreams(seed: int, runs: int) -> Iterator[RngStream]:
+    """Substreams 0..runs-1 of `seed`: replication k consumes substream k."""
+    root = rng_new(seed)
+    return (derive_substream(root, k) for k in range(runs))
+
+
+def _run_failed(label: str, k: int, exc: Exception) -> RuntimeError:
+    """The error that replaces replication k's failure `exc`."""
+    return RuntimeError(f"{label} {k} (substream {k}) failed: {exc}")
+
+
 def _replicate(label: str, seed: int, runs: int,
                fn: Callable[[RngStream], object]) -> Iterator:
     """Yield fn(substream k of `seed`) for k < runs; a failure is re-raised
     as a RuntimeError naming the replication and its substream."""
-    root = rng_new(seed)
-    for k in range(runs):
+    for k, rng in enumerate(_substreams(seed, runs)):
         try:
-            result = fn(derive_substream(root, k))
+            result = fn(rng)
         except Exception as exc:
-            raise RuntimeError(f"{label} {k} (substream {k}) failed: {exc}") from exc
+            raise _run_failed(label, k, exc) from exc
         yield result
 
 
@@ -353,20 +369,25 @@ def figure1(config: ExperimentConfig) -> ExperimentResult:
                       Series("single run +3 se", se_hi, dashed=True)))
 
 
-def _chain_envelope(config: ExperimentConfig, run_chain
+def _chain_envelope(config: ExperimentConfig, run_chains
                     ) -> tuple[EnvelopeSummary, list[ChainTrace], np.ndarray, dict]:
     """Envelope of running means of x^3 over retained chain states.
 
-    Each run executes burn_in + iters chain steps and retains `iters`
-    states, so the envelope axis always ends at config.iters. Returns the
-    summary, each run's trace, the (runs, iters) retained states, and the
-    info entries both chain figures share.
+    `run_chains(iters, burn_in, rngs)` is a lockstep chain kernel; it runs
+    every replication at once on the config's substreams. Each run
+    executes burn_in + iters chain steps and retains `iters` states, so the
+    envelope axis always ends at config.iters. Returns the summary, each
+    run's trace, the (runs, iters) retained states, and the info entries
+    both chain figures share.
     """
     burn = config.effective_burn_in()
     cps = checkpoints(config.iters)
-    traces = list(_replicate("envelope run", config.seed, config.runs,
-                             lambda rng: run_chain(burn + config.iters, burn, rng)))
-    states = np.stack([t.retained() for t in traces])
+    try:
+        traces = run_chains(burn + config.iters, burn,
+                            list(_substreams(config.seed, config.runs)))
+    except ChainFailure as exc:
+        raise _run_failed("envelope run", exc.row, exc) from exc
+    states = traces[0].states.base[:, burn:]  # the kernel's (runs, steps) array
     summary = _summarize(cps, running_moments(states ** 3, cps).mean)
     info = {"burn_in": burn,
             "terminal_band_width": float(summary.band_hi[-1] - summary.band_lo[-1])}
@@ -376,7 +397,7 @@ def _chain_envelope(config: ExperimentConfig, run_chain
 def figure2(config: ExperimentConfig) -> ExperimentResult:
     """Slice/Gibbs envelope of running mean x^3, plus state histogram."""
     summary, _, states, info = _chain_envelope(
-        config, lambda iters, burn, rng: run_gibbs_chain(0.0, iters, burn, rng))
+        config, lambda iters, burn, rngs: run_gibbs_chains(0.0, iters, burn, rngs))
     return _finish_envelope_experiment(
         config, summary, info, ref_y=0.0, ref_label="truth 0",
         title="Slice/Gibbs running means of x^3",
@@ -402,7 +423,8 @@ def figure3(config: ExperimentConfig) -> ExperimentResult:
     prop = RwProposal(scale)
     summary, traces, states, chain_info = _chain_envelope(
         config,
-        lambda iters, burn, rng: run_mh_chain(EXAMPLE_TARGET, prop, 0.0, iters, burn, rng))
+        lambda iters, burn, rngs: run_mh_chains(EXAMPLE_TARGET, prop, 0.0, iters, burn,
+                                                rngs))
     info.update(chain_info)
     rates = [float(np.mean(t.accepted[t.burn_in:])) for t in traces]
     info["measured_acceptance"] = float(np.mean(rates))

@@ -12,23 +12,35 @@ turns x | u into a standard normal truncated to [-b(u), b(u)] with
 1 + b^2 + b^4 = 1/u, sampled by inverse CDF (no rejection loop, which
 matters because b(u) -> 0 as u -> 1).
 
-Chains are strictly sequential; parallelism belongs across chains, one
-derived substream each. A trace replays bit-exactly from a fresh stream
-with the recorded (seed, stream_id). Both chain runners read their draws in
-blocks of rng's block size: step t of a chain uses open floats 2t and 2t+1
-of its stream, exactly as the step-by-step scalar draws would, and the
-stream ends where those scalar draws would leave it; the Gibbs chain runs
-slice_gibbs_step on a read-ahead source of its block's floats.
+A trace replays bit-exactly from a fresh stream with the recorded
+(seed, stream_id). Both chain runners read their draws in blocks of rng's
+block size: step t of a chain uses open floats 2t and 2t+1 of its stream,
+exactly as the step-by-step scalar draws would, and the stream ends where
+those scalar draws would leave it; the Gibbs chain runs slice_gibbs_step
+on a read-ahead source of its block's floats.
+
+Replicated chains, one derived substream each, step in lockstep: the
+kernels run_gibbs_chains and run_mh_chains advance K chains at once as the
+rows of one (K, iters) array, as tfp.mcmc runs batched chains (Lao et al.
+2020). Row k equals the scalar runner on stream k bit for bit and leaves
+that stream where the scalar runner would: the step is the same
+arithmetic on arrays, with every transcendental taken from the C library
+one element at a time (rng._libm), and one norm_ppf_many call of K
+elements per Gibbs step. A row whose step fails raises ChainFailure with
+the row's index. Single chains (calibration, run_mh_chain, run_gibbs_chain)
+keep their scalar loops, which beat numpy's per-call overhead at K = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .rng import _BLOCK, RngStream, norm_ppf_many, sample_truncated_normal
+from .rng import (_BLOCK, _MIN_TAIL_MASS, _SQRT2, RngStream, _libm, norm_ppf_many,
+                  sample_truncated_normal)
 # Not called here: kept as a module attribute because perfbench's tracer
 # wraps mcstat.mcmc.sample_normal.
 from .rng import sample_normal  # noqa: F401
@@ -39,12 +51,15 @@ __all__ = [
     "RwProposal",
     "CalibrationReport",
     "CalibrationError",
+    "ChainFailure",
     "run_mh_chain",
+    "run_mh_chains",
     "calibrate_scale",
     "calibrate_scale_report",
     "slice_truncation_bound",
     "slice_gibbs_step",
     "run_gibbs_chain",
+    "run_gibbs_chains",
     "discrete_mh_transition_matrix",
     "batch_means_se",
 ]
@@ -93,6 +108,22 @@ class RwProposal:
             raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
 
 
+class ChainFailure(ValueError):
+    """A lockstep kernel's step failed in one row; `row` indexes its stream."""
+
+    def __init__(self, row: int, cause: Exception):
+        super().__init__(str(cause))
+        self.row = row
+
+
+def _traces(states: np.ndarray, accepted: np.ndarray | None, burn_in: int,
+            rngs: Sequence[RngStream]) -> list[ChainTrace]:
+    # One ChainTrace per row of a lockstep kernel's arrays, each a row view.
+    return [ChainTrace(states[k], None if accepted is None else accepted[k],
+                       burn_in, (rng.seed, rng.stream_id))
+            for k, rng in enumerate(rngs)]
+
+
 def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
                  iters: int, burn_in: int, rng: RngStream) -> ChainTrace:
     """Run an MH chain for `iters` steps from `init` on a fresh stream.
@@ -112,9 +143,7 @@ def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
     states = np.empty(iters)
     accepted = np.empty(iters, dtype=bool)
     x = float(init)
-    lfx = target.logpdf(x)
-    if not math.isfinite(lfx):
-        raise ValueError(f"init {init!r} has zero target density")
+    lfx = _init_logpdf(target, init)
     logpdf = target.logpdf
     scale = prop.scale
     for start in range(0, iters, _BLOCK):
@@ -132,6 +161,59 @@ def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
                 accepted[t] = False
             states[t] = x
     return ChainTrace(states, accepted, burn_in, (rng.seed, rng.stream_id))
+
+
+def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
+                  iters: int, burn_in: int,
+                  rngs: Sequence[RngStream]) -> list[ChainTrace]:
+    """run_mh_chain on each stream of `rngs`, the K chains stepped in lockstep.
+
+    Trace k equals run_mh_chain(target, prop, init, iters, burn_in, rngs[k])
+    bit for bit, and rngs[k] ends where that call would leave it. The
+    traces' states and acceptances are the rows of one (K, iters) array
+    each (`traces[0].states.base`). Each row's normals and log uniforms are
+    read from its own stream, one block of at most rng's block size at a
+    time. `target.log_unnorm` must accept a float array (see
+    TargetDensity.logpdf_many). A row whose draws fail raises ChainFailure.
+    """
+    _check_lengths(iters, burn_in)
+    lfx = np.full(len(rngs), _init_logpdf(target, init))
+    x = np.full(len(rngs), float(init))
+    states = np.empty((len(rngs), iters))
+    accepted = np.empty((len(rngs), iters), dtype=bool)
+    zs = np.empty((_BLOCK, len(rngs)))  # (step, row): one contiguous row per step
+    log_us = np.empty((_BLOCK, len(rngs)))
+    scale = prop.scale
+    logpdf_many = target.logpdf_many
+    # A proposal that overflows is inf, silently, as in run_mh_chain's floats.
+    with np.errstate(over="ignore"):
+        for start in range(0, iters, _BLOCK):
+            stop = min(start + _BLOCK, iters)
+            n = stop - start
+            for row, rng in enumerate(rngs):
+                block = rng.floats_open(2 * n)
+                try:
+                    zs[:n, row] = norm_ppf_many(block[0::2])
+                except ValueError as exc:
+                    raise ChainFailure(row, exc) from exc
+                log_us[:n, row] = _libm(math.log, block[1::2])
+            for t, z, log_u in zip(range(start, stop), zs, log_us):
+                y = x + z * scale
+                lfy = logpdf_many(y)
+                log_alpha = lfy - lfx
+                acc = (log_alpha >= 0.0) | (log_u < log_alpha)
+                x = np.where(acc, y, x)
+                lfx = np.where(acc, lfy, lfx)
+                states[:, t] = x
+                accepted[:, t] = acc
+    return _traces(states, accepted, burn_in, rngs)
+
+
+def _init_logpdf(target: TargetDensity, init: float) -> float:
+    lfx = target.logpdf(float(init))
+    if not math.isfinite(lfx):
+        raise ValueError(f"init {init!r} has zero target density")
+    return lfx
 
 
 def _check_lengths(iters: int, burn_in: int) -> None:
@@ -269,6 +351,63 @@ def run_gibbs_chain(init: float, iters: int, burn_in: int,
             x = slice_gibbs_step(x, ahead)
             states[t] = x
     return ChainTrace(states, None, burn_in, (rng.seed, rng.stream_id))
+
+
+def run_gibbs_chains(init: float, iters: int, burn_in: int,
+                     rngs: Sequence[RngStream]) -> list[ChainTrace]:
+    """run_gibbs_chain on each stream of `rngs`, the K chains stepped in lockstep.
+
+    Trace k equals run_gibbs_chain(init, iters, burn_in, rngs[k]) bit for
+    bit, and rngs[k] ends where that call would leave it. The traces'
+    states are the rows of one (K, iters) array (`traces[0].states.base`).
+    A failing step raises ChainFailure for the lowest row failing at that
+    step, with the error slice_gibbs_step raises on the row's floats.
+    """
+    _check_lengths(iters, burn_in)
+    x = float(init)
+    if not math.isfinite(x):
+        raise ValueError(f"state must be finite, got {x!r}")
+    x = np.full(len(rngs), x)
+    states = np.empty((len(rngs), iters))
+    floats = np.empty((len(rngs), 2 * _BLOCK))
+    for start in range(0, iters, _BLOCK):
+        stop = min(start + _BLOCK, iters)
+        for row, rng in zip(floats, rngs):
+            row[:2 * (stop - start)] = rng.floats_open(2 * (stop - start))
+        for t in range(start, stop):
+            pair = floats[:, 2 * (t - start):2 * (t - start) + 2]
+            x2 = x * x
+            u = pair[:, 0] / (1.0 + x2 + x2 * x2)
+            # slice_truncation_bound(u), then sample_truncated_normal on
+            # [-b, b] with mean 0 and sd 1, whose interval straddles 0
+            s = np.sqrt((4.0 - 3.0 * u) / u)
+            d = 4.0 * (1.0 - u) / u
+            b = np.sqrt(d / (2.0 * (s + 1.0)))
+            v = b / _SQRT2
+            cdf = 0.5 * _libm(math.erfc, np.concatenate((v, -v)))  # Phi(-b), Phi(b)
+            pa, pb = cdf[:len(v)], cdf[len(v):]
+            mass = pb - pa
+            if not np.all(mass > _MIN_TAIL_MASS):
+                raise _gibbs_failure(x, pair)
+            try:
+                z = norm_ppf_many(pa + pair[:, 1] * mass)
+            except ValueError:
+                raise _gibbs_failure(x, pair) from None
+            z = np.minimum(np.maximum(z, -b), b)
+            x = np.minimum(np.maximum(0.0 + 1.0 * z, -b), b)
+            states[:, t] = x
+    return _traces(states, None, burn_in, rngs)
+
+
+def _gibbs_failure(x: np.ndarray, pairs: np.ndarray) -> ChainFailure:
+    # Replays each row's step on the scalar path; the first to raise names
+    # the failure.
+    for row, (xk, pair) in enumerate(zip(x.tolist(), pairs)):
+        try:
+            slice_gibbs_step(xk, _ReadAhead(pair))
+        except ValueError as exc:
+            return ChainFailure(row, exc)
+    raise RuntimeError("a lockstep Gibbs step failed where every scalar step passes")
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,20 @@ after t steps is a^t s + inc S_t (mod 2^64) with S_t = a^0 + ... + a^(t-1);
 one table of (a^t, S_t), built by doubling on first use, gives a whole block
 of states from the current one (O'Neill 2014, "PCG"; Brown 1994, "Random
 Number Generation with Arbitrary Strides").  Blocks hold at most `_BLOCK`
-floats, so transient memory does not grow with n; the chain runners in
-mcmc step through their runs in blocks of the same size.  The truncated
-normal reads only `rng.next_float_open()`, so floats read ahead can stand in.
+floats, so transient memory does not grow with n; the chain runners and the
+lockstep chain kernels in mcmc read their streams in blocks of the same
+size.  The truncated normal reads only `rng.next_float_open()`, so floats
+read ahead can stand in.
 
-`norm_ppf_many` is `norm_ppf` over an array.  The two share the rational
-approximations and the Halley step, written once for floats and arrays, and
-take every transcendental (log, erfc, exp) from the C library one element at
-a time: numpy's own log and exp differ from libm in the last ulp on a few
-percent of inputs, which would break the bit-for-bit contract.
+`norm_ppf_many` is `norm_ppf` over an array of any shape.  The two share the
+rational approximations and the Halley step, written once for floats and
+arrays.  The array path runs the central approximation and the Halley step
+on every element and patches in the tail (and far-tail) elements only when
+there are any, so the common case indexes no boolean mask.  Every
+transcendental (log, erfc, exp) comes from the C library one element at a
+time through `_libm`, which takes any shape: numpy's own log and exp differ
+from libm in the last ulp on a few percent of inputs, which would break the
+bit-for-bit contract.
 """
 
 from __future__ import annotations
@@ -309,34 +314,37 @@ def _norm_ppf_lower(p: float) -> float:
 
 def _libm(fn, a: np.ndarray) -> np.ndarray:
     # fn from math applied per element: the C library's result, bit for bit.
-    return np.fromiter(map(fn, a.tolist()), dtype=float, count=a.size)
+    a = np.asarray(a, dtype=float)
+    out = np.fromiter(map(fn, a.ravel().tolist()), dtype=float, count=a.size)
+    return out.reshape(a.shape)
 
 
 def norm_ppf_many(p) -> np.ndarray:
     """norm_ppf of every element of `p`, equal bit for bit to the scalar.
 
-    Raises unless every element lies in (0, 1).
+    Takes any shape. Raises unless every element lies in (0, 1).
     """
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("norm_ppf_many requires 0 < p < 1 for every element")
     upper = p > 0.5
-    x = _norm_ppf_lower_many(np.where(upper, 1.0 - p, p))
+    x = _norm_ppf_lower_many(np.where(upper, 1.0 - p, p).ravel()).reshape(p.shape)
     return np.where(upper, -x, x)
 
 
 def _norm_ppf_lower_many(p: np.ndarray) -> np.ndarray:
-    # _norm_ppf_lower per element of an array p in (0, 0.5].
-    x = np.empty_like(p)
+    # _norm_ppf_lower per element of a 1-D array p in (0, 0.5]. The central
+    # approximation and the Halley step run on the whole array; the tail
+    # elements (and the far tail) are patched in only when there are any.
+    x = _ppf_central(p)
     tail = p < _PPF_P_LOW
-    x[tail] = _ppf_tail(np.sqrt(-2.0 * _libm(math.log, p[tail])))
-    x[~tail] = _ppf_central(p[~tail])
+    if tail.any():
+        x[tail] = _ppf_tail(np.sqrt(-2.0 * _libm(math.log, p[tail])))
     half_sq = 0.5 * x * x
-    near = half_sq < 700.0
-    xn = x[near]
-    x[near] = _halley(xn, p[near], 0.5 * _libm(math.erfc, -xn / _SQRT2),
-                      _libm(math.exp, half_sq[near]))
-    far = ~near
+    far = half_sq >= 700.0
+    # exp(half_sq) overflows in the far tail, which is replaced below.
+    growth = _libm(math.exp, np.where(far, 0.0, half_sq))
+    x = _halley(x, p, 0.5 * _libm(math.erfc, -x / _SQRT2), growth)
     if far.any():
         x[far] = [_norm_ppf_lower(v) for v in p[far].tolist()]
     return x

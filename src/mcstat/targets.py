@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quadrature import QuadratureResult, quadrature_integrate
+from .rng import _libm
 
 __all__ = [
     "TargetDensity",
@@ -60,13 +61,32 @@ class TargetDensity:
             return -math.inf
         return self.log_unnorm(x)
 
+    def logpdf_many(self, xs) -> np.ndarray:
+        """logpdf of every element of `xs`, equal bit for bit to the scalar.
+
+        log_unnorm is called once, on a float array of the in-support
+        elements, so it must accept one. Overflow gives inf silently, as
+        it does in float arithmetic.
+        """
+        xs = np.asarray(xs, dtype=float)
+        inside = (self.support_lo <= xs) & (xs <= self.support_hi)
+        with np.errstate(over="ignore"):
+            if inside.all():
+                return np.asarray(self.log_unnorm(xs), dtype=float)
+            out = np.full(xs.shape, -math.inf)
+            out[inside] = self.log_unnorm(xs[inside])
+        return out
+
     def in_support(self, x: float) -> bool:
         return self.support_lo <= x <= self.support_hi and math.isfinite(self.logpdf(x))
 
 
-def example_target_logpdf(x: float) -> float:
-    """log of exp(-x^2/2) / (1 + x^2 + x^4), unnormalized."""
+def example_target_logpdf(x):
+    """log of exp(-x^2/2) / (1 + x^2 + x^4), unnormalized; x a float or
+    a float array, log1p from the C library either way."""
     x2 = x * x
+    if isinstance(x, np.ndarray):
+        return -0.5 * x2 - _libm(math.log1p, x2 + x2 * x2)
     return -0.5 * x2 - math.log1p(x2 + x2 * x2)
 
 

@@ -1,11 +1,14 @@
 """Shared fixtures and helpers for the mcstat test suite."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import kstwo
+
+from mcstat.rng import RngStream
 
 GOLDENS_PATH = Path(__file__).with_name("goldens.json")
 
@@ -18,6 +21,16 @@ _CRITERION_LINES: list[tuple[int, bool, str]] = []
 def goldens() -> dict:
     """Reference constants regenerated by scripts/make_goldens.py."""
     return json.loads(GOLDENS_PATH.read_text())
+
+
+class NanStream(RngStream):
+    """A stream whose open floats are all NaN; it advances as RngStream does."""
+
+    __slots__ = ()
+
+    def floats_open(self, n):
+        super().floats_open(n)
+        return np.full(n, math.nan)
 
 
 def ks_statistic(draws, cdf) -> float:

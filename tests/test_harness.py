@@ -28,9 +28,11 @@ from mcstat.harness import (
     run_experiment,
     _synthetic_dataset,
 )
-from mcstat.mcmc import CalibrationError, run_gibbs_chain
+from mcstat.mcmc import CalibrationError
 from mcstat.rng import derive_substream, rng_new
 from mcstat.targets import cubic_ratio, gaussian_functional_expectation
+
+from conftest import NanStream
 
 
 def _read_csv(path):
@@ -332,25 +334,31 @@ def test_figure1_non_finite_value_names_run_and_iteration(tmp_path, capsys,
     assert re.search(msg, capsys.readouterr().err)
 
 
-def test_chain_envelope_failure_names_the_run(tmp_path, capsys, monkeypatch):
-    calls = []
+def _assert_run_2_failure_named(exp, cause, tmp_path, capsys, monkeypatch):
+    # substream 2 reads NaN floats, so run 2's first step fails in the kernel
+    def derive(parent, k):
+        rng = derive_substream(parent, k)
+        return NanStream(rng.seed, rng.stream_id) if k == 2 else rng
 
-    def flaky_gibbs(*args):
-        calls.append(None)
-        if len(calls) == 3:
-            raise ValueError("boom")
-        return run_gibbs_chain(*args)
-
-    monkeypatch.setattr("mcstat.harness.run_gibbs_chain", flaky_gibbs)
-    msg = r"envelope run 2 \(substream 2\) failed: boom"
+    monkeypatch.setattr("mcstat.harness.derive_substream", derive)
+    msg = r"envelope run 2 \(substream 2\) failed: " + cause
     with pytest.raises(RuntimeError, match=msg):
-        figure2(ExperimentConfig("figure2", seed=0, runs=4, iters=200,
-                                 out_dir=tmp_path / "lib"))
-    calls.clear()
-    rc = cli_main(["figure2", "--runs", "4", "--iters", "200",
+        run_experiment(ExperimentConfig(exp, seed=0, runs=4, iters=200,
+                                        out_dir=tmp_path / "lib"))
+    rc = cli_main([exp, "--runs", "4", "--iters", "200",
                    "--out", str(tmp_path / "cli")])
     assert rc == 2
     assert re.search(msg, capsys.readouterr().err)
+
+
+def test_chain_envelope_failure_names_the_run(tmp_path, capsys, monkeypatch):
+    _assert_run_2_failure_named("figure2", r"u must be in \(0, 1\], got nan",
+                                tmp_path, capsys, monkeypatch)
+
+
+def test_chain_envelope_failure_names_the_run_figure3(tmp_path, capsys, monkeypatch):
+    _assert_run_2_failure_named("figure3", "norm_ppf_many requires 0 < p < 1",
+                                tmp_path, capsys, monkeypatch)
 
 
 def test_evidence_failure_names_the_replication(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcstat.mcmc import (
     CalibrationError,
+    ChainFailure,
     ChainTrace,
     RwProposal,
     batch_means_se,
@@ -15,7 +16,9 @@ from mcstat.mcmc import (
     calibrate_scale_report,
     discrete_mh_transition_matrix,
     run_gibbs_chain,
+    run_gibbs_chains,
     run_mh_chain,
+    run_mh_chains,
     slice_gibbs_step,
     slice_truncation_bound,
 )
@@ -27,7 +30,7 @@ from mcstat.targets import (
     example_target_logpdf,
 )
 
-from conftest import ks_critical, ks_statistic
+from conftest import NanStream, ks_critical, ks_statistic
 
 EXAMPLE = TargetDensity(example_target_logpdf, -10.0, 10.0, "example")
 
@@ -378,6 +381,87 @@ def test_gibbs_chain_ks_fit_quick():
         if ks_statistic(xs, example_target_cdf_many) < crit:
             passed += 1
     assert passed >= 9
+
+
+# ---------------------------------------------------------------------------
+# Lockstep kernels: bit for bit the scalar runners on the same substreams
+# ---------------------------------------------------------------------------
+
+_LOCKSTEP_ITERS = 3 * _BLOCK + 7  # crosses the kernels' block edges
+# Proposals from a scale above ~0.5 leave this support often.
+NARROW = TargetDensity(lambda x: -0.5 * x * x, -0.5, 1.5, "narrow")
+
+
+def _substreams(seed, k):
+    root = rng_new(seed)
+    return [derive_substream(root, j) for j in range(k)]
+
+
+def _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs):
+    # uint64 views: -0.0 == 0.0 as floats, and the signs must match too
+    assert len(lockstep) == len(scalar)
+    base = lockstep[0].states.base
+    for a, b in zip(lockstep, scalar):
+        assert a.states.base is base  # rows of one (K, iters) array
+        assert np.array_equal(a.states.view(np.uint64), b.states.view(np.uint64))
+        if b.accepted is None:
+            assert a.accepted is None
+        else:
+            assert np.array_equal(a.accepted, b.accepted)
+        assert (a.burn_in, a.seed_info) == (b.burn_in, b.seed_info)
+    assert [r.state_bytes() for r in rngs] == [r.state_bytes() for r in ref_rngs]
+
+
+@pytest.mark.parametrize("k", [1, 3, 100])
+@pytest.mark.parametrize("init", [0.0, 1.3])
+def test_gibbs_chains_match_scalar_runner_bitwise(k, init):
+    rngs, ref_rngs = _substreams(61, k), _substreams(61, k)
+    lockstep = run_gibbs_chains(init, _LOCKSTEP_ITERS, 100, rngs)
+    scalar = [run_gibbs_chain(init, _LOCKSTEP_ITERS, 100, r) for r in ref_rngs]
+    _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs)
+
+
+@pytest.mark.parametrize("k", [1, 3, 100])
+@pytest.mark.parametrize("scale", [0.05, 1.2, 25.0])
+@pytest.mark.parametrize("target", [EXAMPLE, NARROW], ids=["example", "narrow"])
+def test_mh_chains_match_scalar_runner_bitwise(k, scale, target):
+    init = 1.3 if scale == 1.2 else 0.0
+    rngs, ref_rngs = _substreams(62, k), _substreams(62, k)
+    prop = RwProposal(scale)
+    lockstep = run_mh_chains(target, prop, init, _LOCKSTEP_ITERS, 100, rngs)
+    scalar = [run_mh_chain(target, prop, init, _LOCKSTEP_ITERS, 100, r)
+              for r in ref_rngs]
+    _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs)
+    if target is NARROW and scale > 1.0:
+        assert not all(t.accepted.all() for t in lockstep)
+
+
+def test_lockstep_failure_names_the_row_with_the_scalar_error():
+    def streams():
+        rngs = _substreams(63, 4)
+        rngs[2] = NanStream(rngs[2].seed, rngs[2].stream_id)
+        return rngs
+
+    for lockstep, scalar in [
+            (lambda r: run_gibbs_chains(0.0, 300, 0, r),
+             lambda r: run_gibbs_chain(0.0, 300, 0, r)),
+            (lambda r: run_mh_chains(EXAMPLE, RwProposal(1.2), 0.0, 300, 0, r),
+             lambda r: run_mh_chain(EXAMPLE, RwProposal(1.2), 0.0, 300, 0, r))]:
+        with pytest.raises(ValueError) as scalar_err:
+            scalar(streams()[2])
+        with pytest.raises(ChainFailure) as err:
+            lockstep(streams())
+        assert err.value.row == 2
+        assert str(err.value) == str(scalar_err.value)
+
+
+def test_lockstep_kernels_reject_what_the_scalar_runners_reject():
+    with pytest.raises(ValueError, match="exceed burn_in"):
+        run_gibbs_chains(0.0, 100, 100, _substreams(0, 2))
+    with pytest.raises(ValueError, match="finite"):
+        run_gibbs_chains(math.inf, 100, 0, _substreams(0, 2))
+    with pytest.raises(ValueError, match="zero target density"):
+        run_mh_chains(EXAMPLE, RwProposal(1.0), 11.0, 100, 0, _substreams(0, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from mcstat.mcmc import _ReadAhead
 from mcstat.rng import (
     _BLOCK,
     _PPF_P_LOW,
+    _libm,
     _open_floats,
     NormalDist,
     RngStream,
@@ -188,11 +189,34 @@ def test_block_draws_reject_bad_arguments():
     assert r.state_bytes() == rng_new(0).state_bytes()  # no draw consumed
 
 
+# Each branch of norm_ppf and its edges, the far tail included.
+_PPF_EDGES = [2.0**-54, math.nextafter(_PPF_P_LOW, 0.0), _PPF_P_LOW,
+              math.nextafter(_PPF_P_LOW, 1.0), 0.5, math.nextafter(0.5, 1.0),
+              1.0 - _PPF_P_LOW, 1.0 - 2.0**-53, 1e-310, 5e-324, 1e-300]
+
+
 def test_norm_ppf_many_matches_scalar_at_branch_edges():
-    ps = [2.0**-54, math.nextafter(_PPF_P_LOW, 0.0), _PPF_P_LOW,
-          math.nextafter(_PPF_P_LOW, 1.0), 0.5, math.nextafter(0.5, 1.0),
-          1.0 - _PPF_P_LOW, 1.0 - 2.0**-53, 1e-310, 5e-324, 1e-300]
-    assert _bits(norm_ppf_many(ps)) == _bits([norm_ppf(p) for p in ps])
+    assert _bits(norm_ppf_many(_PPF_EDGES)) == _bits([norm_ppf(p) for p in _PPF_EDGES])
+
+
+def test_norm_ppf_many_matches_scalar_on_2d_input():
+    # the edges put tail and far-tail elements in, so their patch path runs
+    ps = np.array(_PPF_EDGES + [0.3]).reshape(3, 4)
+    out = norm_ppf_many(ps)
+    assert out.shape == (3, 4)
+    assert _bits(out) == _bits([norm_ppf(p) for p in ps.ravel().tolist()])
+    central = np.array([[0.3, 0.6], [0.5, 0.45]])  # no tail: the common path alone
+    assert _bits(norm_ppf_many(central)) == \
+        _bits([norm_ppf(p) for p in central.ravel().tolist()])
+    assert norm_ppf_many(0.3).shape == ()
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (5,), (2, 3, 4)])
+def test_libm_keeps_shape(shape):
+    a = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
+    out = _libm(math.exp, a)
+    assert out.shape == shape
+    assert _bits(out) == _bits([math.exp(v) for v in a.ravel().tolist()])
 
 
 @given(ps=st.lists(st.floats(5e-324, 1.0, exclude_max=True), max_size=50))

@@ -1,6 +1,7 @@
 """Example target oracles and the conjugate normal evidence model."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcstat.quadrature import gauss_legendre_integrate, quadrature_integrate
 from mcstat.targets import (
+    EXAMPLE_TARGET,
     ConjugateNormalModel,
     TargetDensity,
     analytic_log_bayes_factor,
@@ -142,6 +144,34 @@ def test_target_density_support():
     assert not t.in_support(1.5)
     assert t.logpdf(0.5) == 0.0
     assert t.logpdf(2.0) == -math.inf
+
+
+# Support edges and just outside them, signed zeros, overflow of x^2,
+# infinities and NaN.
+_LOGPDF_POINTS = [0.0, -0.0, 0.3, -1.7, 1e-200, 1e150, -1e200, 1e300,
+                  -10.0, 10.0, math.nextafter(-10.0, -math.inf),
+                  math.nextafter(10.0, math.inf), math.nextafter(10.0, 0.0),
+                  math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("target", [
+    EXAMPLE_TARGET,
+    TargetDensity(example_target_logpdf, -10.0, 10.0, "bounded"),
+    TargetDensity(lambda x: -0.5 * x * x, -0.5, 1.5, "narrow"),
+], ids=["unbounded", "bounded", "narrow"])
+def test_logpdf_many_matches_scalar_bitwise(target):
+    # the dense grid catches a SIMD log1p, which differs from libm in the
+    # last ulp on a few percent of inputs on some hosts
+    xs = np.concatenate((_LOGPDF_POINTS, np.linspace(-12.0, 12.0, 2000)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        many = target.logpdf_many(xs)
+        grid = target.logpdf_many(xs.reshape(8, -1))
+        scalar = [target.logpdf(x) for x in xs.tolist()]
+    assert many.tobytes() == np.array(scalar).tobytes()
+    assert grid.shape == (8, 252)
+    assert grid.tobytes() == many.tobytes()
+    assert many[np.isnan(xs)].tolist() == [-math.inf]
 
 
 def test_registries():
