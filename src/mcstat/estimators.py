@@ -335,6 +335,8 @@ def chib_log_evidence(model: ConjugateNormalModel,
     mean and variance; t* defaults to the sample mean, where the ordinate
     estimate has the least variance (the identity holds at any point).
     """
+    if theta_star is not None and not math.isfinite(theta_star):
+        raise ValueError(f"theta_star must be finite, got {theta_star!r}")
     draws = np.asarray(posterior_draws, dtype=float)
     if draws.size == 0:
         raise ValueError("posterior draws must be nonempty")

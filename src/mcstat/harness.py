@@ -370,38 +370,37 @@ def figure1(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _chain_envelope(config: ExperimentConfig, run_chains
-                    ) -> tuple[EnvelopeSummary, list[ChainTrace], np.ndarray, dict]:
+                    ) -> tuple[EnvelopeSummary, ChainTrace, dict]:
     """Envelope of running means of x^3 over retained chain states.
 
     `run_chains(iters, burn_in, rngs)` is a lockstep chain kernel; it runs
     every replication at once on the config's substreams. Each run
     executes burn_in + iters chain steps and retains `iters` states, so the
-    envelope axis always ends at config.iters. Returns the summary, each
-    run's trace, the (runs, iters) retained states, and the info entries
-    both chain figures share.
+    envelope axis always ends at config.iters. Returns the summary, the
+    kernel's (runs, steps) trace, and the info entries both chain figures
+    share.
     """
     burn = config.effective_burn_in()
     cps = checkpoints(config.iters)
     try:
-        traces = run_chains(burn + config.iters, burn,
-                            list(_substreams(config.seed, config.runs)))
+        trace = run_chains(burn + config.iters, burn,
+                           list(_substreams(config.seed, config.runs)))
     except ChainFailure as exc:
         raise _run_failed("envelope run", exc.row, exc) from exc
-    states = traces[0].states.base[:, burn:]  # the kernel's (runs, steps) array
-    summary = _summarize(cps, running_moments(states ** 3, cps).mean)
+    summary = _summarize(cps, running_moments(trace.retained() ** 3, cps).mean)
     info = {"burn_in": burn,
             "terminal_band_width": float(summary.band_hi[-1] - summary.band_lo[-1])}
-    return summary, traces, states, info
+    return summary, trace, info
 
 
 def figure2(config: ExperimentConfig) -> ExperimentResult:
     """Slice/Gibbs envelope of running mean x^3, plus state histogram."""
-    summary, _, states, info = _chain_envelope(
+    summary, trace, info = _chain_envelope(
         config, lambda iters, burn, rngs: run_gibbs_chains(0.0, iters, burn, rngs))
     return _finish_envelope_experiment(
         config, summary, info, ref_y=0.0, ref_label="truth 0",
         title="Slice/Gibbs running means of x^3",
-        hist=(states, "Slice/Gibbs draws vs target density"))
+        hist=(trace.retained(), "Slice/Gibbs draws vs target density"))
 
 
 def figure3(config: ExperimentConfig) -> ExperimentResult:
@@ -421,17 +420,17 @@ def figure3(config: ExperimentConfig) -> ExperimentResult:
     info["scale"] = scale
 
     prop = RwProposal(scale)
-    summary, traces, states, chain_info = _chain_envelope(
+    summary, trace, chain_info = _chain_envelope(
         config,
         lambda iters, burn, rngs: run_mh_chains(EXAMPLE_TARGET, prop, 0.0, iters, burn,
                                                 rngs))
     info.update(chain_info)
-    rates = [float(np.mean(t.accepted[t.burn_in:])) for t in traces]
+    rates = np.mean(trace.accepted[:, trace.burn_in:], axis=1)  # per run
     info["measured_acceptance"] = float(np.mean(rates))
     return _finish_envelope_experiment(
         config, summary, info, ref_y=0.0, ref_label="truth 0",
         title=f"RW Metropolis running means of x^3 (scale {scale:.3g})",
-        hist=(states, "RW Metropolis draws vs target density"))
+        hist=(trace.retained(), "RW Metropolis draws vs target density"))
 
 
 def _synthetic_dataset(seed: int, n: int = 20) -> np.ndarray:

@@ -20,13 +20,13 @@ those scalar draws would leave it; the Gibbs chain runs slice_gibbs_step
 on a read-ahead source of its block's floats.
 
 Replicated chains, one derived substream each, step in lockstep: the
-kernels run_gibbs_chains and run_mh_chains advance K chains at once as the
-rows of one (K, iters) array, as tfp.mcmc runs batched chains (Lao et al.
-2020). Row k equals the scalar runner on stream k bit for bit and leaves
-that stream where the scalar runner would: the step is the same
-arithmetic on arrays, with every transcendental taken from the C library
-one element at a time (rng._libm), and one norm_ppf_many call of K
-elements per Gibbs step. A row whose step fails raises ChainFailure with
+kernels run_gibbs_chains and run_mh_chains advance K chains at once and
+return one ChainTrace of (K, iters) arrays, as tfp.mcmc batches chains
+(Lao et al. 2020). Row k equals the scalar runner on stream k bit for bit
+and leaves that stream where the scalar runner would: the step is the
+same arithmetic on arrays, with every transcendental taken from the C
+library one element at a time (rng._libm), and one norm_ppf_many call of
+K elements per Gibbs step. A row whose step fails raises ChainFailure with
 the row's index. Single chains (calibration, run_mh_chain, run_gibbs_chain)
 keep their scalar loops, which beat numpy's per-call overhead at K = 1.
 """
@@ -67,23 +67,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChainTrace:
-    """States of one chain, with burn-in marker and stream identity.
+    """States of one chain, (iters,), or of K lockstep chains, (K, iters).
 
-    `accepted` is a boolean array for MH chains and None for Gibbs chains
-    (every Gibbs move is accepted by construction). `seed_info` identifies
-    the fresh stream the chain consumed, so the trace can be replayed.
+    `accepted` is a boolean array of the states' shape for MH chains and
+    None for Gibbs chains (every Gibbs move is accepted by construction).
+    `seed_info` is the (seed, stream_id) of the fresh stream the chain
+    consumed, so the trace can be replayed; row k's is seed_info[k].
+    `burn_in` counts states along the last axis.
     """
 
     states: np.ndarray
     accepted: np.ndarray | None
     burn_in: int
-    seed_info: tuple[int, int]
+    seed_info: tuple[int, int] | tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.accepted is not None and len(self.accepted) != len(self.states):
-            raise ValueError("accepted and states must have equal length")
-        if not 0 <= self.burn_in <= len(self.states):
-            raise ValueError(f"burn_in {self.burn_in} outside [0, {len(self.states)}]")
+        if self.accepted is not None and self.accepted.shape != self.states.shape:
+            raise ValueError(f"accepted has shape {self.accepted.shape}, "
+                             f"states {self.states.shape}")
+        if not 0 <= self.burn_in <= self.states.shape[-1]:
+            raise ValueError(f"burn_in {self.burn_in} outside [0, {self.states.shape[-1]}]")
 
     @property
     def acceptance_rate(self) -> float:
@@ -93,8 +96,8 @@ class ChainTrace:
         return float(np.mean(self.accepted))
 
     def retained(self) -> np.ndarray:
-        """States after burn-in."""
-        return self.states[self.burn_in:]
+        """States after burn-in, a view: states[..., burn_in:]."""
+        return self.states[..., self.burn_in:]
 
 
 @dataclass(frozen=True)
@@ -116,12 +119,10 @@ class ChainFailure(ValueError):
         self.row = row
 
 
-def _traces(states: np.ndarray, accepted: np.ndarray | None, burn_in: int,
-            rngs: Sequence[RngStream]) -> list[ChainTrace]:
-    # One ChainTrace per row of a lockstep kernel's arrays, each a row view.
-    return [ChainTrace(states[k], None if accepted is None else accepted[k],
-                       burn_in, (rng.seed, rng.stream_id))
-            for k, rng in enumerate(rngs)]
+def _mh_draws(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # One stream's block of 2n open floats as n MH steps' draws: proposal
+    # normals from the even floats, log uniforms from the odd ones.
+    return norm_ppf_many(block[0::2]), _libm(math.log, block[1::2])
 
 
 def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
@@ -148,13 +149,12 @@ def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
     scale = prop.scale
     for start in range(0, iters, _BLOCK):
         stop = min(start + _BLOCK, iters)
-        block = rng.floats_open(2 * (stop - start))
-        zs = norm_ppf_many(block[0::2]).tolist()
-        for t, z, u in zip(range(start, stop), zs, block[1::2].tolist()):
+        zs, log_us = _mh_draws(rng.floats_open(2 * (stop - start)))
+        for t, z, log_u in zip(range(start, stop), zs.tolist(), log_us.tolist()):
             y = x + scale * z  # sample_normal(rng, x, scale), bit for bit
             lfy = logpdf(y)
             log_alpha = lfy - lfx
-            if log_alpha >= 0.0 or math.log(u) < log_alpha:
+            if log_alpha >= 0.0 or log_u < log_alpha:
                 x, lfx = y, lfy
                 accepted[t] = True
             else:
@@ -165,15 +165,15 @@ def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
 
 def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
                   iters: int, burn_in: int,
-                  rngs: Sequence[RngStream]) -> list[ChainTrace]:
+                  rngs: Sequence[RngStream]) -> ChainTrace:
     """run_mh_chain on each stream of `rngs`, the K chains stepped in lockstep.
 
-    Trace k equals run_mh_chain(target, prop, init, iters, burn_in, rngs[k])
-    bit for bit, and rngs[k] ends where that call would leave it. The
-    traces' states and acceptances are the rows of one (K, iters) array
-    each (`traces[0].states.base`). Each row's normals and log uniforms are
-    read from its own stream, one block of at most rng's block size at a
-    time. `target.log_unnorm` must accept a float array (see
+    Returns one trace with (K, iters) states and acceptances. Row k equals
+    run_mh_chain(target, prop, init, iters, burn_in, rngs[k]) bit for bit,
+    seed_info[k] is rngs[k]'s (seed, stream_id), and rngs[k] ends where
+    that call would leave it. Each row's normals and log uniforms are read
+    from its own stream, one block of at most rng's block size at a time.
+    `target.log_unnorm` must accept a float array (see
     TargetDensity.logpdf_many). A row whose draws fail raises ChainFailure.
     """
     _check_lengths(iters, burn_in)
@@ -191,12 +191,10 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
             stop = min(start + _BLOCK, iters)
             n = stop - start
             for row, rng in enumerate(rngs):
-                block = rng.floats_open(2 * n)
                 try:
-                    zs[:n, row] = norm_ppf_many(block[0::2])
+                    zs[:n, row], log_us[:n, row] = _mh_draws(rng.floats_open(2 * n))
                 except ValueError as exc:
                     raise ChainFailure(row, exc) from exc
-                log_us[:n, row] = _libm(math.log, block[1::2])
             for t, z, log_u in zip(range(start, stop), zs, log_us):
                 y = x + z * scale
                 lfy = logpdf_many(y)
@@ -206,7 +204,7 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
                 lfx = np.where(acc, lfy, lfx)
                 states[:, t] = x
                 accepted[:, t] = acc
-    return _traces(states, accepted, burn_in, rngs)
+    return ChainTrace(states, accepted, burn_in, tuple((r.seed, r.stream_id) for r in rngs))
 
 
 def _init_logpdf(target: TargetDensity, init: float) -> float:
@@ -354,14 +352,14 @@ def run_gibbs_chain(init: float, iters: int, burn_in: int,
 
 
 def run_gibbs_chains(init: float, iters: int, burn_in: int,
-                     rngs: Sequence[RngStream]) -> list[ChainTrace]:
+                     rngs: Sequence[RngStream]) -> ChainTrace:
     """run_gibbs_chain on each stream of `rngs`, the K chains stepped in lockstep.
 
-    Trace k equals run_gibbs_chain(init, iters, burn_in, rngs[k]) bit for
-    bit, and rngs[k] ends where that call would leave it. The traces'
-    states are the rows of one (K, iters) array (`traces[0].states.base`).
-    A failing step raises ChainFailure for the lowest row failing at that
-    step, with the error slice_gibbs_step raises on the row's floats.
+    Returns one trace with (K, iters) states. Row k equals
+    run_gibbs_chain(init, iters, burn_in, rngs[k]) bit for bit, seed_info[k]
+    is rngs[k]'s (seed, stream_id), and rngs[k] ends where that call would
+    leave it. A failing step raises ChainFailure for the lowest row failing
+    at that step, with the error slice_gibbs_step raises on the row's floats.
     """
     _check_lengths(iters, burn_in)
     x = float(init)
@@ -393,10 +391,11 @@ def run_gibbs_chains(init: float, iters: int, burn_in: int,
                 z = norm_ppf_many(pa + pair[:, 1] * mass)
             except ValueError:
                 raise _gibbs_failure(x, pair) from None
-            z = np.minimum(np.maximum(z, -b), b)
-            x = np.minimum(np.maximum(0.0 + 1.0 * z, -b), b)
+            # 0.0 + 1.0 * clamp(z, -b, b), as on the scalar path; it lies in
+            # [-b, b] already, so the scalar's second clamp is a no-op here
+            x = 0.0 + np.minimum(np.maximum(z, -b), b)
             states[:, t] = x
-    return _traces(states, None, burn_in, rngs)
+    return ChainTrace(states, None, burn_in, tuple((r.seed, r.stream_id) for r in rngs))
 
 
 def _gibbs_failure(x: np.ndarray, pairs: np.ndarray) -> ChainFailure:
@@ -446,13 +445,17 @@ def batch_means_se(values, n_batches: int = 50) -> float:
     Splits the sequence into equal contiguous batches (tail remainder
     dropped) and reports std(batch means)/sqrt(n_batches). The iid SE is
     too small for MCMC output; this is the honest band width. At least two
-    batches are needed for a spread.
+    batches are needed for a spread. A non-finite value raises, naming its
+    index.
     """
     if n_batches < 2:
         raise ValueError(f"n_batches must be >= 2, got {n_batches!r}")
     v = np.asarray(values, dtype=float)
     if v.size < 4:
         raise ValueError("need at least 4 values for batch means")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if len(bad):
+        raise ValueError(f"non-finite value {float(v.flat[bad[0]])!r} at index {bad[0]}")
     n_batches = min(n_batches, v.size // 2)
     m = v.size // n_batches
     batches = v[:n_batches * m].reshape(n_batches, m).mean(axis=1)

@@ -55,10 +55,7 @@ def quadrature_integrate(fn: Callable[[float], float], lo: float, hi: float,
         if evals > max_evals:
             raise QuadratureError(
                 f"adaptive Simpson exceeded {max_evals} evaluations on [{lo}, {hi}]")
-        y = fn(x)
-        if not math.isfinite(y):
-            raise ValueError(f"integrand returned non-finite value {y!r} at x={x!r}")
-        return y
+        return _finite(fn, x)
 
     def simpson(fa: float, fm: float, fb: float, h: float) -> float:
         return h / 6.0 * (fa + 4.0 * fm + fb)
@@ -93,7 +90,8 @@ def gauss_legendre_integrate(fn: Callable[[float], float], lo: float, hi: float,
 
     The error estimate is the difference against the same grid at half the
     order, which is itself integrated exactly for polynomials up to degree
-    2*(order//2)-1; for smooth integrands it is a conservative bound.
+    2*(order//2)-1; for smooth integrands it is a conservative bound. A
+    non-finite integrand value raises, naming its x.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"integration bounds must be finite, got [{lo}, {hi}]")
@@ -111,5 +109,14 @@ def _gl_fixed(fn: Callable[[float], float], edges: np.ndarray, order: int) -> fl
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        total += half * sum(w * fn(mid + half * t) for t, w in zip(nodes, weights))
+        total += half * sum(w * _finite(fn, mid + half * t)
+                            for t, w in zip(nodes, weights))
     return total
+
+
+def _finite(fn: Callable[[float], float], x: float) -> float:
+    """fn(x), or a ValueError naming x if that is not finite."""
+    y = fn(x)
+    if not math.isfinite(y):
+        raise ValueError(f"integrand returned non-finite value {y!r} at x={float(x)!r}")
+    return y

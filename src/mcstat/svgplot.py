@@ -145,6 +145,15 @@ def _axes(fr: _Frame, x_ticks, y_ticks, title, x_label, y_label) -> list[str]:
     return parts
 
 
+def _legend_entry(ly: float, label: str, color: str, dashed: bool) -> list[str]:
+    """A legend swatch and its label, centred on pixel row ly."""
+    dash = ' stroke-dasharray="5 3"' if dashed else ""
+    return [f'<line x1="{_fmt(_ML + 10)}" y1="{_fmt(ly)}" x2="{_fmt(_ML + 34)}" '
+            f'y2="{_fmt(ly)}" stroke="{color}" stroke-width="4"{dash}/>',
+            f'<text x="{_fmt(_ML + 40)}" y="{_fmt(ly + 4)}" {_FONT} '
+            f'font-size="12">{label}</text>']
+
+
 def _document(body: list[str]) -> str:
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {int(_W)} {int(_H)}" '
             f'width="{int(_W)}" height="{int(_H)}">\n'
@@ -197,11 +206,7 @@ def svg_line_plot(xs: Sequence[float], series: Sequence[Series], path,
     for label, color, dashed in legend:
         if not label:
             continue
-        dash = ' stroke-dasharray="5 3"' if dashed else ""
-        body.append(f'<line x1="{_fmt(_ML + 10)}" y1="{_fmt(ly)}" x2="{_fmt(_ML + 34)}" '
-                    f'y2="{_fmt(ly)}" stroke="{color}" stroke-width="4"{dash}/>')
-        body.append(f'<text x="{_fmt(_ML + 40)}" y="{_fmt(ly + 4)}" {_FONT} '
-                    f'font-size="12">{label}</text>')
+        body.extend(_legend_entry(ly, label, color, dashed))
         ly += 16
 
     path = Path(path)
@@ -233,11 +238,7 @@ def svg_histogram(bin_edges: Sequence[float], masses: Sequence[float], path, *,
     if len(overlay_x) > 0:
         body.append(f'<polyline points="{_polyline_points(fr, overlay_x, overlay_y)}" '
                     f'fill="none" stroke="{_REF_COLOR}" stroke-width="1.8"/>')
-        body.append(f'<line x1="{_fmt(_ML + 10)}" y1="{_fmt(_MT + 14)}" '
-                    f'x2="{_fmt(_ML + 34)}" y2="{_fmt(_MT + 14)}" '
-                    f'stroke="{_REF_COLOR}" stroke-width="4"/>')
-        body.append(f'<text x="{_fmt(_ML + 40)}" y="{_fmt(_MT + 18)}" {_FONT} '
-                    f'font-size="12">{overlay_label}</text>')
+        body.extend(_legend_entry(_MT + 14, overlay_label, _REF_COLOR, False))
 
     path = Path(path)
     path.write_text(_document(body), encoding="utf-8")

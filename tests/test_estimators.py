@@ -525,6 +525,14 @@ def test_chib_rejects_degenerate_draws():
         chib_log_evidence(model, [0.5], [1.0])
 
 
+@pytest.mark.parametrize("theta_star", [math.nan, math.inf, -math.inf])
+def test_chib_rejects_non_finite_theta_star(theta_star):
+    model, data, pm, pv, gen = _conjugate_setup(18)
+    draws = gen.normal(pm, math.sqrt(pv), size=100)
+    with pytest.raises(ValueError, match="theta_star must be finite"):
+        chib_log_evidence(model, data, draws, theta_star=theta_star)
+
+
 # ---------------------------------------------------------------------------
 # Cross-estimator agreement
 # ---------------------------------------------------------------------------

@@ -399,16 +399,16 @@ def _substreams(seed, k):
 
 def _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs):
     # uint64 views: -0.0 == 0.0 as floats, and the signs must match too
-    assert len(lockstep) == len(scalar)
-    base = lockstep[0].states.base
-    for a, b in zip(lockstep, scalar):
-        assert a.states.base is base  # rows of one (K, iters) array
-        assert np.array_equal(a.states.view(np.uint64), b.states.view(np.uint64))
+    assert lockstep.states.shape == (len(scalar), _LOCKSTEP_ITERS)
+    assert len(lockstep.seed_info) == len(scalar)
+    for k, b in enumerate(scalar):
+        assert np.array_equal(lockstep.states[k].view(np.uint64), b.states.view(np.uint64))
         if b.accepted is None:
-            assert a.accepted is None
+            assert lockstep.accepted is None
         else:
-            assert np.array_equal(a.accepted, b.accepted)
-        assert (a.burn_in, a.seed_info) == (b.burn_in, b.seed_info)
+            assert lockstep.accepted.shape == lockstep.states.shape
+            assert np.array_equal(lockstep.accepted[k], b.accepted)
+        assert (lockstep.burn_in, lockstep.seed_info[k]) == (b.burn_in, b.seed_info)
     assert [r.state_bytes() for r in rngs] == [r.state_bytes() for r in ref_rngs]
 
 
@@ -433,7 +433,24 @@ def test_mh_chains_match_scalar_runner_bitwise(k, scale, target):
               for r in ref_rngs]
     _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs)
     if target is NARROW and scale > 1.0:
-        assert not all(t.accepted.all() for t in lockstep)
+        assert not lockstep.accepted.all(axis=1).all()
+
+
+@pytest.mark.parametrize("shape", [(10,), (3, 10)], ids=["1d", "2d"])
+def test_chain_trace_checks_shapes_and_burn_in_on_the_last_axis(shape):
+    states = np.zeros(shape)
+    info = (5, 0) if len(shape) == 1 else ((5, 0), (5, 1), (5, 2))
+    whole = ChainTrace(states, np.zeros(shape, dtype=bool), 10, info)
+    assert whole.retained().shape == shape[:-1] + (0,)
+    tr = ChainTrace(states, None, 4, info)
+    assert tr.retained().shape == shape[:-1] + (6,)
+    assert np.shares_memory(tr.retained(), states)  # a view, not a copy
+    for bad in (shape[:-1] + (9,), (10, 3), (30,)):
+        with pytest.raises(ValueError, match="shape"):
+            ChainTrace(states, np.zeros(bad, dtype=bool), 0, info)
+    for burn_in in (-1, 11):
+        with pytest.raises(ValueError, match="burn_in"):
+            ChainTrace(states, None, burn_in, info)
 
 
 def test_lockstep_failure_names_the_row_with_the_scalar_error():
@@ -561,6 +578,14 @@ def test_batch_means_short_input():
         batch_means_se([1.0, 2.0, 3.0])
     # 8 values fall back to fewer, wider batches instead of failing
     assert batch_means_se(np.arange(8.0)) > 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_batch_means_rejects_non_finite_values(bad):
+    xs = np.arange(100.0)
+    xs[[37, 60]] = bad
+    with pytest.raises(ValueError, match=f"non-finite value {bad!r} at index 37"):
+        batch_means_se(xs)
 
 
 @pytest.mark.parametrize("n_batches", [1, 0, -3])

@@ -63,6 +63,20 @@ def test_non_finite_integrand_rejected():
         quadrature_integrate(lambda x: math.inf if x < 0.5 else 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gauss_legendre_rejects_non_finite_integrand(bad):
+    seen = []
+
+    def fn(x):
+        seen.append(float(x))
+        return bad if x > 1.0 else x
+
+    with pytest.raises(ValueError, match=f"non-finite value {bad!r}") as err:
+        gauss_legendre_integrate(fn, 0.0, 2.0)
+    assert seen[-1] > 1.0
+    assert str(err.value).endswith(f" at x={seen[-1]!r}")
+
+
 def test_bad_arguments_rejected():
     with pytest.raises(ValueError):
         quadrature_integrate(lambda x: x, 0.0, math.inf)
