@@ -3,8 +3,9 @@
 running_moments is the one Welford (one-pass mean/variance) loop, over one
 sequence or K in lockstep; its snapshots at checkpoint counts, one
 RunningEstimate of arrays, make traces of partial estimates come for free.
-Importance sampling keeps every weight in log space with a max shift; the
-effective sample size and a bootstrap standard error are the diagnostics.
+Importance sampling keeps every weight in log space with a max shift and
+exponentiates it once, for the estimate and its effective sample size; the
+ESS and a bootstrap standard error are the diagnostics.
 
 Three marginal-likelihood (evidence) estimators share the EvidenceEstimate
 result type: the harmonic mean of likelihoods, the iterative optimal-bridge
@@ -45,8 +46,7 @@ def _logsumexp(arr: np.ndarray) -> float:
     arr = np.asarray(arr, dtype=float)
     m = np.max(arr)
     if not math.isfinite(m):
-        # all -inf -> -inf; any +inf/nan propagates
-        return float(m) if m == -math.inf else float(np.sum(np.exp(arr - m)))
+        return float(m)  # all -inf -> -inf; +inf or NaN propagates
     return float(m + np.log(np.sum(np.exp(arr - m))))
 
 
@@ -132,12 +132,8 @@ def mc_estimate(target_sampler: Callable[[RngStream], float],
     return running_moments(values, range(1, T + 1))
 
 
-def ess(log_weights: Sequence[float]) -> float:
-    """Effective sample size (sum w)^2 / sum w^2 from log weights.
-
-    Max-shifted, so huge negative log weights degrade gracefully to zero
-    weight. Always in [1, T]; equals T iff all weights are equal.
-    """
+def _shifted_weights(log_weights) -> tuple[float, np.ndarray, float]:
+    """(m, exp(lw - m), ESS) for m = max(lw): the weights exponentiated once."""
     lw = np.asarray(log_weights, dtype=float)
     if lw.size == 0:
         raise ValueError("log_weights must be nonempty")
@@ -148,8 +144,16 @@ def ess(log_weights: Sequence[float]) -> float:
         raise ValueError("all weights are zero")
     w = np.exp(lw - m)
     s1 = float(np.sum(w))
-    s2 = float(np.dot(w, w))
-    return s1 * s1 / s2
+    return m, w, s1 * s1 / float(np.dot(w, w))
+
+
+def ess(log_weights: Sequence[float]) -> float:
+    """Effective sample size (sum w)^2 / sum w^2 from log weights.
+
+    Max-shifted, so huge negative log weights degrade gracefully to zero
+    weight. Always in [1, T]; equals T iff all weights are equal.
+    """
+    return _shifted_weights(log_weights)[2]
 
 
 @dataclass(frozen=True)
@@ -195,9 +199,7 @@ def self_normalized_is(target: TargetDensity,
         log_ws.append(lf - lg)
 
     values = np.array(hs)
-    lw = np.array(log_ws)
-    eff = ess(lw)
-    w = np.exp(lw - np.max(lw))
+    _, w, eff = _shifted_weights(log_ws)
     estimate = float(np.dot(w, values) / np.sum(w))
 
     # Bootstrap over (value, weight) pairs; no closed-form SE exists under
@@ -246,11 +248,12 @@ def harmonic_mean_log_evidence(log_liks_at_posterior_draws: Sequence[float]) -> 
         raise ValueError("log likelihood list must be nonempty")
     if not np.all(np.isfinite(ll)):
         raise ValueError("log likelihoods must be finite")
-    log_ev = -(_logsumexp(-ll) - math.log(ll.size))
+    m, w, eff = _shifted_weights(-ll)
+    log_ev = -(float(m + np.log(np.sum(w))) - math.log(ll.size))
     diag = {
         "n_draws": int(ll.size),
         "log_lik_spread": float(np.max(ll) - np.min(ll)),
-        "ess": ess(-ll),  # weight concentration of the reciprocal likelihoods
+        "ess": eff,  # weight concentration of the reciprocal likelihoods
         "converged": True,
     }
     return EvidenceEstimate(log_ev, "harmonic_mean", diag)

@@ -438,12 +438,11 @@ def _synthetic_dataset(seed: int, n: int = 20) -> np.ndarray:
     return normals(derive_substream(rng_new(seed), _DATA_STREAM), n, 0.5, 1.0)
 
 
-def _evidence_replication(rng: RngStream, models, data: np.ndarray,
+def _evidence_replication(rng: RngStream, posteriors, data: np.ndarray,
                           T: int) -> list[list[EvidenceEstimate]]:
-    """One replication of `evidence`: [harmonic mean, bridge, Chib] per model."""
+    """One replication of `evidence`: [harmonic mean, bridge, Chib] per posterior."""
     ests = []
-    for model in models:
-        pm, pv = posterior_params(model, data)
+    for model, pm, pv in posteriors:
         post = normals(rng, T, pm, math.sqrt(pv))
         hm = harmonic_mean_log_evidence(model.log_likelihood(data, post))
         fit_m = float(np.mean(post))
@@ -468,6 +467,7 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
     data = _synthetic_dataset(config.seed)
     models = [get_model("conj-n01"), get_model("conj-n14")]
     truths = [analytic_log_evidence(m, data) for m in models]
+    posteriors = [(m, *posterior_params(m, data)) for m in models]
     T = config.iters
     model_rows: list[list[list]] = [[], []]
     bf_rows: list[list] = []
@@ -475,7 +475,7 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
     analytic_bf = truths[0] - truths[1]
 
     reps = _replicate("evidence replication", config.seed, config.runs,
-                      lambda rng: _evidence_replication(rng, models, data, T))
+                      lambda rng: _evidence_replication(rng, posteriors, data, T))
     for r, ests in enumerate(reps):
         for mi, model_ests in enumerate(ests):
             for est in model_ests:

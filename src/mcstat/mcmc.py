@@ -34,6 +34,7 @@ keep their scalar loops, which beat numpy's per-call overhead at K = 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -445,12 +446,15 @@ def batch_means_se(values, n_batches: int = 50) -> float:
     Splits the sequence into equal contiguous batches (tail remainder
     dropped) and reports std(batch means)/sqrt(n_batches). The iid SE is
     too small for MCMC output; this is the honest band width. At least two
-    batches are needed for a spread. A non-finite value raises, naming its
-    index.
+    batches are needed for a spread. `values` is one chain, of shape (T,);
+    a (K, T) block of chains raises rather than being batched as one
+    sequence. A non-finite value raises, naming its index.
     """
-    if n_batches < 2:
-        raise ValueError(f"n_batches must be >= 2, got {n_batches!r}")
+    if not isinstance(n_batches, numbers.Integral) or n_batches < 2:
+        raise ValueError(f"n_batches must be an integer >= 2, got {n_batches!r}")
     v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"values must be one chain of shape (T,), got shape {v.shape}")
     if v.size < 4:
         raise ValueError("need at least 4 values for batch means")
     bad = np.flatnonzero(~np.isfinite(v))

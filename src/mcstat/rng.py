@@ -151,15 +151,19 @@ class RngStream:
         """Resume a stream from a checkpoint produced by state_bytes().
 
         The original seed is not recoverable from the checkpoint; the
-        stream_id is (it lives in the increment).
+        stream_id is (it lives in the increment). state_bytes() always
+        writes an odd increment, so an even one raises.
         """
         if len(raw) != 16:
             raise ValueError(f"expected 16 bytes of stream state, got {len(raw)}")
+        inc = int.from_bytes(raw[8:], "little")
+        if not inc & 1:
+            raise ValueError(f"stream increment must be odd, got {inc:#x}")
         obj = cls.__new__(cls)
         obj._state = int.from_bytes(raw[:8], "little")
-        obj._inc = int.from_bytes(raw[8:], "little")
+        obj._inc = inc
         obj.seed = seed
-        obj.stream_id = obj._inc >> 1
+        obj.stream_id = inc >> 1
         return obj
 
     def __repr__(self) -> str:
@@ -454,10 +458,10 @@ def _std_gamma(rng: RngStream, shape: float) -> float:
 
 def sample_student_t(rng: RngStream, df: float, loc: float, scale: float) -> float:
     """One draw from loc + scale * t(df), as normal over sqrt(chi2/df)."""
-    if not df > 0.0:
-        raise ValueError(f"student-t df must be positive, got {df!r}")
-    if not scale > 0.0:
-        raise ValueError(f"student-t scale must be positive, got {scale!r}")
+    if not 0.0 < df < math.inf:
+        raise ValueError(f"student-t df must be positive and finite, got {df!r}")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"student-t scale must be positive and finite, got {scale!r}")
     z = norm_ppf(rng.next_float_open())
     chi2 = 2.0 * _std_gamma(rng, 0.5 * df)
     return loc + scale * z / math.sqrt(chi2 / df)
@@ -472,6 +476,12 @@ class NormalDist:
     mean: float
     sd: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.mean):
+            raise ValueError(f"normal mean must be finite, got {self.mean!r}")
+        if not 0.0 < self.sd < math.inf:
+            raise ValueError(f"normal sd must be positive and finite, got {self.sd!r}")
+
     def sample(self, rng: RngStream) -> float:
         return sample_normal(rng, self.mean, self.sd)
 
@@ -484,6 +494,15 @@ class StudentTDist:
     df: float
     loc: float = 0.0
     scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.df < math.inf:
+            raise ValueError(f"student-t df must be positive and finite, got {self.df!r}")
+        if not math.isfinite(self.loc):
+            raise ValueError(f"student-t loc must be finite, got {self.loc!r}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(
+                f"student-t scale must be positive and finite, got {self.scale!r}")
 
     def sample(self, rng: RngStream) -> float:
         return sample_student_t(rng, self.df, self.loc, self.scale)

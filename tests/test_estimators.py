@@ -462,6 +462,21 @@ def test_bridge_without_overlap_fails_loudly():
                             lambda th: np.zeros_like(np.asarray(th, float)))
 
 
+def test_bridge_with_a_zero_density_proposal_draw_fails_loudly():
+    # log_prop = -inf at a proposal draw the posterior covers makes that
+    # draw's log ratio +inf; the seed estimate is then +inf and the bridge
+    # reports the missing overlap instead of computing inf - inf.
+    post = np.linspace(-1.0, 1.0, 50)
+    prop = np.append(np.linspace(-1.0, 1.0, 49), 3.0)
+
+    def log_prop(th):
+        th = np.asarray(th, dtype=float)
+        return np.where(th < 2.0, -0.5 * th * th, -math.inf)
+
+    with pytest.raises(ValueError, match="no effective support overlap"):
+        bridge_log_evidence(post, prop, lambda th: -0.5 * th * th, log_prop)
+
+
 def test_bridge_reports_non_convergence():
     model, data, pm, pv, gen = _conjugate_setup(14)
     post = gen.normal(pm, math.sqrt(pv), size=2000)

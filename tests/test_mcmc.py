@@ -1,6 +1,7 @@
 """MH kernel, scale calibration, slice/Gibbs sampler, discrete oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -588,7 +589,15 @@ def test_batch_means_rejects_non_finite_values(bad):
         batch_means_se(xs)
 
 
-@pytest.mark.parametrize("n_batches", [1, 0, -3])
+@pytest.mark.parametrize("n_batches", [1, 0, -3, 2.5, 10.0, "10"])
 def test_batch_means_needs_two_batches(n_batches):
-    with pytest.raises(ValueError, match="n_batches"):
+    with pytest.raises(ValueError, match=rf"n_batches .*got {re.escape(repr(n_batches))}"):
         batch_means_se(np.arange(100.0), n_batches=n_batches)
+
+
+@pytest.mark.parametrize("shape", [(100, 100), (3, 5), (2, 2, 4)])
+def test_batch_means_rejects_a_block_of_chains(shape):
+    # A (K, T) block is K chains, not one sequence to batch across.
+    xs = np.random.default_rng(0).normal(size=shape)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        batch_means_se(xs)

@@ -109,6 +109,12 @@ def test_from_state_bytes_rejects_wrong_length():
         RngStream.from_state_bytes(b"\x00" * 15)
 
 
+def test_from_state_bytes_rejects_an_even_increment():
+    # state_bytes writes (stream_id << 1) | 1, so no checkpoint has an even one.
+    with pytest.raises(ValueError, match="increment must be odd, got 0x2"):
+        RngStream.from_state_bytes(b"\x01" * 8 + b"\x02" + b"\x00" * 7)
+
+
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=50, deadline=None)
 def test_streams_are_pure_functions_of_seed(seed):
@@ -422,12 +428,13 @@ def test_student_t_cauchy_median():
 
 
 def test_student_t_rejects_bad_params():
-    with pytest.raises(ValueError):
-        sample_student_t(rng_new(0), 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        sample_student_t(rng_new(0), -2.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        sample_student_t(rng_new(0), 3.0, 0.0, 0.0)
+    r = rng_new(0)
+    before = r.state_bytes()
+    for df, scale in [(0.0, 1.0), (-2.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                      (3.0, 0.0), (3.0, math.inf), (3.0, math.nan)]:
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_student_t(r, df, 0.0, scale)
+    assert r.state_bytes() == before  # rejected before any draw
 
 
 def test_student_t_logpdf_matches_scipy():
@@ -450,6 +457,26 @@ def test_dist_objects_sample_and_logpdf_agree_with_functions():
     assert t.logpdf(0.7) == student_t_logpdf(0.7, 3.0, 0.0, 1.5)
     r1, r2 = rng_new(9), rng_new(9)
     assert t.sample(r1) == sample_student_t(r2, 3.0, 0.0, 1.5)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: NormalDist(0.0, 0.0), "sd"),
+    (lambda: NormalDist(0.0, -1.0), "sd"),
+    (lambda: NormalDist(0.0, math.inf), "sd"),
+    (lambda: NormalDist(0.0, math.nan), "sd"),
+    (lambda: NormalDist(math.nan, 1.0), "mean"),
+    (lambda: NormalDist(-math.inf, 1.0), "mean"),
+    (lambda: StudentTDist(0.0), "df"),
+    (lambda: StudentTDist(math.inf), "df"),
+    (lambda: StudentTDist(math.nan), "df"),
+    (lambda: StudentTDist(3.0, math.inf), "loc"),
+    (lambda: StudentTDist(3.0, 0.0, 0.0), "scale"),
+    (lambda: StudentTDist(3.0, 0.0, math.inf), "scale"),
+])
+def test_dist_objects_are_valid_when_built(build, field):
+    # Caught here, not as ZeroDivisionError or a math domain error in logpdf.
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 # ---------------------------------------------------------------------------
