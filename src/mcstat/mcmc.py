@@ -16,8 +16,7 @@ A trace replays bit-exactly from a fresh stream with the recorded
 (seed, stream_id). Both chain runners read their draws in blocks of rng's
 block size: step t of a chain uses open floats 2t and 2t+1 of its stream,
 exactly as the step-by-step scalar draws would, and the stream ends where
-those scalar draws would leave it; the Gibbs chain runs slice_gibbs_step
-on a read-ahead source of its block's floats.
+those scalar draws would leave it.
 
 Replicated chains, one derived substream each, step in lockstep: the
 kernels run_gibbs_chains and run_mh_chains advance K chains at once and
@@ -25,14 +24,16 @@ return one ChainTrace of (K, iters) arrays, as tfp.mcmc batches chains
 (Lao et al. 2020). Row k equals the scalar runner on stream k bit for bit
 and leaves that stream where the scalar runner would: the step is the
 same arithmetic on arrays, with every transcendental taken from the C
-library one element at a time (rng._libm), and one norm_ppf_many call of
-K elements per Gibbs step. A row whose step fails raises ChainFailure with
-the row's index. Single chains (calibration, run_mh_chain, run_gibbs_chain)
-keep their scalar loops, which beat numpy's per-call overhead at K = 1.
+library one element at a time (rng._libm). The slice/Gibbs step is written
+once, for a float and for a row of K states, with the caller's primitives.
+A row whose step fails raises ChainFailure with the row's index. Single
+chains (calibration, run_mh_chain, run_gibbs_chain) keep their scalar
+loops, which beat numpy's per-call overhead at K = 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -40,11 +41,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import (_BLOCK, _MIN_TAIL_MASS, _SQRT2, RngStream, _libm, norm_ppf_many,
-                  sample_truncated_normal)
-# Not called here: kept as a module attribute because perfbench's tracer
-# wraps mcstat.mcmc.sample_normal.
-from .rng import sample_normal  # noqa: F401
+from .rng import _BLOCK, _MIN_TAIL_MASS, _SQRT2, RngStream, _libm, norm_ppf, norm_ppf_many
+# Not called here: kept as module attributes because perfbench's tracer
+# wraps mcstat.mcmc.sample_normal and mcstat.mcmc.sample_truncated_normal.
+from .rng import sample_normal, sample_truncated_normal  # noqa: F401
 from .targets import TargetDensity
 
 __all__ = [
@@ -301,37 +301,76 @@ def slice_truncation_bound(u: float) -> float:
     """Positive root b of 1 + b^2 + b^4 = 1/u; the slice is [-b, b].
 
     b^2 = (sqrt((4-3u)/u) - 1)/2, rewritten as a cancellation-free ratio so
-    b(1) = 0 exactly and accuracy holds as u -> 1.
+    b(1) = 0 exactly, accuracy holds as u -> 1 and b is finite for every u.
     """
-    if not 0.0 < u <= 1.0:
-        raise ValueError(f"u must be in (0, 1], got {u!r}")
-    s = math.sqrt((4.0 - 3.0 * u) / u)
-    d = 4.0 * (1.0 - u) / u  # equals s^2 - 1 without cancellation
-    return math.sqrt(d / (2.0 * (s + 1.0)))
+    _raise_unless(0.0 < u <= 1.0, _U_RANGE, u)
+    return _slice_bound(u, math.sqrt)
+
+
+def _slice_bound(u, sqrt):
+    # slice_truncation_bound of a float or an array u in (0, 1]. Scaling s and d
+    # by powers of two keeps their bits wherever 4/u is finite, and keeps them
+    # finite for u <= 2^-1022 (where b = sqrt(2/(2 sqrt(u) + u)) to rounding).
+    v = u * 2.0**56
+    s = sqrt((4.0 - 3.0 * u) / v)  # sqrt((4-3u)/u) / 2^28
+    d = 4.0 * (1.0 - u) / v  # (s^2 - 1) / 2^56 without cancellation
+    return sqrt(d / (2.0 * (s + 2.0**-28))) * 2.0**14
+
+
+_U_RANGE = "u must be in (0, 1], got {!r}"
+_DEAD_SLICE = "truncation interval [-{0}, {0}] has probability {1:.3e}, below machine threshold"
+
+
+def _raise_unless(ok, message, *values):
+    if not ok:
+        raise ValueError(message.format(*values))
+
+
+def _raise_unless_rows(ok, message, *values):
+    # _raise_unless for the lowest row of `ok` that is False, as ChainFailure.
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise ChainFailure(row, ValueError(message.format(*(float(v[row]) for v in values))))
+
+
+def _slice_step(x, f_aux, f_cdf, sqrt, erfc, ppf, check, maximum, minimum):
+    # One slice/Gibbs update of x, a float or a (K,) row of lockstep states, from
+    # two open floats and the caller's primitives (math's or elementwise ones);
+    # check(ok, message, *values) raises unless ok, before the values are used.
+    x2 = x * x
+    u = f_aux / (1.0 + x2 + x2 * x2)
+    check((u > 0.0) & (u <= 1.0), _U_RANGE, u)
+    b = _slice_bound(u, sqrt)
+    v = b / _SQRT2
+    pa = 0.5 * erfc(v)  # Phi(-b)
+    mass = 0.5 * erfc(-v) - pa  # Phi(b) - Phi(-b)
+    check(mass > _MIN_TAIL_MASS, _DEAD_SLICE, b, mass)
+    p = pa + f_cdf * mass
+    check((p > 0.0) & (p < 1.0), "norm_ppf requires 0 < p < 1, got {!r}", p)
+    # sample_truncated_normal(rng, 0, 1, -b, b) bit for bit; its 2nd clamp is a no-op
+    return 0.0 + minimum(maximum(ppf(p), -b), b)
+
+
+_FLOAT_STEP = (math.sqrt, math.erfc, norm_ppf, _raise_unless, max, min)
+_ROW_STEP = (np.sqrt, functools.partial(_libm, math.erfc), norm_ppf_many,
+             _raise_unless_rows, np.maximum, np.minimum)
+
+
+def _finite_state(x) -> float:
+    x = float(x)
+    _raise_unless(math.isfinite(x), "state must be finite, got {!r}", x)
+    return x
 
 
 def slice_gibbs_step(x: float, rng: RngStream) -> float:
     """One slice/Gibbs update: u | x uniform on the slice, then x | u.
 
     u ~ U(0, 1/(1+x^2+x^4)) drawn on the open interval, so u > 0 and the
-    truncation bound always exceeds |x| (the slice contains the current
-    state by construction). Reads two floats through rng.next_float_open().
+    truncation bound b always exceeds |x|; x | u is N(0, 1) truncated to
+    [-b, b] by inversion. Reads two floats through rng.next_float_open().
     """
-    if not math.isfinite(x):
-        raise ValueError(f"state must be finite, got {x!r}")
-    x2 = x * x
-    u = rng.next_float_open() / (1.0 + x2 + x2 * x2)
-    b = slice_truncation_bound(u)
-    return sample_truncated_normal(rng, 0.0, 1.0, -b, b)
-
-
-class _ReadAhead:
-    """Floats read ahead from a stream, handed out in order by next_float_open()."""
-
-    __slots__ = ("next_float_open",)
-
-    def __init__(self, floats: np.ndarray):
-        self.next_float_open = iter(floats.tolist()).__next__
+    x = _finite_state(x)
+    return _slice_step(x, rng.next_float_open(), rng.next_float_open(), *_FLOAT_STEP)
 
 
 def run_gibbs_chain(init: float, iters: int, burn_in: int,
@@ -342,12 +381,12 @@ def run_gibbs_chain(init: float, iters: int, burn_in: int,
     """
     _check_lengths(iters, burn_in)
     states = np.empty(iters)
-    x = float(init)
+    x = _finite_state(init)
     for start in range(0, iters, _BLOCK):
         stop = min(start + _BLOCK, iters)
-        ahead = _ReadAhead(rng.floats_open(2 * (stop - start)))
-        for t in range(start, stop):
-            x = slice_gibbs_step(x, ahead)
+        floats = rng.floats_open(2 * (stop - start)).tolist()
+        for t, f_aux, f_cdf in zip(range(start, stop), floats[0::2], floats[1::2]):
+            x = _slice_step(x, f_aux, f_cdf, *_FLOAT_STEP)
             states[t] = x
     return ChainTrace(states, None, burn_in, (rng.seed, rng.stream_id))
 
@@ -360,54 +399,23 @@ def run_gibbs_chains(init: float, iters: int, burn_in: int,
     run_gibbs_chain(init, iters, burn_in, rngs[k]) bit for bit, seed_info[k]
     is rngs[k]'s (seed, stream_id), and rngs[k] ends where that call would
     leave it. A failing step raises ChainFailure for the lowest row failing
-    at that step, with the error slice_gibbs_step raises on the row's floats.
+    its first failing check, with the error run_gibbs_chain raises there.
     """
     _check_lengths(iters, burn_in)
-    x = float(init)
-    if not math.isfinite(x):
-        raise ValueError(f"state must be finite, got {x!r}")
-    x = np.full(len(rngs), x)
+    x = np.full(len(rngs), _finite_state(init))
     states = np.empty((len(rngs), iters))
-    floats = np.empty((len(rngs), 2 * _BLOCK))
-    for start in range(0, iters, _BLOCK):
-        stop = min(start + _BLOCK, iters)
-        for row, rng in zip(floats, rngs):
-            row[:2 * (stop - start)] = rng.floats_open(2 * (stop - start))
-        for t in range(start, stop):
-            pair = floats[:, 2 * (t - start):2 * (t - start) + 2]
-            x2 = x * x
-            u = pair[:, 0] / (1.0 + x2 + x2 * x2)
-            # slice_truncation_bound(u), then sample_truncated_normal on
-            # [-b, b] with mean 0 and sd 1, whose interval straddles 0
-            s = np.sqrt((4.0 - 3.0 * u) / u)
-            d = 4.0 * (1.0 - u) / u
-            b = np.sqrt(d / (2.0 * (s + 1.0)))
-            v = b / _SQRT2
-            cdf = 0.5 * _libm(math.erfc, np.concatenate((v, -v)))  # Phi(-b), Phi(b)
-            pa, pb = cdf[:len(v)], cdf[len(v):]
-            mass = pb - pa
-            if not np.all(mass > _MIN_TAIL_MASS):
-                raise _gibbs_failure(x, pair)
-            try:
-                z = norm_ppf_many(pa + pair[:, 1] * mass)
-            except ValueError:
-                raise _gibbs_failure(x, pair) from None
-            # 0.0 + 1.0 * clamp(z, -b, b), as on the scalar path; it lies in
-            # [-b, b] already, so the scalar's second clamp is a no-op here
-            x = 0.0 + np.minimum(np.maximum(z, -b), b)
-            states[:, t] = x
+    floats = np.empty((2 * _BLOCK, len(rngs)))  # (draw, row): one contiguous row per draw
+    # x^4 of a large state is inf, silently, as in run_gibbs_chain's floats.
+    with np.errstate(over="ignore"):
+        for start in range(0, iters, _BLOCK):
+            n = min(_BLOCK, iters - start)
+            for row, rng in enumerate(rngs):
+                floats[:2 * n, row] = rng.floats_open(2 * n)
+            for t, f_aux, f_cdf in zip(range(start, start + n),
+                                       floats[0:2 * n:2], floats[1:2 * n:2]):
+                x = _slice_step(x, f_aux, f_cdf, *_ROW_STEP)
+                states[:, t] = x
     return ChainTrace(states, None, burn_in, tuple((r.seed, r.stream_id) for r in rngs))
-
-
-def _gibbs_failure(x: np.ndarray, pairs: np.ndarray) -> ChainFailure:
-    # Replays each row's step on the scalar path; the first to raise names
-    # the failure.
-    for row, (xk, pair) in enumerate(zip(x.tolist(), pairs)):
-        try:
-            slice_gibbs_step(xk, _ReadAhead(pair))
-        except ValueError as exc:
-            return ChainFailure(row, exc)
-    raise RuntimeError("a lockstep Gibbs step failed where every scalar step passes")
 
 
 # ---------------------------------------------------------------------------

@@ -299,16 +299,33 @@ def test_slice_bound_endpoints():
     assert abs(slice_truncation_bound(1.0 / 3.0) - 1.0) <= 1e-12
 
 
+# 2^-1022, its upper neighbour and two subnormals: 4/u overflows from 2^-1022 down
+_TINY_US = [2.0**-1022, math.nextafter(2.0**-1022, 1.0), 1e-310, 5e-324]
+
+
+def _unscaled_bound(u):
+    # the textbook form of the bound, finite wherever 4/u is
+    s = math.sqrt((4.0 - 3.0 * u) / u)
+    return math.sqrt(4.0 * (1.0 - u) / u / (2.0 * (s + 1.0)))
+
+
 def test_slice_bound_self_consistency():
     r = rng_new(51)
     for _ in range(100):
         u = r.next_float_open()
         b = slice_truncation_bound(u)
         assert abs((1.0 + b * b + b ** 4) - 1.0 / u) <= 1e-10
+        assert b == _unscaled_bound(u)
+    for u in (_TINY_US[1], 1e-300, 1.0 - 2.0**-53):
+        assert slice_truncation_bound(u) == _unscaled_bound(u)
+    for u in _TINY_US:
+        b = slice_truncation_bound(u)
+        assert 0.0 < b < math.inf
+        assert abs((b * b * math.sqrt(u)) ** 2 - 1.0) <= 1e-12
 
 
 def test_slice_bound_monotone_decreasing():
-    us = np.linspace(1e-6, 1.0, 200)
+    us = sorted(_TINY_US) + np.linspace(1e-6, 1.0, 200).tolist()
     bs = [slice_truncation_bound(u) for u in us]
     assert all(a >= b for a, b in zip(bs, bs[1:]))
 
@@ -414,7 +431,7 @@ def _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs):
 
 
 @pytest.mark.parametrize("k", [1, 3, 100])
-@pytest.mark.parametrize("init", [0.0, 1.3])
+@pytest.mark.parametrize("init", [0.0, 1.3, 1e-200, 40.0, 1e77])
 def test_gibbs_chains_match_scalar_runner_bitwise(k, init):
     rngs, ref_rngs = _substreams(61, k), _substreams(61, k)
     lockstep = run_gibbs_chains(init, _LOCKSTEP_ITERS, 100, rngs)
@@ -478,6 +495,13 @@ def test_lockstep_kernels_reject_what_the_scalar_runners_reject():
         run_gibbs_chains(0.0, 100, 100, _substreams(0, 2))
     with pytest.raises(ValueError, match="finite"):
         run_gibbs_chains(math.inf, 100, 0, _substreams(0, 2))
+    # x^4 overflows: u = 0 fails its check before any division or warning
+    with pytest.raises(ValueError) as scalar_err:
+        run_gibbs_chain(1e100, 100, 0, _substreams(0, 1)[0])
+    with pytest.raises(ChainFailure) as err:
+        run_gibbs_chains(1e100, 100, 0, _substreams(0, 2))
+    assert str(scalar_err.value) == "u must be in (0, 1], got 0.0"
+    assert (err.value.row, str(err.value)) == (0, str(scalar_err.value))
     with pytest.raises(ValueError, match="zero target density"):
         run_mh_chains(EXAMPLE, RwProposal(1.0), 11.0, 100, 0, _substreams(0, 2))
 

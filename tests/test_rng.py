@@ -7,7 +7,6 @@ import pytest
 import scipy.stats as sps
 from hypothesis import given, settings, strategies as st
 
-from mcstat.mcmc import _ReadAhead
 from mcstat.rng import (
     _BLOCK,
     _PPF_P_LOW,
@@ -371,10 +370,17 @@ def test_truncnorm_negative_interval_mirrors_positive():
     assert abs(xs.mean() + sps.truncnorm.mean(10.0, 11.0)) <= 0.02
 
 
+class _ReadAhead:
+    """Floats read ahead, handed out in order by next_float_open()."""
+
+    def __init__(self, floats):
+        self.next_float_open = iter(floats).__next__
+
+
 def test_truncnorm_rejects_empty_or_dead_interval():
-    # the same on a stream and on the Gibbs chain's read-ahead source
+    # the same on a stream and on any object with next_float_open()
     r = rng_new(0)
-    ahead = _ReadAhead(np.array([0.25, 0.75]))
+    ahead = _ReadAhead([0.25, 0.75])
     for src in (r, ahead):
         with pytest.raises(ValueError):
             sample_truncated_normal(src, 0.0, 1.0, 1.0, 1.0)
