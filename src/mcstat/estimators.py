@@ -265,6 +265,10 @@ def _eval_log_fn(fn, xs: np.ndarray) -> np.ndarray:
     if out.shape != xs.shape:
         raise ValueError(f"log density returned shape {out.shape} for draws of "
                          f"shape {xs.shape}; pass a vectorized log density")
+    bad = np.flatnonzero(out == math.inf)  # a log density may be -inf, never +inf
+    if bad.size:
+        raise ValueError(f"log density is +inf at draw {bad[0]} "
+                         f"(theta = {float(xs.flat[bad[0]])!r})")
     return out
 
 

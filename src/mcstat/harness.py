@@ -21,9 +21,9 @@ lockstep chain kernel (`run_gibbs_chains`, `run_mh_chains`), which steps
 every run at once. Either way a failure names its replication and
 substream, in the words of `_run_failed`. The envelope figures fill one
 (runs, iters) block and reduce it with one lockstep `running_moments`. An
-ExperimentConfig is checked when built. All CSV floats carry 17
-significant digits, so outputs are byte-stable and the files round-trip
-to full precision. The keys every info.csv shares
+ExperimentConfig is checked when built. `_write_csv` writes every CSV float
+cell with 17 significant digits, so outputs are byte-stable and the files
+round-trip to full precision. The keys every info.csv shares
 (experiment, seed, runs, iters) are written in one place, `_write_info`.
 """
 
@@ -235,16 +235,13 @@ class ExperimentResult:
 # Shared pieces
 # ---------------------------------------------------------------------------
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write a CSV: float cells with 17 significant digits, others as csv does."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        w.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                    for row in rows)
     return path
 
 
@@ -252,15 +249,13 @@ def export_csv(summary: EnvelopeSummary, out_dir) -> tuple[Path, Path]:
     """Write envelope.csv (per-run traces) and summary.csv (bands); return paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    env_rows = ([k, int(cp), _fmt17(summary.per_run_traces[k, i])]
-                for k in range(summary.per_run_traces.shape[0])
-                for i, cp in enumerate(summary.iters_axis))
+    cps = summary.iters_axis.tolist()
+    env_rows = ([k, cp, v] for k, trace in enumerate(summary.per_run_traces.tolist())
+                for cp, v in zip(cps, trace))
     env_path = _write_csv(out / "envelope.csv",
                           ["run", "checkpoint_iter", "running_mean"], env_rows)
-    sum_rows = ([int(cp), _fmt17(summary.band_lo[i]), _fmt17(summary.band_hi[i]),
-                 _fmt17(summary.q05[i]), _fmt17(summary.q95[i]),
-                 _fmt17(summary.single_run[i])]
-                for i, cp in enumerate(summary.iters_axis))
+    sum_rows = zip(cps, summary.band_lo.tolist(), summary.band_hi.tolist(),
+                   summary.q05.tolist(), summary.q95.tolist(), summary.single_run.tolist())
     sum_path = _write_csv(out / "summary.csv",
                           ["checkpoint_iter", "band_lo", "band_hi", "q05", "q95",
                            "single_run"], sum_rows)
@@ -291,10 +286,8 @@ def _histogram_block(states: np.ndarray, out: Path, title: str) -> tuple[dict, d
     oracle_masses = oracle_masses / oracle_masses.sum()
     tv = 0.5 * float(np.abs(masses - oracle_masses).sum())
 
-    rows = ([_fmt17(edges[i]), _fmt17(edges[i + 1]), _fmt17(masses[i]),
-             _fmt17(oracle_masses[i])] for i in range(_HIST_BINS))
-    hist_csv = _write_csv(out / "hist.csv",
-                          ["bin_lo", "bin_hi", "mass", "oracle_mass"], rows)
+    hist_csv = _write_csv(out / "hist.csv", ["bin_lo", "bin_hi", "mass", "oracle_mass"],
+                          zip(edges, edges[1:], masses, oracle_masses))
     grid = np.linspace(*_HIST_RANGE, 401)
     hist_svg = svg_histogram(edges, masses, out / "hist.svg",
                              overlay_x=grid, overlay_y=example_target_pdf_many(grid),
@@ -309,9 +302,7 @@ def _write_info(config: ExperimentConfig, out: Path, info: dict) -> Path:
     """Add the keys every experiment shares to `info`; write it as info.csv."""
     info.update({"experiment": config.experiment, "seed": config.seed,
                  "runs": config.runs, "iters": config.iters})
-    rows = ([k, _fmt17(v) if isinstance(v, float) else str(v)]
-            for k, v in sorted(info.items()))
-    return _write_csv(out / "info.csv", ["key", "value"], rows)
+    return _write_csv(out / "info.csv", ["key", "value"], sorted(info.items()))
 
 
 def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSummary,
@@ -471,7 +462,6 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
     T = config.iters
     model_rows: list[list[list]] = [[], []]
     bf_rows: list[list] = []
-    errors: dict[str, list[float]] = {name: [] for name in _EVIDENCE_DIAGNOSTIC}
     analytic_bf = truths[0] - truths[1]
 
     reps = _replicate("evidence replication", config.seed, config.runs,
@@ -479,18 +469,14 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
     for r, ests in enumerate(reps):
         for mi, model_ests in enumerate(ests):
             for est in model_ests:
-                err = est.log_evidence - truths[mi]
-                diag = est.diagnostics[_EVIDENCE_DIAGNOSTIC[est.estimator]]
                 model_rows[mi].append(
-                    [est.estimator, r, T, _fmt17(est.log_evidence), _fmt17(truths[mi]),
-                     _fmt17(err), _fmt17(float(diag)), est.converged])
-                if mi == 0:
-                    errors[est.estimator].append(err)
+                    [est.estimator, r, T, est.log_evidence, truths[mi],
+                     est.log_evidence - truths[mi],
+                     est.diagnostics[_EVIDENCE_DIAGNOSTIC[est.estimator]], est.converged])
 
         for e0, e1 in zip(*ests):
             log_bf = e0.log_evidence - e1.log_evidence
-            bf_rows.append([e0.estimator, r, _fmt17(log_bf), _fmt17(analytic_bf),
-                            _fmt17(log_bf - analytic_bf),
+            bf_rows.append([e0.estimator, r, log_bf, analytic_bf, log_bf - analytic_bf,
                             e0.converged and e1.converged])
 
     out = Path(config.out_dir)
@@ -510,7 +496,8 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
             "analytic_log_evidence_m0": truths[0],
             "analytic_log_evidence_m1": truths[1],
             "analytic_log_bf": analytic_bf}
-    for name, errs in errors.items():
+    for name in _EVIDENCE_DIAGNOSTIC:
+        errs = [row[5] for row in model_rows[0] if row[0] == name]  # the error column
         info[f"{name}_error_sd_m0"] = float(np.std(errs, ddof=1)) if len(errs) > 1 else 0.0
     files["info.csv"] = _write_info(config, out, info)
     return ExperimentResult(None, files, info)

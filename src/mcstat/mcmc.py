@@ -177,6 +177,7 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
     `target.log_unnorm` must accept a float array (see
     TargetDensity.logpdf_many). A row whose draws fail raises ChainFailure.
     """
+    _check_streams(rngs)
     _check_lengths(iters, burn_in)
     lfx = np.full(len(rngs), _init_logpdf(target, init))
     x = np.full(len(rngs), float(init))
@@ -213,6 +214,11 @@ def _init_logpdf(target: TargetDensity, init: float) -> float:
     if not math.isfinite(lfx):
         raise ValueError(f"init {init!r} has zero target density")
     return lfx
+
+
+def _check_streams(rngs: Sequence[RngStream]) -> None:
+    if len(rngs) == 0:
+        raise ValueError("a lockstep kernel needs at least one stream, got none")
 
 
 def _check_lengths(iters: int, burn_in: int) -> None:
@@ -401,6 +407,7 @@ def run_gibbs_chains(init: float, iters: int, burn_in: int,
     leave it. A failing step raises ChainFailure for the lowest row failing
     its first failing check, with the error run_gibbs_chain raises there.
     """
+    _check_streams(rngs)
     _check_lengths(iters, burn_in)
     x = np.full(len(rngs), _finite_state(init))
     states = np.empty((len(rngs), iters))

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,19 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _u64(name: str, v) -> int:
+    """`v` as a Python int in [0, 2^64). Any integer type is accepted through
+    operator.index, so numpy integers give the same stream as plain ints;
+    bools and non-integers raise ValueError."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        i = -1
+    if isinstance(v, bool) or not 0 <= i < 1 << 64:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
+    return i
+
+
 class RngStream:
     """PCG32 stream identified by (seed, stream_id).
 
@@ -87,10 +101,8 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_state", "_inc")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if not (0 <= seed < 1 << 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        if not (0 <= stream_id < 1 << 64):
-            raise ValueError(f"stream_id must be a 64-bit unsigned integer, got {stream_id!r}")
+        seed = _u64("seed", seed)
+        stream_id = _u64("stream_id", stream_id)
         self.seed = seed
         self.stream_id = stream_id
         # Fold the full 64 bits of stream_id into the initial state as well:
@@ -162,7 +174,7 @@ class RngStream:
         obj = cls.__new__(cls)
         obj._state = int.from_bytes(raw[:8], "little")
         obj._inc = inc
-        obj.seed = seed
+        obj.seed = _u64("seed", seed)
         obj.stream_id = inc >> 1
         return obj
 
@@ -215,8 +227,7 @@ def derive_substream(parent: RngStream, k: int) -> RngStream:
     draws the parent has already produced, so substreams can be derived
     before, during, or after consuming the parent.
     """
-    if not (0 <= k < 1 << 64):
-        raise ValueError(f"substream index must be a 64-bit unsigned integer, got {k!r}")
+    k = _u64("substream index", k)
     mixed = _splitmix64((parent.stream_id * 0x9E3779B97F4A7C15 + k + 1) & _MASK64)
     return RngStream(parent.seed, stream_id=mixed)
 
@@ -382,6 +393,8 @@ def normals(rng: RngStream, n: int, mean: float, sd: float) -> np.ndarray:
     of sample_normal(rng, mean, sd) and leaving the stream where they would."""
     if not 0.0 < sd < math.inf:
         raise ValueError(f"normal sd must be positive and finite, got {sd!r}")
+    if n < 0:
+        raise ValueError(f"block length must be >= 0, got {n!r}")
     out = np.empty(n)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)

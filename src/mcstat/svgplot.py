@@ -113,12 +113,6 @@ def _polyline_points(fr: _Frame, xs, ys) -> str:
     return " ".join(f"{_fmt(fr.x(x))},{_fmt(fr.y(y))}" for x, y in zip(xs, ys))
 
 
-def _band_points(fr: _Frame, xs, lo, hi) -> str:
-    fwd = [f"{_fmt(fr.x(x))},{_fmt(fr.y(h))}" for x, h in zip(xs, hi)]
-    back = [f"{_fmt(fr.x(x))},{_fmt(fr.y(l))}" for x, l in zip(reversed(xs), reversed(lo))]
-    return " ".join(fwd + back)
-
-
 def _axes(fr: _Frame, x_ticks, y_ticks, title, x_label, y_label) -> list[str]:
     parts = [f'<text x="{_fmt(_W / 2)}" y="24" text-anchor="middle" {_FONT} '
              f'font-size="15">{title}</text>']
@@ -154,11 +148,14 @@ def _legend_entry(ly: float, label: str, color: str, dashed: bool) -> list[str]:
             f'font-size="12">{label}</text>']
 
 
-def _document(body: list[str]) -> str:
+def _write_svg(path, body: list[str]) -> Path:
+    """Write `body` as one white-backed SVG document at `path`; return the path."""
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {int(_W)} {int(_H)}" '
             f'width="{int(_W)}" height="{int(_H)}">\n'
             f'<rect width="{int(_W)}" height="{int(_H)}" fill="white"/>')
-    return head + "\n" + "\n".join(body) + "\n</svg>\n"
+    path = Path(path)
+    path.write_text(head + "\n" + "\n".join(body) + "\n</svg>\n", encoding="utf-8")
+    return path
 
 
 def svg_line_plot(xs: Sequence[float], series: Sequence[Series], path,
@@ -186,7 +183,8 @@ def svg_line_plot(xs: Sequence[float], series: Sequence[Series], path,
 
     for i, b in enumerate(bands):
         color = _BAND_COLORS[i % len(_BAND_COLORS)]
-        body.append(f'<polygon points="{_band_points(fr, xs, b.lo, b.hi)}" '
+        outline = _polyline_points(fr, xs + xs[::-1], [*b.hi, *reversed(b.lo)])
+        body.append(f'<polygon points="{outline}" '
                     f'fill="{color}" fill-opacity="0.85" stroke="none"/>')
         legend.append((b.label, color, False))
     if ref_y is not None:
@@ -208,10 +206,7 @@ def svg_line_plot(xs: Sequence[float], series: Sequence[Series], path,
             continue
         body.extend(_legend_entry(ly, label, color, dashed))
         ly += 16
-
-    path = Path(path)
-    path.write_text(_document(body), encoding="utf-8")
-    return path
+    return _write_svg(path, body)
 
 
 def svg_histogram(bin_edges: Sequence[float], masses: Sequence[float], path, *,
@@ -239,7 +234,4 @@ def svg_histogram(bin_edges: Sequence[float], masses: Sequence[float], path, *,
         body.append(f'<polyline points="{_polyline_points(fr, overlay_x, overlay_y)}" '
                     f'fill="none" stroke="{_REF_COLOR}" stroke-width="1.8"/>')
         body.extend(_legend_entry(_MT + 14, overlay_label, _REF_COLOR, False))
-
-    path = Path(path)
-    path.write_text(_document(body), encoding="utf-8")
-    return path
+    return _write_svg(path, body)

@@ -477,6 +477,19 @@ def test_bridge_with_a_zero_density_proposal_draw_fails_loudly():
         bridge_log_evidence(post, prop, lambda th: -0.5 * th * th, log_prop)
 
 
+def test_bridge_rejects_a_positive_infinite_log_density():
+    # A log density may be -inf, never +inf. Unchecked, the +inf draw turns
+    # the finite density's -0.06465 into a "converged" -0.04454.
+    post = np.linspace(-1.0, 1.0, 50)
+    prop = np.linspace(-1.2, 1.2, 50)
+
+    def log_post(th):
+        return np.where(th == post[10], math.inf, -0.5 * th * th)
+
+    with pytest.raises(ValueError, match=r"\+inf at draw 10 \(theta = -0\.59"):
+        bridge_log_evidence(post, prop, log_post, lambda th: -th * th / 2.88)
+
+
 def test_bridge_reports_non_convergence():
     model, data, pm, pv, gen = _conjugate_setup(14)
     post = gen.normal(pm, math.sqrt(pv), size=2000)

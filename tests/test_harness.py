@@ -204,15 +204,30 @@ def test_figure1_csv_shapes(tmp_path):
     assert int(summ[-1]["checkpoint_iter"]) == 500
 
 
-def test_figure1_csv_roundtrips_full_precision(tmp_path):
-    cfg = ExperimentConfig("figure1", seed=63, runs=3, iters=300,
+@pytest.mark.parametrize("experiment", ["figure1", "figure2", "figure3", "evidence"])
+def test_csvs_roundtrip_full_precision(tmp_path, experiment):
+    # only figure3 reads the scale
+    cfg = ExperimentConfig(experiment, seed=63, runs=3, iters=300, scale=0.8,
                            out_dir=tmp_path)
-    res = figure1(cfg)
-    env = _read_csv(res.files["envelope.csv"])
-    for row in env:
-        k = int(row["run"])
-        i = list(res.summary.iters_axis).index(int(row["checkpoint_iter"]))
-        assert float(row["running_mean"]) == res.summary.per_run_traces[k, i]
+    res = run_experiment(cfg)
+    # Every number in every CSV has 17 significant digits: a writer that
+    # bypassed _write_csv would show, e.g. str(0.1) gives "0.1".
+    csvs = [path for name, path in res.files.items() if name.endswith(".csv")]
+    assert len(csvs) >= 3
+    for path in csvs:
+        with open(path, newline="") as fh:
+            for row in list(csv.reader(fh))[1:]:
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert cell == format(value, ".17g"), (path.name, row)
+    if experiment == "figure1":
+        for row in _read_csv(res.files["envelope.csv"]):
+            k = int(row["run"])
+            i = list(res.summary.iters_axis).index(int(row["checkpoint_iter"]))
+            assert float(row["running_mean"]) == res.summary.per_run_traces[k, i]
 
 
 # ---------------------------------------------------------------------------

@@ -504,6 +504,10 @@ def test_lockstep_kernels_reject_what_the_scalar_runners_reject():
     assert (err.value.row, str(err.value)) == (0, str(scalar_err.value))
     with pytest.raises(ValueError, match="zero target density"):
         run_mh_chains(EXAMPLE, RwProposal(1.0), 11.0, 100, 0, _substreams(0, 2))
+    with pytest.raises(ValueError, match="at least one stream"):
+        run_mh_chains(EXAMPLE, RwProposal(1.0), 0.0, 10, 0, [])
+    with pytest.raises(ValueError, match="at least one stream"):
+        run_gibbs_chains(0.0, 10, 0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,34 @@ def test_from_state_bytes_rejects_an_even_increment():
         RngStream.from_state_bytes(b"\x01" * 8 + b"\x02" + b"\x00" * 7)
 
 
+def _substream(k):
+    return derive_substream(rng_new(0), k)
+
+
+def _resumed(seed):
+    return RngStream.from_state_bytes(rng_new(0).state_bytes(), seed)
+
+
+@pytest.mark.parametrize("make, args", [
+    (RngStream, (2.5,)), (rng_new, (1.0,)), (RngStream, (1, 2.0)), (_substream, (2.5,)),
+    (RngStream, ("3",)), (RngStream, (True,)), (RngStream, (0, True)), (_substream, (True,)),
+    (RngStream, (np.True_,)), (RngStream, (-1,)), (RngStream, (2**64,)),
+    (RngStream, (0, np.int64(-1))), (_substream, (2**64,)), (_resumed, (2.5,)),
+])
+def test_stream_arguments_must_be_64_bit_unsigned_integers(make, args):
+    with pytest.raises(ValueError, match="must be a 64-bit unsigned integer, got"):
+        make(*args)
+
+
+def test_numpy_integer_stream_arguments_draw_what_plain_ints_draw():
+    want = RngStream(5, 2**63 + 1)
+    for seed, stream_id in [(np.uint64(5), 2**63 + 1), (np.int64(5), np.uint64(2**63 + 1))]:
+        got = RngStream(seed, stream_id)
+        assert (type(got.seed), type(got.stream_id)) == (int, int)
+        assert got.state_bytes() == want.state_bytes()
+    assert _substream(np.uint64(3)).state_bytes() == _substream(3).state_bytes()
+
+
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=50, deadline=None)
 def test_streams_are_pure_functions_of_seed(seed):
@@ -183,8 +211,10 @@ def test_interleaved_scalar_and_block_draws_leave_equal_state():
 
 def test_block_draws_reject_bad_arguments():
     r = rng_new(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block length must be >= 0, got -1"):
         r.floats_open(-1)
+    with pytest.raises(ValueError, match="block length must be >= 0, got -1"):
+        normals(r, -1, 0.0, 1.0)
     for sd in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             normals(r, 10, 0.0, sd)
