@@ -24,16 +24,17 @@ return one ChainTrace of (K, iters) arrays, as tfp.mcmc batches chains
 (Lao et al. 2020). Row k equals the scalar runner on stream k bit for bit
 and leaves that stream where the scalar runner would: the step is the
 same arithmetic on arrays, with every transcendental taken from the C
-library one element at a time (rng._libm). The slice/Gibbs step is written
-once, for a float and for a row of K states, with the caller's primitives.
-A row whose step fails raises ChainFailure with the row's index. Single
+library one element at a time (rng._libm). As the MH runners have one
+loop on floats and one on rows, the slice/Gibbs update has one step on
+floats (_slice_step) and one on (K,) rows (_slice_rows); the two share only
+the slice bound and rng's normal quantile. A row whose step fails raises
+ChainFailure with the row's index and the float step's message. Single
 chains (calibration, run_mh_chain, run_gibbs_chain) keep their scalar
 loops, which beat numpy's per-call overhead at K = 1.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -41,7 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import _BLOCK, _MIN_TAIL_MASS, _SQRT2, RngStream, _libm, norm_ppf, norm_ppf_many
+from .rng import (_BLOCK, _MIN_TAIL_MASS, _SQRT2, RngStream, _libm, _norm_ppf_lower,
+                  _norm_ppf_lower_many, norm_ppf_many)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.mcmc.sample_normal and mcstat.mcmc.sample_truncated_normal.
 from .rng import sample_normal, sample_truncated_normal  # noqa: F401
@@ -309,7 +311,8 @@ def slice_truncation_bound(u: float) -> float:
     b^2 = (sqrt((4-3u)/u) - 1)/2, rewritten as a cancellation-free ratio so
     b(1) = 0 exactly, accuracy holds as u -> 1 and b is finite for every u.
     """
-    _raise_unless(0.0 < u <= 1.0, _U_RANGE, u)
+    if not 0.0 < u <= 1.0:
+        raise ValueError(_U_RANGE.format(u))
     return _slice_bound(u, math.sqrt)
 
 
@@ -325,46 +328,60 @@ def _slice_bound(u, sqrt):
 
 _U_RANGE = "u must be in (0, 1], got {!r}"
 _DEAD_SLICE = "truncation interval [-{0}, {0}] has probability {1:.3e}, below machine threshold"
+_P_RANGE = "norm_ppf requires 0 < p < 1, got {!r}"
 
 
-def _raise_unless(ok, message, *values):
-    if not ok:
-        raise ValueError(message.format(*values))
+def _slice_step(x: float, f_aux: float, f_cdf: float) -> float:
+    # One slice/Gibbs update of the float state x from two open floats. Each
+    # check raises before the arithmetic that needs its value.
+    x2 = x * x
+    u = f_aux / (1.0 + x2 + x2 * x2)
+    if not 0.0 < u <= 1.0:
+        raise ValueError(_U_RANGE.format(u))
+    b = _slice_bound(u, math.sqrt)
+    v = b / _SQRT2
+    pa = 0.5 * math.erfc(v)  # Phi(-b)
+    mass = 0.5 * math.erfc(-v) - pa  # Phi(b) - Phi(-b)
+    if not mass > _MIN_TAIL_MASS:
+        raise ValueError(_DEAD_SLICE.format(b, mass))
+    p = pa + f_cdf * mass
+    if not 0.0 < p < 1.0:
+        raise ValueError(_P_RANGE.format(p))
+    # sample_truncated_normal(rng, 0, 1, -b, b) bit for bit; its 2nd clamp is a no-op
+    z = -_norm_ppf_lower(1.0 - p) if p > 0.5 else _norm_ppf_lower(p)
+    return 0.0 + min(max(z, -b), b)
+
+
+def _slice_rows(x: np.ndarray, f_aux: np.ndarray, f_cdf: np.ndarray) -> np.ndarray:
+    # _slice_step on each element of a (K,) row of lockstep states, bit for bit.
+    # A failing check raises ChainFailure for the lowest row that fails it.
+    x2 = x * x
+    u = f_aux / (1.0 + x2 + x2 * x2)
+    _raise_unless_rows((u > 0.0) & (u <= 1.0), _U_RANGE, u)
+    b = _slice_bound(u, np.sqrt)
+    v = b / _SQRT2
+    phi = 0.5 * _libm(math.erfc, np.concatenate((v, -v)))  # Phi(-b), then Phi(b)
+    pa = phi[:len(v)]
+    mass = phi[len(v):] - pa
+    _raise_unless_rows(mass > _MIN_TAIL_MASS, _DEAD_SLICE, b, mass)
+    p = pa + f_cdf * mass
+    _raise_unless_rows((p > 0.0) & (p < 1.0), _P_RANGE, p)
+    upper = p > 0.5
+    z = _norm_ppf_lower_many(np.where(upper, 1.0 - p, p))
+    return 0.0 + np.minimum(np.maximum(np.where(upper, -z, z), -b), b)
 
 
 def _raise_unless_rows(ok, message, *values):
-    # _raise_unless for the lowest row of `ok` that is False, as ChainFailure.
+    # Raise the float step's error for the lowest row of `ok` that is False.
     if not ok.all():
         row = int(np.argmin(ok))
         raise ChainFailure(row, ValueError(message.format(*(float(v[row]) for v in values))))
 
 
-def _slice_step(x, f_aux, f_cdf, sqrt, erfc, ppf, check, maximum, minimum):
-    # One slice/Gibbs update of x, a float or a (K,) row of lockstep states, from
-    # two open floats and the caller's primitives (math's or elementwise ones);
-    # check(ok, message, *values) raises unless ok, before the values are used.
-    x2 = x * x
-    u = f_aux / (1.0 + x2 + x2 * x2)
-    check((u > 0.0) & (u <= 1.0), _U_RANGE, u)
-    b = _slice_bound(u, sqrt)
-    v = b / _SQRT2
-    pa = 0.5 * erfc(v)  # Phi(-b)
-    mass = 0.5 * erfc(-v) - pa  # Phi(b) - Phi(-b)
-    check(mass > _MIN_TAIL_MASS, _DEAD_SLICE, b, mass)
-    p = pa + f_cdf * mass
-    check((p > 0.0) & (p < 1.0), "norm_ppf requires 0 < p < 1, got {!r}", p)
-    # sample_truncated_normal(rng, 0, 1, -b, b) bit for bit; its 2nd clamp is a no-op
-    return 0.0 + minimum(maximum(ppf(p), -b), b)
-
-
-_FLOAT_STEP = (math.sqrt, math.erfc, norm_ppf, _raise_unless, max, min)
-_ROW_STEP = (np.sqrt, functools.partial(_libm, math.erfc), norm_ppf_many,
-             _raise_unless_rows, np.maximum, np.minimum)
-
-
 def _finite_state(x) -> float:
     x = float(x)
-    _raise_unless(math.isfinite(x), "state must be finite, got {!r}", x)
+    if not math.isfinite(x):
+        raise ValueError(f"state must be finite, got {x!r}")
     return x
 
 
@@ -376,7 +393,7 @@ def slice_gibbs_step(x: float, rng: RngStream) -> float:
     [-b, b] by inversion. Reads two floats through rng.next_float_open().
     """
     x = _finite_state(x)
-    return _slice_step(x, rng.next_float_open(), rng.next_float_open(), *_FLOAT_STEP)
+    return _slice_step(x, rng.next_float_open(), rng.next_float_open())
 
 
 def run_gibbs_chain(init: float, iters: int, burn_in: int,
@@ -392,7 +409,7 @@ def run_gibbs_chain(init: float, iters: int, burn_in: int,
         stop = min(start + _BLOCK, iters)
         floats = rng.floats_open(2 * (stop - start)).tolist()
         for t, f_aux, f_cdf in zip(range(start, stop), floats[0::2], floats[1::2]):
-            x = _slice_step(x, f_aux, f_cdf, *_FLOAT_STEP)
+            x = _slice_step(x, f_aux, f_cdf)
             states[t] = x
     return ChainTrace(states, None, burn_in, (rng.seed, rng.stream_id))
 
@@ -420,7 +437,7 @@ def run_gibbs_chains(init: float, iters: int, burn_in: int,
                 floats[:2 * n, row] = rng.floats_open(2 * n)
             for t, f_aux, f_cdf in zip(range(start, start + n),
                                        floats[0:2 * n:2], floats[1:2 * n:2]):
-                x = _slice_step(x, f_aux, f_cdf, *_ROW_STEP)
+                x = _slice_rows(x, f_aux, f_cdf)
                 states[:, t] = x
     return ChainTrace(states, None, burn_in, tuple((r.seed, r.stream_id) for r in rngs))
 

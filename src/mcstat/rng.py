@@ -90,6 +90,19 @@ def _u64(name: str, v) -> int:
     return i
 
 
+def _block_length(n) -> int:
+    # A draw count as a Python int >= 0, through operator.index as in _u64.
+    try:
+        i = operator.index(n)
+    except TypeError:
+        i = None
+    if i is None or isinstance(n, bool):
+        raise ValueError(f"block length must be an integer, got {n!r}")
+    if i < 0:
+        raise ValueError(f"block length must be >= 0, got {i}")
+    return i
+
+
 class RngStream:
     """PCG32 stream identified by (seed, stream_id).
 
@@ -139,8 +152,7 @@ class RngStream:
     def floats_open(self, n: int) -> np.ndarray:
         """n open uniforms as a float64 array, equal bit for bit to n calls
         of next_float_open(); the stream advances by the same 2n words."""
-        if n < 0:
-            raise ValueError(f"block length must be >= 0, got {n!r}")
+        n = _block_length(n)
         out = np.empty(n)
         powers, sums = _jump_table()
         shifts = sums * np.uint64(self._inc)
@@ -393,8 +405,7 @@ def normals(rng: RngStream, n: int, mean: float, sd: float) -> np.ndarray:
     of sample_normal(rng, mean, sd) and leaving the stream where they would."""
     if not 0.0 < sd < math.inf:
         raise ValueError(f"normal sd must be positive and finite, got {sd!r}")
-    if n < 0:
-        raise ValueError(f"block length must be >= 0, got {n!r}")
+    n = _block_length(n)
     out = np.empty(n)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)

@@ -168,6 +168,10 @@ def svg_line_plot(xs: Sequence[float], series: Sequence[Series], path,
         raise ValueError("xs must be nonempty")
     if log_x and xs[0] <= 0:
         raise ValueError("log-x plot needs positive x values")
+    for kind, label, ys in ([("series", s.label, s.ys) for s in series]
+                            + [("band", b.label, e) for b in bands for e in (b.lo, b.hi)]):
+        if len(ys) != len(xs):
+            raise ValueError(f"{kind} {label!r} has {len(ys)} values for {len(xs)} x values")
     ys_all: list[float] = [v for b in bands for v in list(b.lo) + list(b.hi)]
     for s in series:
         ys_all.extend(s.ys)

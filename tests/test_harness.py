@@ -34,6 +34,7 @@ from mcstat.harness import (
 )
 from mcstat.mcmc import CalibrationError
 from mcstat.rng import derive_substream, rng_new
+from mcstat.svgplot import Band, Series, svg_line_plot
 from mcstat.targets import cubic_ratio, gaussian_functional_expectation
 
 from conftest import NanStream
@@ -416,6 +417,21 @@ def test_export_svg_is_wellformed_xml(tmp_path):
     assert body.count("<polyline") >= 1   # the single-run series
     assert body.count("<polygon") >= 2    # min/max and quantile bands
     assert "truth" in body
+
+
+@pytest.mark.parametrize("series, bands, label, n", [
+    ([Series("short", [1.0, 2.0])], (), "series 'short'", 2),
+    ([Series("ok", [1.0, 2.0, 3.0, 4.0])], [Band("thin", [0.0] * 4, [2.0])], "band 'thin'", 1),
+    ([Series("ok", [1.0, 2.0, 3.0, 4.0])], [Band("long", [0.0] * 5, [2.0] * 4)],
+     "band 'long'", 5),
+], ids=["series", "band-hi", "band-lo"])
+def test_svg_line_plot_rejects_a_series_or_band_of_the_wrong_length(tmp_path, series,
+                                                                     bands, label, n):
+    # zip would cut the longer side silently and draw a wrong figure
+    path = tmp_path / "plot.svg"
+    with pytest.raises(ValueError, match=f"^{label} has {n} values for 4 x values$"):
+        svg_line_plot([1.0, 2.0, 3.0, 4.0], series, path, bands)
+    assert not path.exists()
 
 
 def test_export_csv_runs_equal_one(tmp_path):

@@ -1,5 +1,6 @@
 """MH kernel, scale calibration, slice/Gibbs sampler, discrete oracle."""
 
+import itertools
 import math
 import re
 
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcstat.mcmc import (
+    _slice_rows,
+    _slice_step,
     CalibrationError,
     ChainFailure,
     ChainTrace,
@@ -23,7 +26,7 @@ from mcstat.mcmc import (
     slice_gibbs_step,
     slice_truncation_bound,
 )
-from mcstat.rng import (_BLOCK, RngStream, derive_substream, norm_cdf,
+from mcstat.rng import (_BLOCK, _PPF_P_LOW, RngStream, derive_substream, norm_cdf,
                         rng_new, sample_normal)
 from mcstat.targets import (
     TargetDensity,
@@ -437,6 +440,69 @@ def test_gibbs_chains_match_scalar_runner_bitwise(k, init):
     lockstep = run_gibbs_chains(init, _LOCKSTEP_ITERS, 100, rngs)
     scalar = [run_gibbs_chain(init, _LOCKSTEP_ITERS, 100, r) for r in ref_rngs]
     _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs)
+
+
+# The float step checks u, then the slice's mass, then the quantile's p.
+_SLICE_CHECKS = ("u must", "truncation interval", "norm_ppf requires")
+
+
+def _assert_row_step_matches_float_step(triples):
+    # _slice_rows on one row of (x, f_aux, f_cdf) triples against _slice_step on
+    # each: equal bits, or the error of the lowest row failing the first check.
+    expected = []
+    for t in triples:
+        try:
+            expected.append(_slice_step(*t))
+        except ValueError as exc:
+            expected.append(exc)
+    rows = [np.array(column, dtype=float) for column in zip(*triples)]
+    with np.errstate(over="ignore"):  # x^4 of a large state is inf, as in the kernel
+        try:
+            got = _slice_rows(*rows)
+        except ChainFailure as exc:
+            got = exc
+    failures = [(_SLICE_CHECKS.index(check), i, str(e)) for i, e in enumerate(expected)
+                if isinstance(e, ValueError) for check in _SLICE_CHECKS
+                if str(e).startswith(check)]
+    if failures:
+        _, row, message = min(failures)
+        assert isinstance(got, ChainFailure)
+        assert (got.row, str(got)) == (row, message)
+    else:
+        assert not isinstance(got, ChainFailure), got
+        assert got.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
+
+
+_EDGE_XS = [0.0, -0.0, 1e-200, 1.3, -1.3, 40.0, 1e77]  # x^4 of 1e77 overflows: u = 0
+# The open floats' edges, plus 0.01 and 0.9, which put p below _PPF_P_LOW and
+# above 0.5 where the slice is wide.
+_EDGE_FLOATS = [2.0**-54, 0.01, 0.5, 0.9, 1.0 - 2.0**-53]
+
+
+def test_row_step_matches_float_step_on_an_edge_grid():
+    grid = list(itertools.product(_EDGE_XS, _EDGE_FLOATS, _EDGE_FLOATS))
+    passing = [t for t in grid if t[0] != 1e77]
+    ps = []
+    for x, f_aux, f_cdf in passing:
+        b = slice_truncation_bound(f_aux / (1.0 + x * x + x ** 4))
+        ps.append(norm_cdf(-b) + f_cdf * (norm_cdf(b) - norm_cdf(-b)))
+    assert min(ps) < _PPF_P_LOW and max(ps) > 0.5
+    _assert_row_step_matches_float_step(passing)
+    for j, bad in enumerate(t for t in grid if t[0] == 1e77):
+        _assert_row_step_matches_float_step(passing[:j] + [bad] + passing[j:] + [bad])
+    # a row failing the u check is named before a lower row failing the p check
+    _assert_row_step_matches_float_step([(0.0, 0.5, math.nan), (1e77, 0.5, 0.5)])
+    _assert_row_step_matches_float_step([(0.0, 0.5, 0.5), (0.0, 0.5, math.nan)])
+
+
+_OPEN_FLOATS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          _OPEN_FLOATS, _OPEN_FLOATS), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_row_step_matches_float_step_property(triples):
+    _assert_row_step_matches_float_step(triples)
 
 
 @pytest.mark.parametrize("k", [1, 3, 100])

@@ -215,6 +215,13 @@ def test_block_draws_reject_bad_arguments():
         r.floats_open(-1)
     with pytest.raises(ValueError, match="block length must be >= 0, got -1"):
         normals(r, -1, 0.0, 1.0)
+    with pytest.raises(ValueError, match="block length must be >= 0, got -1"):
+        r.floats_open(np.int64(-1))
+    for n in (2.5, 2.0, True, False, "3", None, np.float64(3.0), np.bool_(True)):
+        with pytest.raises(ValueError, match="block length must be an integer"):
+            r.floats_open(n)
+        with pytest.raises(ValueError, match="block length must be an integer"):
+            normals(r, n, 0.0, 1.0)
     for sd in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             normals(r, 10, 0.0, sd)
@@ -222,6 +229,12 @@ def test_block_draws_reject_bad_arguments():
         with pytest.raises(ValueError):
             norm_ppf_many([0.3, p])
     assert r.state_bytes() == rng_new(0).state_bytes()  # no draw consumed
+    # a numpy integer length draws what the plain int draws
+    for n in (np.int64(5), np.uint64(5), np.int32(5), np.uint8(5)):
+        a, b = rng_new(3), rng_new(3)
+        assert _bits(a.floats_open(n)) == _bits(b.floats_open(5))
+        assert _bits(normals(a, n, 0.5, 2.0)) == _bits(normals(b, 5, 0.5, 2.0))
+        assert a.state_bytes() == b.state_bytes()
 
 
 # Each branch of norm_ppf and its edges, the far tail included.
