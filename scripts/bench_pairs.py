@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Compare two checkouts on one perfbench workload over alternating pairs.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W \\
-        [--pairs 10] [--seconds S]
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W [--pairs 10]
 
 Pair k (seed k, for k = 1..pairs) runs
 `python3 perfbench/run.py --workload W --seed k --trace 0` once in each
-tree, one process at a time; odd pairs run the parent first and even pairs
-the change, so a drift in host speed favours neither side. Each run's last
+tree, at perfbench's own run length, one process at a time; odd pairs run
+the parent first and even pairs the change, so a drift in host speed
+favours neither side. Each run's last
 line of standard output is its JSON result. For every end-to-end metric in
 BENCHMARK.json the script prints each side's median and quartiles, the
 number of pairs the change won, the change in the median and the parent's
@@ -72,11 +72,9 @@ def summarize(parent: list[dict | None], change: list[dict | None],
     return lines, correct
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float | None) -> dict | None:
+def _run(tree: Path, workload: str, seed: int) -> dict | None:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
@@ -91,8 +89,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length of each run (perfbench's default if omitted)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -102,8 +98,7 @@ def main(argv=None) -> int:
     for seed in range(1, args.pairs + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
-            results[side].append(_run(getattr(args, side), args.workload, seed,
-                                      args.seconds))
+            results[side].append(_run(getattr(args, side), args.workload, seed))
         print(f"# pair {seed}/{args.pairs} done", file=sys.stderr)
     lines, correct = summarize(results["parent"], results["change"], end_to_end)
     print(f"{args.workload}: {args.pairs} pairs at seeds 1-{args.pairs}")

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .rng import (_BLOCK, _MIN_TAIL_MASS, _SQRT2, RngStream, _libm, _norm_ppf_lower,
-                  _norm_ppf_lower_many, norm_ppf_many)
+                  _norm_ppf_many_unchecked, norm_ppf_many)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.mcmc.sample_normal and mcstat.mcmc.sample_truncated_normal.
 from .rng import sample_normal, sample_truncated_normal  # noqa: F401
@@ -366,9 +366,7 @@ def _slice_rows(x: np.ndarray, f_aux: np.ndarray, f_cdf: np.ndarray) -> np.ndarr
     _raise_unless_rows(mass > _MIN_TAIL_MASS, _DEAD_SLICE, b, mass)
     p = pa + f_cdf * mass
     _raise_unless_rows((p > 0.0) & (p < 1.0), _P_RANGE, p)
-    upper = p > 0.5
-    z = _norm_ppf_lower_many(np.where(upper, 1.0 - p, p))
-    return 0.0 + np.minimum(np.maximum(np.where(upper, -z, z), -b), b)
+    return 0.0 + np.minimum(np.maximum(_norm_ppf_many_unchecked(p), -b), b)
 
 
 def _raise_unless_rows(ok, message, *values):

@@ -354,6 +354,11 @@ def norm_ppf_many(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("norm_ppf_many requires 0 < p < 1 for every element")
+    return _norm_ppf_many_unchecked(p)
+
+
+def _norm_ppf_many_unchecked(p: np.ndarray) -> np.ndarray:
+    # norm_ppf_many on a float array the caller has checked lies in (0, 1).
     upper = p > 0.5
     x = _norm_ppf_lower_many(np.where(upper, 1.0 - p, p).ravel()).reshape(p.shape)
     return np.where(upper, -x, x)
