@@ -313,11 +313,12 @@ def bridge_log_evidence(post_draws: Sequence[float],
     if not math.isfinite(lam):
         raise ValueError("no effective support overlap between draws and proposal")
 
+    s1_l1, s1_l2 = log_s1 + l1, log_s1 + l2  # fixed across iterations
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        log_num = _logsumexp(l2 - np.logaddexp(log_s1 + l2, log_s2 + lam)) - math.log(n2)
-        log_den = _logsumexp(-np.logaddexp(log_s1 + l1, log_s2 + lam)) - math.log(n1)
+        log_num = _logsumexp(l2 - np.logaddexp(s1_l2, log_s2 + lam)) - math.log(n2)
+        log_den = _logsumexp(-np.logaddexp(s1_l1, log_s2 + lam)) - math.log(n1)
         if not (math.isfinite(log_num) and math.isfinite(log_den)):
             raise ValueError("bridge iteration left the shared support")
         lam_new = log_num - log_den

@@ -45,7 +45,7 @@ from .mcmc import (ChainFailure, ChainTrace, RwProposal, calibrate_scale_report,
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.run_gibbs_chain and mcstat.harness.run_mh_chain.
 from .mcmc import run_gibbs_chain, run_mh_chain  # noqa: F401
-from .rng import RngStream, derive_substream, normal_logpdf, normals, rng_new
+from .rng import NormalDist, RngStream, _std_normals, derive_substream, normals, rng_new
 # Not called here: kept as a module attribute because perfbench's tracer
 # wraps mcstat.harness.sample_normal.
 from .rng import sample_normal  # noqa: F401
@@ -431,17 +431,24 @@ def _synthetic_dataset(seed: int, n: int = 20) -> np.ndarray:
 
 def _evidence_replication(rng: RngStream, posteriors, data: np.ndarray,
                           T: int) -> list[list[EvidenceEstimate]]:
-    """One replication of `evidence`: [harmonic mean, bridge, Chib] per posterior."""
+    """One replication of `evidence`: [harmonic mean, bridge, Chib] per posterior.
+
+    The replication reads its whole budget of 2 * T draws per posterior as
+    one block of standard normals, in stream order: each posterior's T
+    draws, then the T draws of the normal proposal fitted to them. Scaling
+    a slice of the block is the arithmetic `normals` does, so the draws are
+    those of one `normals(rng, T, ...)` call per slice, bit for bit.
+    """
+    z = _std_normals(rng, 2 * len(posteriors) * T).reshape(len(posteriors), 2, T)
     ests = []
-    for model, pm, pv in posteriors:
-        post = normals(rng, T, pm, math.sqrt(pv))
+    for (model, pm, pv), (z_post, z_prop) in zip(posteriors, z):
+        post = pm + math.sqrt(pv) * z_post
         hm = harmonic_mean_log_evidence(model.log_likelihood(data, post))
-        fit_m = float(np.mean(post))
-        fit_s = float(np.std(post, ddof=1))
-        prop = normals(rng, T, fit_m, fit_s)
+        fit = NormalDist(float(np.mean(post)), float(np.std(post, ddof=1)))
+        prop = fit.mean + fit.sd * z_prop
         bridge = bridge_log_evidence(post, prop,
                                      lambda th: model.log_posterior_unnorm(data, th),
-                                     lambda th: normal_logpdf(th, fit_m, fit_s))
+                                     fit.logpdf)
         ests.append([hm, bridge, chib_log_evidence(model, data, post)])
     return ests
 

@@ -15,8 +15,10 @@ of states from the current one (O'Neill 2014, "PCG"; Brown 1994, "Random
 Number Generation with Arbitrary Strides").  Blocks hold at most `_BLOCK`
 floats, so transient memory does not grow with n; the chain runners and the
 lockstep chain kernels in mcmc read their streams in blocks of the same
-size.  The truncated normal reads only `rng.next_float_open()`, so floats
-read ahead can stand in.
+size.  `normals` draws its n floats at once and inverts them in slices of
+at most `_PPF_SLICE` through `_std_normals`, which the evidence experiment
+also calls for its whole replication.  The truncated normal reads only
+`rng.next_float_open()`, so floats read ahead can stand in.
 
 `norm_ppf_many` is `norm_ppf` over an array of any shape.  The two share the
 rational approximations and the Halley step, written once for floats and
@@ -68,6 +70,8 @@ _MIN_TAIL_MASS = 1e-300
 
 # Most open floats one block computes at once (two PCG words each).
 _BLOCK = 1024
+# Most uniforms _std_normals inverts in one norm_ppf_many pass.
+_PPF_SLICE = 4 * _BLOCK
 
 
 def _splitmix64(z: int) -> int:
@@ -410,12 +414,17 @@ def normals(rng: RngStream, n: int, mean: float, sd: float) -> np.ndarray:
     of sample_normal(rng, mean, sd) and leaving the stream where they would."""
     if not 0.0 < sd < math.inf:
         raise ValueError(f"normal sd must be positive and finite, got {sd!r}")
-    n = _block_length(n)
-    out = np.empty(n)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        out[start:stop] = mean + sd * norm_ppf_many(rng.floats_open(stop - start))
-    return out
+    return mean + sd * _std_normals(rng, n)
+
+
+def _std_normals(rng: RngStream, n: int) -> np.ndarray:
+    # norm_ppf of rng.floats_open(n), inverted in slices of at most
+    # _PPF_SLICE floats so the quantile's temporaries stay bounded. The
+    # floats lie in (0, 1), so they skip norm_ppf_many's check.
+    u = rng.floats_open(n)
+    for start in range(0, u.size, _PPF_SLICE):
+        u[start:start + _PPF_SLICE] = _norm_ppf_many_unchecked(u[start:start + _PPF_SLICE])
+    return u
 
 
 def _std_truncnorm_upper(rng: RngStream, a: float, b: float) -> float:

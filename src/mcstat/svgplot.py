@@ -6,7 +6,8 @@ machines, and chart libraries do not promise that. Output is a fixed
 band polygons, series polylines, and one dashed reference line.
 
 Coordinates are rounded to 0.01 px, which keeps files small and makes the
-bytes a pure function of the data.
+bytes a pure function of the data. Titles, axis labels and legend labels
+are XML-escaped, so any text gives a well-formed file.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ class Band:
     label: str
     lo: Sequence[float]
     hi: Sequence[float]
+
+
+def _escape(text: str) -> str:
+    # XML character data, escaped as xml.sax.saxutils.escape does. Importing
+    # that module loads urllib.request and ssl: tens of ms and several MB.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -115,7 +122,7 @@ def _polyline_points(fr: _Frame, xs, ys) -> str:
 
 def _axes(fr: _Frame, x_ticks, y_ticks, title, x_label, y_label) -> list[str]:
     parts = [f'<text x="{_fmt(_W / 2)}" y="24" text-anchor="middle" {_FONT} '
-             f'font-size="15">{title}</text>']
+             f'font-size="15">{_escape(title)}</text>']
     bottom, left = _H - _MB, _ML
     for t in x_ticks:
         px = fr.x(t)
@@ -132,10 +139,10 @@ def _axes(fr: _Frame, x_ticks, y_ticks, title, x_label, y_label) -> list[str]:
     parts.append(f'<rect x="{_fmt(left)}" y="{_fmt(_MT)}" width="{_fmt(_W - _ML - _MR)}" '
                  f'height="{_fmt(_H - _MT - _MB)}" fill="none" stroke="#444" stroke-width="1"/>')
     parts.append(f'<text x="{_fmt((_ML + _W - _MR) / 2)}" y="{_fmt(_H - 14)}" '
-                 f'text-anchor="middle" {_FONT} font-size="13">{x_label}</text>')
+                 f'text-anchor="middle" {_FONT} font-size="13">{_escape(x_label)}</text>')
     parts.append(f'<text x="18" y="{_fmt((_MT + _H - _MB) / 2)}" text-anchor="middle" '
                  f'{_FONT} font-size="13" transform="rotate(-90 18 '
-                 f'{_fmt((_MT + _H - _MB) / 2)})">{y_label}</text>')
+                 f'{_fmt((_MT + _H - _MB) / 2)})">{_escape(y_label)}</text>')
     return parts
 
 
@@ -145,7 +152,7 @@ def _legend_entry(ly: float, label: str, color: str, dashed: bool) -> list[str]:
     return [f'<line x1="{_fmt(_ML + 10)}" y1="{_fmt(ly)}" x2="{_fmt(_ML + 34)}" '
             f'y2="{_fmt(ly)}" stroke="{color}" stroke-width="4"{dash}/>',
             f'<text x="{_fmt(_ML + 40)}" y="{_fmt(ly + 4)}" {_FONT} '
-            f'font-size="12">{label}</text>']
+            f'font-size="12">{_escape(label)}</text>']
 
 
 def _write_svg(path, body: list[str]) -> Path:
@@ -221,6 +228,9 @@ def svg_histogram(bin_edges: Sequence[float], masses: Sequence[float], path, *,
     edges = list(bin_edges)
     if len(edges) != len(masses) + 1:
         raise ValueError("need len(bin_edges) == len(masses) + 1")
+    if len(overlay_y) != len(overlay_x):
+        raise ValueError(f"overlay {overlay_label!r} has {len(overlay_y)} values for "
+                         f"{len(overlay_x)} x values")
     widths = [b - a for a, b in zip(edges, edges[1:])]
     dens = [m / w for m, w in zip(masses, widths)]
     y_hi = max(list(dens) + list(overlay_y) + [1e-12]) * 1.08

@@ -17,7 +17,8 @@ import pytest
 
 from mcstat.cli import _OPTIONS
 from mcstat.cli import main as cli_main
-from mcstat.estimators import chib_log_evidence
+from mcstat.estimators import (bridge_log_evidence, chib_log_evidence,
+                               harmonic_mean_log_evidence)
 from mcstat.harness import (
     ConfigError,
     ExperimentConfig,
@@ -30,12 +31,14 @@ from mcstat.harness import (
     figure3,
     run_envelope,
     run_experiment,
+    _evidence_replication,
     _synthetic_dataset,
 )
 from mcstat.mcmc import CalibrationError
-from mcstat.rng import derive_substream, rng_new
-from mcstat.svgplot import Band, Series, svg_line_plot
-from mcstat.targets import cubic_ratio, gaussian_functional_expectation
+from mcstat.rng import derive_substream, normal_logpdf, normals, rng_new
+from mcstat.svgplot import Band, Series, svg_histogram, svg_line_plot
+from mcstat.targets import (cubic_ratio, gaussian_functional_expectation, get_model,
+                            posterior_params)
 
 from conftest import NanStream
 
@@ -330,6 +333,42 @@ def test_evidence_is_deterministic(tmp_path):
            b.files["bayes_factors.csv"].read_bytes()
 
 
+def _evidence_replication_by_model(rng, posteriors, data, T):
+    # The replication as four sequential normals calls, one per block.
+    ests = []
+    for model, pm, pv in posteriors:
+        post = normals(rng, T, pm, math.sqrt(pv))
+        hm = harmonic_mean_log_evidence(model.log_likelihood(data, post))
+        fit_m = float(np.mean(post))
+        fit_s = float(np.std(post, ddof=1))
+        prop = normals(rng, T, fit_m, fit_s)
+        bridge = bridge_log_evidence(post, prop,
+                                     lambda th: model.log_posterior_unnorm(data, th),
+                                     lambda th: normal_logpdf(th, fit_m, fit_s))
+        ests.append([hm, bridge, chib_log_evidence(model, data, post)])
+    return ests
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("T", [100, 1500])  # 4T = 6000 crosses _BLOCK and _PPF_SLICE
+def test_evidence_replication_replays_four_normals_calls(seed, T):
+    data = _synthetic_dataset(seed)
+    posteriors = [(m, *posterior_params(m, data))
+                  for m in (get_model("conj-n01"), get_model("conj-n14"))]
+    runs = 5
+    for k in (0, runs // 2, runs - 1):
+        a = derive_substream(rng_new(seed), k)
+        b = derive_substream(rng_new(seed), k)
+        got = _evidence_replication(a, posteriors, data, T)
+        want = _evidence_replication_by_model(b, posteriors, data, T)
+        assert a.state_bytes() == b.state_bytes()
+        for g, w in zip(sum(got, []), sum(want, []), strict=True):
+            assert g.estimator == w.estimator
+            assert np.float64(g.log_evidence).view(np.uint64) == \
+                   np.float64(w.log_evidence).view(np.uint64)
+            assert repr(g.diagnostics) == repr(w.diagnostics)
+
+
 def test_figure1_non_finite_value_names_run_and_iteration(tmp_path, capsys,
                                                          monkeypatch):
     # the third call is run 2's block; its fifth value is iteration 5
@@ -409,14 +448,22 @@ def test_evidence_failure_names_the_replication(tmp_path, capsys, monkeypatch):
 
 def test_export_svg_is_wellformed_xml(tmp_path):
     s = run_envelope(_iid_trace, 6, 1000, seed=70)
-    path = export_svg(s, tmp_path / "plot.svg", title="test",
-                      ref_y=0.5, ref_label="truth")
+    # title, axis and legend labels with markup characters are escaped
+    path = export_svg(s, tmp_path / "plot.svg", title="x < y", y_label="<mean>",
+                      ref_y=0.5, ref_label="truth & more",
+                      extra_series=(Series("a & b", s.single_run),))
     root = ET.parse(path).getroot()
     assert root.tag.endswith("svg")
     body = path.read_text()
     assert body.count("<polyline") >= 1   # the single-run series
     assert body.count("<polygon") >= 2    # min/max and quantile bands
-    assert "truth" in body
+    texts = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
+    assert {"x < y", "<mean>", "truth & more", "a & b"} <= texts
+    hist = svg_histogram([0.0, 1.0, 2.0], [0.5, 0.5], tmp_path / "hist.svg",
+                         overlay_x=[0.0, 2.0], overlay_y=[0.5, 0.5], title="p < 1 & q",
+                         x_label="<x>", y_label="f > 0", overlay_label="a & b")
+    texts = {t.text for t in ET.parse(hist).getroot().iter("{http://www.w3.org/2000/svg}text")}
+    assert {"p < 1 & q", "<x>", "f > 0", "a & b"} <= texts
 
 
 @pytest.mark.parametrize("series, bands, label, n", [
@@ -431,6 +478,15 @@ def test_svg_line_plot_rejects_a_series_or_band_of_the_wrong_length(tmp_path, se
     path = tmp_path / "plot.svg"
     with pytest.raises(ValueError, match=f"^{label} has {n} values for 4 x values$"):
         svg_line_plot([1.0, 2.0, 3.0, 4.0], series, path, bands)
+    assert not path.exists()
+
+
+def test_svg_histogram_rejects_an_overlay_of_the_wrong_length(tmp_path):
+    path = tmp_path / "hist.svg"
+    with pytest.raises(ValueError,
+                       match="^overlay 'target density' has 1 values for 4 x values$"):
+        svg_histogram([0.0, 1.0, 2.0], [0.5, 0.5], path,
+                      overlay_x=[0.0, 0.5, 1.5, 2.0], overlay_y=[0.5])
     assert not path.exists()
 
 
@@ -476,15 +532,18 @@ def test_experiment_outputs_are_pinned(tmp_path, exp, extra, digest):
 
 
 # ROADMAP item 1: numpy's AVX-512 loops (np.exp, np.log, np.log1p, x ** 3)
-# and OpenBLAS's dot kernel differ from libm and from each other in the
-# last bits, so these settings move the pinned bytes.
+# and OpenBLAS's dot and matvec kernels differ from libm and from each other
+# in the last bits, so these settings move the pinned bytes.
 _HOST_VARIANTS = [("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR"),
-                  ("OPENBLAS_CORETYPE", "Haswell")]
+                  ("OPENBLAS_CORETYPE", "Haswell"),
+                  ("OPENBLAS_CORETYPE", "Prescott")]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 1: without AVX-512 figure2 and figure3 (auto) "
-                          "change bytes; with a Haswell BLAS kernel evidence does")
+                          "change bytes; with a Haswell BLAS kernel evidence does; with "
+                          "a Prescott one evidence and, through hist.csv's oracle "
+                          "matvec, figure2 and both figure3 configs do")
 def test_pinned_outputs_do_not_depend_on_simd_or_blas_kernels():
     failed = []
     for var, value in _HOST_VARIANTS:

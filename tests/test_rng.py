@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mcstat.rng import (
     _BLOCK,
     _PPF_P_LOW,
+    _PPF_SLICE,
     _libm,
     _open_floats,
     NormalDist,
@@ -174,7 +175,8 @@ def _bits(xs):
     return np.asarray(xs, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7,
+                               _PPF_SLICE, _PPF_SLICE + 1, 12345])
 def test_block_draws_match_scalar_draws(n):
     a, b = derive_substream(rng_new(60), n), derive_substream(rng_new(60), n)
     assert _bits([a.next_float_open() for _ in range(n)]) == _bits(b.floats_open(n))
