@@ -11,8 +11,20 @@ favours neither side. Each run's last
 line of standard output is its JSON result. For every end-to-end metric in
 BENCHMARK.json the script prints each side's median and quartiles, the
 number of pairs the change won, the change in the median and the parent's
-interquartile range; then each side's failed operations. It exits 1 if any
-run reports `correct: false` or ends without a JSON result.
+interquartile range; then each side's failed operations; then one verdict
+per metric:
+
+* gain: the change is better in at least 9/10 of the pairs and its median
+  is better than the parent's by more than the parent's interquartile range;
+* unresolved: the parent's interquartile range exceeds the metric's
+  BENCHMARK.json bound (relative to its median), unless every change run
+  is better than every parent run;
+* no regression: the change's median is worse than the parent's by no more
+  than the bound;
+* regression: anything else.
+
+It exits 1 if any run reports `correct: false` or ends without a JSON
+result.
 """
 
 from __future__ import annotations
@@ -34,6 +46,14 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _pairs(parent: list[dict | None], change: list[dict | None],
+           name: str) -> list[tuple[float, float]]:
+    # (parent, change) values of `name` over the pairs where both runs report it
+    return [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+            for p, c in zip(parent, change)
+            if p and c and name in p["metrics"] and name in c["metrics"]]
+
+
 def summarize(parent: list[dict | None], change: list[dict | None],
               end_to_end: list[dict]) -> tuple[list[str], bool]:
     """Report lines for paired results, and whether every run was correct.
@@ -46,9 +66,7 @@ def summarize(parent: list[dict | None], change: list[dict | None],
     lines = []
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
-        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
-                 for p, c in zip(parent, change)
-                 if p and c and name in p["metrics"] and name in c["metrics"]]
+        pairs = _pairs(parent, change, name)
         if not pairs:
             lines.append(f"{name}: no pair reports it")
             continue
@@ -70,6 +88,37 @@ def summarize(parent: list[dict | None], change: list[dict | None],
                      f"{sum(not r['correct'] for r in done)} runs not correct, "
                      f"{len(results) - len(done)} runs without a result")
     return lines, correct
+
+
+def verdicts(parent: list[dict | None], change: list[dict | None],
+             end_to_end: list[dict]) -> list[str]:
+    """One verdict line per end-to-end metric, by the rules in the module
+    docstring; each metric's `bound` is a fraction of the parent's median."""
+    lines = []
+    for metric in end_to_end:
+        name, bound = metric["name"], metric["bound"]
+        pairs = _pairs(parent, change, name)
+        if not pairs:
+            lines.append(f"{name} verdict: no pair reports it")
+            continue
+        # Values signed so that lower is better, whichever way the metric goes.
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        ps, cs = ([sign * pair[side] for pair in pairs] for side in (0, 1))
+        p_q, c_q = _quartiles(ps), _quartiles(cs)
+        gain = p_q[1] - c_q[1]
+        iqr = p_q[2] - p_q[0]
+        wins = sum(c < p for p, c in zip(ps, cs))
+        every_run_better = max(cs) < min(ps)
+        if 10 * wins >= 9 * len(pairs) and gain > iqr:
+            verdict = "gain"
+        elif iqr > bound * abs(p_q[1]) and not every_run_better:
+            verdict = "unresolved"
+        elif -gain <= bound * abs(p_q[1]):
+            verdict = "no regression"
+        else:
+            verdict = "regression"
+        lines.append(f"{name} verdict: {verdict}")
+    return lines
 
 
 def _run(tree: Path, workload: str, seed: int) -> dict | None:
@@ -102,7 +151,7 @@ def main(argv=None) -> int:
         print(f"# pair {seed}/{args.pairs} done", file=sys.stderr)
     lines, correct = summarize(results["parent"], results["change"], end_to_end)
     print(f"{args.workload}: {args.pairs} pairs at seeds 1-{args.pairs}")
-    for line in lines:
+    for line in lines + verdicts(results["parent"], results["change"], end_to_end):
         print(line)
     return 0 if correct else 1
 

@@ -45,7 +45,7 @@ from .mcmc import (ChainFailure, ChainTrace, RwProposal, calibrate_scale_report,
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.run_gibbs_chain and mcstat.harness.run_mh_chain.
 from .mcmc import run_gibbs_chain, run_mh_chain  # noqa: F401
-from .rng import NormalDist, RngStream, _std_normals, derive_substream, normals, rng_new
+from .rng import NormalDist, RngStream, derive_substream, normals, rng_new
 # Not called here: kept as a module attribute because perfbench's tracer
 # wraps mcstat.harness.sample_normal.
 from .rng import sample_normal  # noqa: F401
@@ -179,13 +179,12 @@ def _run_failed(label: str, k: int, exc: Exception) -> RuntimeError:
     return RuntimeError(f"{label} {k} (substream {k}) failed: {exc}")
 
 
-def _replicate(label: str, seed: int, runs: int,
-               fn: Callable[[RngStream], object]) -> Iterator:
-    """Yield fn(substream k of `seed`) for k < runs; a failure is re-raised
-    as a RuntimeError naming the replication and its substream."""
+def _replicate(label: str, seed: int, runs: int, fn: Callable, *args) -> Iterator:
+    """Yield fn(substream k of `seed`, *args) for k < runs; a failure is
+    re-raised as a RuntimeError naming the replication and its substream."""
     for k, rng in enumerate(_substreams(seed, runs)):
         try:
-            result = fn(rng)
+            result = fn(rng, *args)
         except Exception as exc:
             raise _run_failed(label, k, exc) from exc
         yield result
@@ -331,13 +330,26 @@ def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSumma
 # Experiments
 # ---------------------------------------------------------------------------
 
+def _iid_values(rng: RngStream, iters: int, mu: float) -> np.ndarray:
+    """One figure1 run: x^3/(1+x^2+x^4) at `iters` draws x ~ N(mu, 1).
+
+    A non-finite value raises, naming its 1-based iteration.
+    """
+    values = cubic_ratio(normals(rng, iters, mu, 1.0))
+    finite = np.isfinite(values)
+    if not finite.all():
+        t = int(np.argmin(finite))
+        raise ValueError(f"non-finite value {float(values[t])!r} at iteration {t + 1}")
+    return values
+
+
 def figure1(config: ExperimentConfig) -> ExperimentResult:
     """iid Monte Carlo envelope for E[X^3/(1+X^2+X^4)], X ~ N(mu, 1)."""
     mu = float(config.mu)
     reference = gaussian_functional_expectation(mu)
     cps = checkpoints(config.iters)
     runs = _replicate("envelope run", config.seed, config.runs,
-                      lambda rng: cubic_ratio(normals(rng, config.iters, mu, 1.0)))
+                      _iid_values, config.iters, mu)
     values = np.empty((config.runs, config.iters))
     for row, run in zip(values, runs):
         row[:] = run
@@ -360,22 +372,23 @@ def figure1(config: ExperimentConfig) -> ExperimentResult:
                       Series("single run +3 se", se_hi, dashed=True)))
 
 
-def _chain_envelope(config: ExperimentConfig, run_chains
+def _chain_envelope(config: ExperimentConfig, kernel: Callable, *args
                     ) -> tuple[EnvelopeSummary, ChainTrace, dict]:
     """Envelope of running means of x^3 over retained chain states.
 
-    `run_chains(iters, burn_in, rngs)` is a lockstep chain kernel; it runs
-    every replication at once on the config's substreams. Each run
+    `kernel(*args, iters, burn_in, rngs)` is a lockstep chain kernel,
+    `run_gibbs_chains` or `run_mh_chains` with its leading arguments; it
+    runs every replication at once on the config's substreams. Each run
     executes burn_in + iters chain steps and retains `iters` states, so the
-    envelope axis always ends at config.iters. Returns the summary, the
-    kernel's (runs, steps) trace, and the info entries both chain figures
-    share.
+    envelope axis always ends at config.iters. A `ChainFailure` is re-raised
+    naming its run as `_replicate` does. Returns the summary, the kernel's
+    (runs, steps) trace, and the info entries both chain figures share.
     """
     burn = config.effective_burn_in()
     cps = checkpoints(config.iters)
     try:
-        trace = run_chains(burn + config.iters, burn,
-                           list(_substreams(config.seed, config.runs)))
+        trace = kernel(*args, burn + config.iters, burn,
+                       list(_substreams(config.seed, config.runs)))
     except ChainFailure as exc:
         raise _run_failed("envelope run", exc.row, exc) from exc
     summary = _summarize(cps, running_moments(trace.retained() ** 3, cps).mean)
@@ -386,8 +399,7 @@ def _chain_envelope(config: ExperimentConfig, run_chains
 
 def figure2(config: ExperimentConfig) -> ExperimentResult:
     """Slice/Gibbs envelope of running mean x^3, plus state histogram."""
-    summary, trace, info = _chain_envelope(
-        config, lambda iters, burn, rngs: run_gibbs_chains(0.0, iters, burn, rngs))
+    summary, trace, info = _chain_envelope(config, run_gibbs_chains, 0.0)
     return _finish_envelope_experiment(
         config, summary, info, ref_y=0.0, ref_label="truth 0",
         title="Slice/Gibbs running means of x^3",
@@ -410,11 +422,8 @@ def figure3(config: ExperimentConfig) -> ExperimentResult:
         info["scale_source"] = "fixed"
     info["scale"] = scale
 
-    prop = RwProposal(scale)
     summary, trace, chain_info = _chain_envelope(
-        config,
-        lambda iters, burn, rngs: run_mh_chains(EXAMPLE_TARGET, prop, 0.0, iters, burn,
-                                                rngs))
+        config, run_mh_chains, EXAMPLE_TARGET, RwProposal(scale), 0.0)
     info.update(chain_info)
     rates = np.mean(trace.accepted[:, trace.burn_in:], axis=1)  # per run
     info["measured_acceptance"] = float(np.mean(rates))
@@ -435,11 +444,15 @@ def _evidence_replication(rng: RngStream, posteriors, data: np.ndarray,
 
     The replication reads its whole budget of 2 * T draws per posterior as
     one block of standard normals, in stream order: each posterior's T
-    draws, then the T draws of the normal proposal fitted to them. Scaling
-    a slice of the block is the arithmetic `normals` does, so the draws are
-    those of one `normals(rng, T, ...)` call per slice, bit for bit.
+    draws, then the T draws of the normal proposal fitted to them. The
+    block is `normals(rng, 4T, 0.0, 1.0)`, whose `0.0 + 1.0 * z` is the
+    quantile z bit for bit: only z = -0.0 would change, and the quantile of
+    an open float is never -0.0 (p = 0.5 gives +0.0, and every p > 0.5 is
+    the negation of a strictly negative lower quantile). Scaling a slice of
+    the block is then the arithmetic `normals` does, so the draws are those
+    of one `normals(rng, T, ...)` call per slice, bit for bit.
     """
-    z = _std_normals(rng, 2 * len(posteriors) * T).reshape(len(posteriors), 2, T)
+    z = normals(rng, 2 * len(posteriors) * T, 0.0, 1.0).reshape(len(posteriors), 2, T)
     ests = []
     for (model, pm, pv), (z_post, z_prop) in zip(posteriors, z):
         post = pm + math.sqrt(pv) * z_post
@@ -472,7 +485,7 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
     analytic_bf = truths[0] - truths[1]
 
     reps = _replicate("evidence replication", config.seed, config.runs,
-                      lambda rng: _evidence_replication(rng, posteriors, data, T))
+                      _evidence_replication, posteriors, data, T)
     for r, ests in enumerate(reps):
         for mi, model_ests in enumerate(ests):
             for est in model_ests:

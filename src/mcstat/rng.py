@@ -10,15 +10,14 @@ return numpy arrays equal bit for bit to n calls of `next_float_open()` and
 `sample_normal(rng, mean, sd)`, and advance the stream by the same number of
 32-bit words, so scalar and block calls can be mixed freely.  The PCG state
 after t steps is a^t s + inc S_t (mod 2^64) with S_t = a^0 + ... + a^(t-1);
-one table of (a^t, S_t), built by doubling on first use, gives a whole block
-of states from the current one (O'Neill 2014, "PCG"; Brown 1994, "Random
-Number Generation with Arbitrary Strides").  Blocks hold at most `_BLOCK`
-floats, so transient memory does not grow with n; the chain runners and the
-lockstep chain kernels in mcmc read their streams in blocks of the same
-size.  `normals` draws its n floats at once and inverts them in slices of
-at most `_PPF_SLICE` through `_std_normals`, which the evidence experiment
-also calls for its whole replication.  The truncated normal reads only
-`rng.next_float_open()`, so floats read ahead can stand in.
+one table of (a^t, S_t), a cumulative product and sum computed on first use,
+gives a whole block of states from the current one (O'Neill 2014, "PCG";
+Brown 1994, "Random Number Generation with Arbitrary Strides").  Blocks hold
+at most `_BLOCK` floats, so transient memory does not grow with n; the chain
+runners and the lockstep chain kernels in mcmc read their streams in blocks
+of the same size.  `normals` draws its n floats at once and inverts them in
+slices of at most `_PPF_SLICE`; the evidence experiment draws its whole
+replication with one call.
 
 `norm_ppf_many` is `norm_ppf` over an array of any shape.  The two share the
 rational approximations and the Halley step, written once for floats and
@@ -70,7 +69,7 @@ _MIN_TAIL_MASS = 1e-300
 
 # Most open floats one block computes at once (two PCG words each).
 _BLOCK = 1024
-# Most uniforms _std_normals inverts in one norm_ppf_many pass.
+# Most uniforms normals inverts in one norm_ppf_many pass.
 _PPF_SLICE = 4 * _BLOCK
 
 
@@ -202,19 +201,14 @@ class RngStream:
 def _jump_table() -> tuple[np.ndarray, np.ndarray]:
     """(a^t, S_t) mod 2^64 for t < 2 * _BLOCK, S_t = a^0 + ... + a^(t-1).
 
-    The state t steps after s is a^t s + inc S_t. Built by doubling:
-    a^(m+t) = a^m a^t and S_(m+t) = S_m + a^m S_t; the uint64 products wrap
-    mod 2^64, as the generator does.
+    The state t steps after s is a^t s + inc S_t: a^t is the running
+    product of [1, a, a, ...] and S_t the running sum of the powers before
+    t. The uint64 products and sums wrap mod 2^64, as the generator does.
     """
-    powers = np.ones(1, dtype=np.uint64)
-    sums = np.zeros(1, dtype=np.uint64)
-    a_m, s_m = _PCG_MULT, 1  # a^m and S_m for m = len(powers)
-    while powers.size < 2 * _BLOCK:
-        am = np.uint64(a_m)
-        powers, sums = (np.concatenate((powers, powers * am)),
-                        np.concatenate((sums, np.uint64(s_m) + sums * am)))
-        a_m, s_m = (a_m * a_m) & _MASK64, (s_m + a_m * s_m) & _MASK64
-    return powers, sums
+    steps = np.full(2 * _BLOCK, _PCG_MULT, dtype=np.uint64)
+    steps[0] = 1
+    powers = np.cumprod(steps)
+    return powers, np.cumsum(powers) - powers
 
 
 def _pcg_output(states: np.ndarray) -> np.ndarray:
@@ -414,17 +408,13 @@ def normals(rng: RngStream, n: int, mean: float, sd: float) -> np.ndarray:
     of sample_normal(rng, mean, sd) and leaving the stream where they would."""
     if not 0.0 < sd < math.inf:
         raise ValueError(f"normal sd must be positive and finite, got {sd!r}")
-    return mean + sd * _std_normals(rng, n)
-
-
-def _std_normals(rng: RngStream, n: int) -> np.ndarray:
-    # norm_ppf of rng.floats_open(n), inverted in slices of at most
-    # _PPF_SLICE floats so the quantile's temporaries stay bounded. The
-    # floats lie in (0, 1), so they skip norm_ppf_many's check.
-    u = rng.floats_open(n)
-    for start in range(0, u.size, _PPF_SLICE):
-        u[start:start + _PPF_SLICE] = _norm_ppf_many_unchecked(u[start:start + _PPF_SLICE])
-    return u
+    # Inverted in slices of at most _PPF_SLICE floats so the quantile's
+    # temporaries stay bounded. The floats lie in (0, 1), so they skip
+    # norm_ppf_many's check.
+    z = rng.floats_open(n)
+    for start in range(0, z.size, _PPF_SLICE):
+        z[start:start + _PPF_SLICE] = _norm_ppf_many_unchecked(z[start:start + _PPF_SLICE])
+    return mean + sd * z
 
 
 def _std_truncnorm_upper(rng: RngStream, a: float, b: float) -> float:
@@ -447,7 +437,7 @@ def sample_truncated_normal(rng: RngStream, mean: float, sd: float,
     Endpoints may be infinite.  Raises if the interval carries no numerically
     representable probability mass; a call that raises consumes no draw, as
     its one rng.next_float_open() comes after every check.  `rng` may be
-    any object with next_float_open(), such as a block of floats drawn ahead.
+    any object with next_float_open().
     """
     if not 0.0 < sd < math.inf:
         raise ValueError(f"truncated normal sd must be positive and finite, got {sd!r}")

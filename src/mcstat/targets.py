@@ -98,9 +98,23 @@ EXAMPLE_TARGET = TargetDensity(example_target_logpdf, name="example")
 
 
 def cubic_ratio(x):
-    """x^3 / (1 + x^2 + x^4); works on scalars and numpy arrays."""
+    """x^3 / (1 + x^2 + x^4) of a float or a numpy array.
+
+    Where 1 + x^2 + x^4 overflows (|x| above about 1.16e77) the exact ratio
+    rounds to 1/x, which is returned in place of inf/inf: +-inf gives +-0
+    and NaN stays NaN. Neither path raises a RuntimeWarning, and the float
+    path, which quadrature calls per point, makes no numpy call.
+    """
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x2 = x * x
+            den = 1.0 + x2 + x2 * x2
+            out = x * x2 / den
+            big = den == np.inf
+            return np.where(big, 1.0 / x, out) if big.any() else out
     x2 = x * x
-    return x * x2 / (1.0 + x2 + x2 * x2)
+    den = 1.0 + x2 + x2 * x2
+    return x * x2 / den if den < math.inf else 1.0 / x
 
 
 def _pdf_unnorm_many(x: np.ndarray) -> np.ndarray:
@@ -133,15 +147,22 @@ def example_target_norm_const() -> float:
 
 def example_target_cdf(x: float) -> float:
     """CDF of the normalized example target at a point."""
-    if not math.isfinite(x):
-        raise ValueError(f"cdf argument must be finite, got {x!r}")
     return float(example_target_cdf_many(np.array([x]))[0])
 
 
 def example_target_cdf_many(xs) -> np.ndarray:
-    """Vectorized CDF of the example target (used by the KS checks)."""
+    """Vectorized CDF of the example target (used by the KS checks).
+
+    Raises unless every element is finite, naming the first bad one by its
+    flat index.
+    """
     knots, cum, nodes, weights = _oracle_table()
     xs = np.asarray(xs, dtype=float)
+    finite = np.isfinite(xs)
+    if not finite.all():
+        i = int(np.argmin(finite))  # the flat index of the first False
+        raise ValueError(f"cdf argument must be finite, got {float(xs.flat[i])!r} "
+                         f"at index {i}")
     lo, hi = _DOMAIN
     clipped = np.clip(xs, lo, hi)
     idx = np.clip(np.searchsorted(knots, clipped, side="right") - 1, 0, knots.size - 2)

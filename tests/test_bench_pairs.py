@@ -48,3 +48,53 @@ def test_summary_is_not_correct_if_a_run_failed_or_gave_no_result():
     _, correct = bench_pairs.summarize([json.loads(_line(0.2))], [json.loads(_line(0.2))],
                                        END_TO_END)
     assert correct
+
+
+def _verdicts(parent_walls, change_walls):
+    parent = [json.loads(_line(w)) for w in parent_walls]
+    change = [json.loads(_line(w)) for w in change_walls]
+    return bench_pairs.verdicts(parent, change, END_TO_END)[0]
+
+
+PARENT = [0.200, 0.204, 0.198, 0.202, 0.206, 0.196, 0.201, 0.203, 0.199, 0.197]
+
+
+def test_verdict_gain_needs_nine_of_ten_pairs_and_a_median_past_the_iqr():
+    faster = [w - 0.02 for w in PARENT]
+    assert _verdicts(PARENT, faster) == "wall_s verdict: gain"
+    # 8 of 10 pairs won: not a gain, and no worse than the bound
+    assert _verdicts(PARENT, faster[:8] + PARENT[8:]) == "wall_s verdict: no regression"
+    # 10 of 10 won by less than the parent's IQR (0.0045)
+    assert _verdicts(PARENT, [w - 0.001 for w in PARENT]) == \
+        "wall_s verdict: no regression"
+
+
+def test_verdict_no_regression_within_the_bound():
+    # 15% slower in every pair, against a bound of 20%
+    assert _verdicts(PARENT, [1.15 * w for w in PARENT]) == "wall_s verdict: no regression"
+
+
+def test_verdict_regression_past_the_bound():
+    assert _verdicts(PARENT, [1.25 * w for w in PARENT]) == "wall_s verdict: regression"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    wide = [0.10, 0.30, 0.12, 0.28, 0.20, 0.15, 0.25, 0.11, 0.29, 0.20]
+    assert _verdicts(wide, [1.3 * w for w in wide]) == "wall_s verdict: unresolved"
+    assert _verdicts(wide, wide) == "wall_s verdict: unresolved"
+    # unless every change run beats every parent run
+    assert _verdicts(wide, [0.05] * 10) == "wall_s verdict: gain"
+    # every run better, but by less than the parent's IQR (0.145)
+    assert _verdicts(wide, [0.095] * 10) == "wall_s verdict: no regression"
+    assert _verdicts(wide, [0.095] * 9 + [0.31]) == "wall_s verdict: unresolved"
+
+
+def test_verdict_follows_the_metric_direction_and_is_printed_per_metric():
+    parent = [json.loads(_line(0.2, accept=a)) for a in (0.50, 0.51, 0.49, 0.50, 0.52)]
+    change = [json.loads(_line(0.2, accept=a)) for a in (0.40, 0.41, 0.39, 0.40, 0.42)]
+    assert bench_pairs.verdicts(parent, change, END_TO_END) == [
+        "wall_s verdict: no regression",  # every pair ties
+        "accept verdict: regression"]     # higher is better; 20% lower, bound 10%
+    assert bench_pairs.verdicts(change, parent, END_TO_END)[1] == "accept verdict: gain"
+    assert bench_pairs.verdicts([None], [None], END_TO_END)[0] == \
+        "wall_s verdict: no pair reports it"

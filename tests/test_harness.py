@@ -208,6 +208,26 @@ def test_figure1_csv_shapes(tmp_path):
     assert int(summ[-1]["checkpoint_iter"]) == 500
 
 
+@pytest.mark.parametrize("mu", [1e80, 1e200, -1e103])
+def test_figure1_at_a_huge_mu_writes_finite_csvs(tmp_path, mu):
+    # x^2 + x^4 overflows at every draw; each value is then 1/x
+    res = figure1(ExperimentConfig("figure1", seed=0, runs=3, iters=200, mu=mu,
+                                   out_dir=tmp_path))
+    for name in ("envelope.csv", "summary.csv"):
+        rows = _read_csv(res.files[name])
+        values = [float(v) for row in rows for k, v in row.items()
+                  if k not in ("run", "checkpoint_iter")]
+        assert values and all(math.isfinite(v) for v in values)
+    assert res.summary.per_run_traces == pytest.approx(1.0 / mu, rel=1e-12)
+
+
+def test_figure1_at_a_huge_negative_mu_from_the_cli(tmp_path):
+    assert cli_main(["figure1", "--mu=-1e103", "--runs", "3", "--iters", "200",
+                     "--out", str(tmp_path)]) == 0
+    rows = _read_csv(tmp_path / "envelope.csv")
+    assert all(math.isfinite(float(row["running_mean"])) for row in rows)
+
+
 @pytest.mark.parametrize("experiment", ["figure1", "figure2", "figure3", "evidence"])
 def test_csvs_roundtrip_full_precision(tmp_path, experiment):
     # only figure3 reads the scale
@@ -382,8 +402,8 @@ def test_figure1_non_finite_value_names_run_and_iteration(tmp_path, capsys,
         return y
 
     monkeypatch.setattr("mcstat.harness.cubic_ratio", nan_at_run2_iter5)
-    msg = r"non-finite value nan at iteration 5 of row 2"
-    with pytest.raises(ValueError, match=msg):
+    msg = r"envelope run 2 \(substream 2\) failed: non-finite value nan at iteration 5$"
+    with pytest.raises(RuntimeError, match=msg):
         figure1(ExperimentConfig("figure1", seed=0, runs=4, iters=200,
                                  out_dir=tmp_path / "lib"))
     calls.clear()

@@ -101,6 +101,14 @@ def test_cdf_monotone_and_vectorized():
     assert np.allclose(cs[::40], scalar, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cdf_rejects_a_non_finite_point_on_both_entry_points(bad):
+    with pytest.raises(ValueError, match=rf"must be finite, got {bad!r} at index 0"):
+        example_target_cdf(bad)
+    with pytest.raises(ValueError, match=rf"must be finite, got {bad!r} at index 2"):
+        example_target_cdf_many([0.0, 1.0, bad, bad])
+
+
 def test_pdf_many_matches_logpdf():
     xs = np.linspace(-6, 6, 121)
     z = example_target_norm_const()
@@ -126,6 +134,37 @@ def test_cubic_ratio_shape():
     assert cubic_ratio(1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
     xs = np.linspace(-5, 5, 51)
     assert np.allclose(cubic_ratio(-xs), -cubic_ratio(xs), rtol=0, atol=0)
+
+
+# Largest float whose 1 + x^2 + x^4 is finite.
+_X4_EDGE = 1.1579208923731618e77
+
+
+@pytest.mark.parametrize("x", [_X4_EDGE, math.nextafter(_X4_EDGE, math.inf), 1e103,
+                               1e200, 1.7e308, math.inf])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_cubic_ratio_past_overflow_is_the_reciprocal(x, sign):
+    x = sign * x
+    x2 = x * x
+    finite = 1.0 + x2 + x2 * x2 < math.inf
+    want = x * x2 / (1.0 + x2 + x2 * x2) if finite else 1.0 / x
+    assert finite == (abs(x) == _X4_EDGE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [cubic_ratio(x), cubic_ratio(np.array([x, 1.0]))[0]]
+    for v in got:
+        # equal bits, so +-inf gives +-0
+        assert np.float64(v).view(np.uint64) == np.float64(want).view(np.uint64)
+        assert v == pytest.approx(1.0 / x, rel=1e-15)
+
+
+def test_cubic_ratio_keeps_nan_and_warns_nowhere():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(cubic_ratio(math.nan))
+        got = cubic_ratio(np.array([math.nan, 0.0, -0.0, 1e77, -1e300]))
+    assert math.isnan(got[0])
+    assert got[1:].tolist() == [0.0, -0.0, cubic_ratio(1e77), cubic_ratio(-1e300)]
 
 
 def test_gaussian_functional_expectation(goldens):
