@@ -23,14 +23,18 @@ per metric:
   than the bound;
 * regression: anything else.
 
-It exits 1 if any run reports `correct: false` or ends without a JSON
-result.
+Its last line of standard output is one JSON record of the same numbers,
+with the host and each tree's commit (schema in the README). It exits 1
+if any run reports `correct: false` or ends without a JSON result.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -54,71 +58,127 @@ def _pairs(parent: list[dict | None], change: list[dict | None],
             if p and c and name in p["metrics"] and name in c["metrics"]]
 
 
+def _metric(parent: list[dict | None], change: list[dict | None],
+            metric: dict) -> dict | None:
+    """Each side's quartiles, the change's wins and the verdict for one
+    end-to-end metric, by the rules in the module docstring; None if no
+    pair reports it. The `bound` is a fraction of the parent's median."""
+    pairs = _pairs(parent, change, metric["name"])
+    if not pairs:
+        return None
+    lower = metric["better"] == "lower"
+    ps, cs = ([pair[side] for pair in pairs] for side in (0, 1))
+    (p1, pm, p3), (c1, cm, c3) = _quartiles(ps), _quartiles(cs)
+    gain = pm - cm if lower else cm - pm
+    wins = sum((c < p) if lower else (c > p) for p, c in pairs)
+    every_run_better = max(cs) < min(ps) if lower else min(cs) > max(ps)
+    bound = metric["bound"] * abs(pm)
+    if 10 * wins >= 9 * len(pairs) and gain > p3 - p1:
+        verdict = "gain"
+    elif p3 - p1 > bound and not every_run_better:
+        verdict = "unresolved"
+    elif -gain <= bound:
+        verdict = "no regression"
+    else:
+        verdict = "regression"
+    return {"parent": {"q1": p1, "median": pm, "q3": p3},
+            "change": {"q1": c1, "median": cm, "q3": c3},
+            "pairs": len(pairs), "wins": wins, "verdict": verdict}
+
+
+def _failures(results: list[dict | None]) -> dict:
+    done = [r for r in results if r]
+    return {"failed": sum(r["failed"] for r in done),
+            "attempted": sum(r["attempted"] for r in done),
+            "not_correct": sum(not r["correct"] for r in done),
+            "without_result": len(results) - len(done)}
+
+
 def summarize(parent: list[dict | None], change: list[dict | None],
               end_to_end: list[dict]) -> tuple[list[str], bool]:
     """Report lines for paired results, and whether every run was correct.
 
     parent[k] and change[k] are pair k's parsed JSON results (None for a run
     that printed none); `end_to_end` is BENCHMARK.json's list of metrics,
-    each with a name, unit and `better` direction. A pair counts towards a
-    metric only if both of its runs report it.
+    each with a name, unit, `better` direction and bound. A pair counts
+    towards a metric only if both of its runs report it.
     """
     lines = []
     for metric in end_to_end:
-        name, lower = metric["name"], metric["better"] == "lower"
-        pairs = _pairs(parent, change, name)
-        if not pairs:
-            lines.append(f"{name}: no pair reports it")
+        m = _metric(parent, change, metric)
+        if m is None:
+            lines.append(f"{metric['name']}: no pair reports it")
             continue
-        p_q, c_q = (_quartiles([pair[side] for pair in pairs]) for side in (0, 1))
-        wins = sum((c < p) if lower else (c > p) for p, c in pairs)
+        p, c = m["parent"], m["change"]
         lines.append(
-            f"{name} ({metric['unit']}, {metric['better']} is better): "
-            f"parent {p_q[1]:.4f} [{p_q[0]:.4f}, {p_q[2]:.4f}]  "
-            f"change {c_q[1]:.4f} [{c_q[0]:.4f}, {c_q[2]:.4f}]  "
-            f"change better in {wins}/{len(pairs)} pairs, "
-            f"median {100.0 * (c_q[1] / p_q[1] - 1.0):+.1f}%, "
-            f"parent IQR {p_q[2] - p_q[0]:.4f}")
+            f"{metric['name']} ({metric['unit']}, {metric['better']} is better): "
+            f"parent {p['median']:.4f} [{p['q1']:.4f}, {p['q3']:.4f}]  "
+            f"change {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}]  "
+            f"change better in {m['wins']}/{m['pairs']} pairs, "
+            f"median {100.0 * (c['median'] / p['median'] - 1.0):+.1f}%, "
+            f"parent IQR {p['q3'] - p['q1']:.4f}")
     correct = True
     for side, results in (("parent", parent), ("change", change)):
-        done = [r for r in results if r]
-        correct &= len(done) == len(results) and all(r["correct"] for r in done)
-        lines.append(f"{side}: {sum(r['failed'] for r in done)} of "
-                     f"{sum(r['attempted'] for r in done)} operations failed, "
-                     f"{sum(not r['correct'] for r in done)} runs not correct, "
-                     f"{len(results) - len(done)} runs without a result")
+        f = _failures(results)
+        correct &= f["not_correct"] == f["without_result"] == 0
+        lines.append(f"{side}: {f['failed']} of {f['attempted']} operations failed, "
+                     f"{f['not_correct']} runs not correct, "
+                     f"{f['without_result']} runs without a result")
     return lines, correct
 
 
 def verdicts(parent: list[dict | None], change: list[dict | None],
              end_to_end: list[dict]) -> list[str]:
     """One verdict line per end-to-end metric, by the rules in the module
-    docstring; each metric's `bound` is a fraction of the parent's median."""
+    docstring."""
     lines = []
     for metric in end_to_end:
-        name, bound = metric["name"], metric["bound"]
-        pairs = _pairs(parent, change, name)
-        if not pairs:
-            lines.append(f"{name} verdict: no pair reports it")
-            continue
-        # Values signed so that lower is better, whichever way the metric goes.
-        sign = 1.0 if metric["better"] == "lower" else -1.0
-        ps, cs = ([sign * pair[side] for pair in pairs] for side in (0, 1))
-        p_q, c_q = _quartiles(ps), _quartiles(cs)
-        gain = p_q[1] - c_q[1]
-        iqr = p_q[2] - p_q[0]
-        wins = sum(c < p for p, c in zip(ps, cs))
-        every_run_better = max(cs) < min(ps)
-        if 10 * wins >= 9 * len(pairs) and gain > iqr:
-            verdict = "gain"
-        elif iqr > bound * abs(p_q[1]) and not every_run_better:
-            verdict = "unresolved"
-        elif -gain <= bound * abs(p_q[1]):
-            verdict = "no regression"
-        else:
-            verdict = "regression"
-        lines.append(f"{name} verdict: {verdict}")
+        m = _metric(parent, change, metric)
+        lines.append(f"{metric['name']} verdict: "
+                     f"{'no pair reports it' if m is None else m['verdict']}")
     return lines
+
+
+def record(workload: str, trees: dict[str, Path], parent: list[dict | None],
+           change: list[dict | None], end_to_end: list[dict]) -> dict:
+    """The JSON record of one workload's pairs (schema in the README): the
+    host, each tree's commit and failures, and every end-to-end metric's
+    quartiles, wins and verdict."""
+    return {
+        "workload": workload,
+        "pairs": len(parent),
+        "host": _host(),
+        "parent": {**_commit(trees["parent"]), **_failures(parent)},
+        "change": {**_commit(trees["change"]), **_failures(change)},
+        "metrics": {m["name"]: _metric(parent, change, m) for m in end_to_end},
+    }
+
+
+def _host() -> dict:
+    cpu = platform.processor() or None
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    libc, libc_version = platform.libc_ver()
+    return {"cpu": cpu, "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
+            "glibc": libc_version if libc == "glibc" else None}
+
+
+def _commit(tree: Path) -> dict:
+    # `git rev-parse HEAD` of the tree (None outside a git checkout), and
+    # whether its working files differ from that commit.
+    def git(*args):
+        out = subprocess.run(["git", "-C", str(tree), *args], capture_output=True,
+                             text=True, check=False)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    return {"commit": head, "dirty": None if head is None else bool(git("status", "--porcelain"))}
 
 
 def _run(tree: Path, workload: str, seed: int) -> dict | None:
@@ -153,6 +213,9 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {args.pairs} pairs at seeds 1-{args.pairs}")
     for line in lines + verdicts(results["parent"], results["change"], end_to_end):
         print(line)
+    trees = {"parent": args.parent, "change": args.change}
+    print(json.dumps(record(args.workload, trees, results["parent"], results["change"],
+                            end_to_end)))
     return 0 if correct else 1
 
 

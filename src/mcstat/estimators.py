@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, _count
 from .targets import ConjugateNormalModel, TargetDensity
 
 __all__ = [
@@ -117,8 +117,7 @@ def mc_estimate(target_sampler: Callable[[RngStream], float],
     Returns the snapshots after every draw: entry t-1 of each field is the
     estimate after t draws. Deterministic given the rng stream.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    T = _count("T", T, 1)
     values: list[float] = []
     for t in range(1, T + 1):
         try:
@@ -181,8 +180,7 @@ def self_normalized_is(target: TargetDensity,
     iteration as mc_estimate does, and so do weights that `ess` rejects
     (NaN from a draw where both densities are zero, +inf, or all zero).
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    T = _count("T", T, 1)
     hs: list[float] = []
     log_ws: list[float] = []
     for t in range(1, T + 1):
@@ -300,6 +298,7 @@ def bridge_log_evidence(post_draws: Sequence[float],
     if theta1.size == 0 or theta2.size == 0:
         raise ValueError("both draw lists must be nonempty")
     n1, n2 = theta1.size, theta2.size
+    max_iter = _count("max_iter", max_iter, 1)
 
     l1 = _eval_log_fn(log_post_unnorm, theta1) - _eval_log_fn(log_prop, theta1)
     l2 = _eval_log_fn(log_post_unnorm, theta2) - _eval_log_fn(log_prop, theta2)
@@ -348,10 +347,17 @@ def chib_log_evidence(model: ConjugateNormalModel,
     draws = np.asarray(posterior_draws, dtype=float)
     if draws.size == 0:
         raise ValueError("posterior draws must be nonempty")
-    m_hat = float(np.mean(draws))
-    v_hat = float(np.var(draws, ddof=1)) if draws.size > 1 else 0.0
-    if v_hat <= 0.0:
-        raise ValueError("posterior draws have zero sample variance")
+    bad = np.flatnonzero(~np.isfinite(draws))
+    if bad.size:
+        raise ValueError(f"non-finite posterior draw {float(draws.flat[bad[0]])!r} "
+                         f"at index {bad[0]}")
+    # Finite draws can still overflow the variance; that raises below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_hat = float(np.mean(draws))
+        v_hat = float(np.var(draws, ddof=1)) if draws.size > 1 else 0.0
+    if not 0.0 < v_hat < math.inf:
+        raise ValueError(f"posterior draws need a positive finite sample variance, "
+                         f"got {v_hat!r}")
     t_star = m_hat if theta_star is None else float(theta_star)
 
     log_ordinate = (-0.5 * (t_star - m_hat) ** 2 / v_hat

@@ -45,7 +45,7 @@ from .mcmc import (ChainFailure, ChainTrace, RwProposal, calibrate_scale_report,
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.run_gibbs_chain and mcstat.harness.run_mh_chain.
 from .mcmc import run_gibbs_chain, run_mh_chain  # noqa: F401
-from .rng import NormalDist, RngStream, derive_substream, normals, rng_new
+from .rng import NormalDist, RngStream, _count, derive_substream, normals, rng_new
 # Not called here: kept as a module attribute because perfbench's tracer
 # wraps mcstat.harness.sample_normal.
 from .rng import sample_normal  # noqa: F401
@@ -88,10 +88,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 1)."""
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
@@ -114,12 +110,14 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {EXPERIMENTS}")
-        if not (_is_int(self.runs) and self.runs >= 1):
-            raise ConfigError(f"runs must be an integer >= 1, got {self.runs!r}")
-        if not (_is_int(self.iters) and self.iters >= 100):
-            raise ConfigError(f"iters must be an integer >= 100, got {self.iters!r}")
-        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        try:
+            for name, lo, hi in (("runs", 1, None), ("iters", 100, None), ("seed", 0, 2**64)):
+                object.__setattr__(self, name, _count(name, getattr(self, name), lo, hi))
+            if self.burn_in is not None:
+                object.__setattr__(self, "burn_in",
+                                   _count("burn_in", self.burn_in, 0, self.iters))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not (_is_real(self.mu) and math.isfinite(self.mu)):
             raise ConfigError(f"mu must be a finite real, got {self.mu!r}")
         if not (_is_real(self.target_accept) and 0.0 < self.target_accept < 1.0):
@@ -128,9 +126,6 @@ class ExperimentConfig:
             if not (_is_real(self.scale) and 0.0 < self.scale < math.inf):
                 raise ConfigError(
                     f"scale must be a positive finite real or 'auto', got {self.scale!r}")
-        if self.burn_in is not None:
-            if not (_is_int(self.burn_in) and 0 <= self.burn_in < self.iters):
-                raise ConfigError(f"burn_in must be an integer in [0, iters), got {self.burn_in!r}")
 
     def effective_burn_in(self) -> int:
         return self.iters // 10 if self.burn_in is None else self.burn_in
@@ -138,8 +133,7 @@ class ExperimentConfig:
 
 def checkpoints(iters: int) -> list[int]:
     """Geometric checkpoint grid: 10, then ratio sqrt(2), ending at iters."""
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    iters = _count("iters", iters, 1)
     if iters <= 10:
         return [iters]
     pts: list[int] = []
@@ -197,8 +191,7 @@ def run_envelope(make_trace: Callable[[RngStream, Sequence[int]], Sequence[float
     `make_trace(rng, cps)` must return the running-mean value at each
     checkpoint in cps; replication k receives substream k of `seed`.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    runs = _count("runs", runs, 1)
     cps = checkpoints(iters)
 
     def trace(rng: RngStream) -> np.ndarray:

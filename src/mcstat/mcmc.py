@@ -36,14 +36,13 @@ loops, which beat numpy's per-call overhead at K = 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .rng import (_BLOCK, _MIN_TAIL_MASS, _SQRT2, RngStream, _libm, _norm_ppf_lower,
-                  _norm_ppf_many_unchecked, norm_ppf_many)
+from .rng import (_BLOCK, _MIN_TAIL_MASS, _SQRT2, RngStream, _count, _libm,
+                  _norm_ppf_lower, _norm_ppf_many_unchecked, norm_ppf_many)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.mcmc.sample_normal and mcstat.mcmc.sample_truncated_normal.
 from .rng import sample_normal, sample_truncated_normal  # noqa: F401
@@ -88,8 +87,8 @@ class ChainTrace:
         if self.accepted is not None and self.accepted.shape != self.states.shape:
             raise ValueError(f"accepted has shape {self.accepted.shape}, "
                              f"states {self.states.shape}")
-        if not 0 <= self.burn_in <= self.states.shape[-1]:
-            raise ValueError(f"burn_in {self.burn_in} outside [0, {self.states.shape[-1]}]")
+        object.__setattr__(self, "burn_in", _count("burn_in", self.burn_in, 0,
+                                                   self.states.shape[-1] + 1))
 
     @property
     def acceptance_rate(self) -> float:
@@ -143,7 +142,7 @@ def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
     lead states retained() drops. Pass a freshly constructed (sub)stream:
     seed_info only replays the chain if no draws preceded it.
     """
-    _check_lengths(iters, burn_in)
+    iters, burn_in = _check_lengths(iters, burn_in)
     states = np.empty(iters)
     accepted = np.empty(iters, dtype=bool)
     x = float(init)
@@ -180,7 +179,7 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
     TargetDensity.logpdf_many). A row whose draws fail raises ChainFailure.
     """
     _check_streams(rngs)
-    _check_lengths(iters, burn_in)
+    iters, burn_in = _check_lengths(iters, burn_in)
     lfx = np.full(len(rngs), _init_logpdf(target, init))
     x = np.full(len(rngs), float(init))
     states = np.empty((len(rngs), iters))
@@ -223,11 +222,9 @@ def _check_streams(rngs: Sequence[RngStream]) -> None:
         raise ValueError("a lockstep kernel needs at least one stream, got none")
 
 
-def _check_lengths(iters: int, burn_in: int) -> None:
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    if iters <= burn_in:
-        raise ValueError(f"iters ({iters}) must exceed burn_in ({burn_in})")
+def _check_lengths(iters: int, burn_in: int) -> tuple[int, int]:
+    burn_in = _count("burn_in", burn_in)
+    return _count("iters", iters, burn_in + 1), burn_in
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +268,8 @@ def calibrate_scale_report(target: TargetDensity, target_accept: float,
     """
     if not 0.0 < target_accept < 1.0:
         raise ValueError(f"target_accept must be in (0, 1), got {target_accept!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     log_scale = 0.0
     x = float(init)
@@ -400,7 +399,7 @@ def run_gibbs_chain(init: float, iters: int, burn_in: int,
 
     Step t is slice_gibbs_step on open floats 2t and 2t+1 of the stream.
     """
-    _check_lengths(iters, burn_in)
+    iters, burn_in = _check_lengths(iters, burn_in)
     states = np.empty(iters)
     x = _finite_state(init)
     for start in range(0, iters, _BLOCK):
@@ -423,7 +422,7 @@ def run_gibbs_chains(init: float, iters: int, burn_in: int,
     its first failing check, with the error run_gibbs_chain raises there.
     """
     _check_streams(rngs)
-    _check_lengths(iters, burn_in)
+    iters, burn_in = _check_lengths(iters, burn_in)
     x = np.full(len(rngs), _finite_state(init))
     states = np.empty((len(rngs), iters))
     floats = np.empty((2 * _BLOCK, len(rngs)))  # (draw, row): one contiguous row per draw
@@ -480,8 +479,7 @@ def batch_means_se(values, n_batches: int = 50) -> float:
     a (K, T) block of chains raises rather than being batched as one
     sequence. A non-finite value raises, naming its index.
     """
-    if not isinstance(n_batches, numbers.Integral) or n_batches < 2:
-        raise ValueError(f"n_batches must be an integer >= 2, got {n_batches!r}")
+    n_batches = _count("n_batches", n_batches, 2)
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"values must be one chain of shape (T,), got shape {v.shape}")

@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .rng import _count
+
 __all__ = ["QuadratureResult", "QuadratureError", "quadrature_integrate",
            "gauss_legendre_integrate"]
 
@@ -41,6 +43,7 @@ def quadrature_integrate(fn: Callable[[float], float], lo: float, hi: float,
         raise ValueError(f"integration bounds must be finite, got [{lo}, {hi}]")
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
+    max_evals = _count("max_evals", max_evals, 1)
     if lo == hi:
         return QuadratureResult(0.0, 0.0, 1)
     sign = 1.0
@@ -95,8 +98,8 @@ def gauss_legendre_integrate(fn: Callable[[float], float], lo: float, hi: float,
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"integration bounds must be finite, got [{lo}, {hi}]")
-    if panels < 1 or order < 2:
-        raise ValueError("need at least one panel and order >= 2")
+    panels = _count("panels", panels, 1)
+    order = _count("order", order, 2)
     edges = np.linspace(lo, hi, panels + 1)
     value = _gl_fixed(fn, edges, order)
     check = _gl_fixed(fn, edges, order // 2)

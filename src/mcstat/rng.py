@@ -28,6 +28,11 @@ transcendental (log, erfc, exp) comes from the C library one element at a
 time through `_libm`, which takes any shape: numpy's own log and exp differ
 from libm in the last ulp on a few percent of inputs, which would break the
 bit-for-bit contract.
+
+Counts.  Every count, index and seed in mcstat (seed, stream_id, substream
+index, draw count, T, runs, iters, burn-in) is checked by `_count`: any
+integer type is accepted, numpy's included, and a bool, a float or a value
+out of range raises ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -80,34 +85,22 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _u64(name: str, v) -> int:
-    """`v` as a Python int in [0, 2^64). Any integer type is accepted through
-    operator.index, so numpy integers give the same stream as plain ints;
-    bools and non-integers raise ValueError."""
+def _count(name: str, v, lo: int = 0, hi: int | None = None) -> int:
+    """`v` as a Python int in [lo, hi), or >= lo when hi is None (Counts in
+    the module docstring). Through operator.index, numpy integers act as
+    plain ints."""
     try:
         i = operator.index(v)
     except TypeError:
-        i = -1
-    if isinstance(v, bool) or not 0 <= i < 1 << 64:
-        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
-    return i
-
-
-def _block_length(n) -> int:
-    # A draw count as a Python int >= 0, through operator.index as in _u64.
-    try:
-        i = operator.index(n)
-    except TypeError:
         i = None
-    if i is None or isinstance(n, bool):
-        raise ValueError(f"block length must be an integer, got {n!r}")
-    if i < 0:
-        raise ValueError(f"block length must be >= 0, got {i}")
+    if i is None or isinstance(v, bool) or i < lo or (hi is not None and i >= hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise ValueError(f"{name} must be an integer {bounds}, got {v!r}")
     return i
 
 
 class RngStream:
-    """PCG32 stream identified by (seed, stream_id).
+    """PCG32 stream identified by (seed, stream_id), integers in [0, 2^64).
 
     The same (seed, stream_id) pair always reproduces the same output
     sequence.  Streams are single-owner: never share one across concurrent
@@ -117,10 +110,8 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_state", "_inc")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        seed = _u64("seed", seed)
-        stream_id = _u64("stream_id", stream_id)
-        self.seed = seed
-        self.stream_id = stream_id
+        self.seed = seed = _count("seed", seed, 0, 1 << 64)
+        self.stream_id = stream_id = _count("stream_id", stream_id, 0, 1 << 64)
         # Fold the full 64 bits of stream_id into the initial state as well:
         # the PCG increment only keeps 63 of them.
         self._inc = ((stream_id << 1) | 1) & _MASK64
@@ -155,7 +146,7 @@ class RngStream:
     def floats_open(self, n: int) -> np.ndarray:
         """n open uniforms as a float64 array, equal bit for bit to n calls
         of next_float_open(); the stream advances by the same 2n words."""
-        n = _block_length(n)
+        n = _count("n", n)
         out = np.empty(n)
         powers, sums = _jump_table()
         shifts = sums * np.uint64(self._inc)
@@ -189,7 +180,7 @@ class RngStream:
         obj = cls.__new__(cls)
         obj._state = int.from_bytes(raw[:8], "little")
         obj._inc = inc
-        obj.seed = _u64("seed", seed)
+        obj.seed = _count("seed", seed, 0, 1 << 64)
         obj.stream_id = inc >> 1
         return obj
 
@@ -237,7 +228,7 @@ def derive_substream(parent: RngStream, k: int) -> RngStream:
     draws the parent has already produced, so substreams can be derived
     before, during, or after consuming the parent.
     """
-    k = _u64("substream index", k)
+    k = _count("k", k, 0, 1 << 64)
     mixed = _splitmix64((parent.stream_id * 0x9E3779B97F4A7C15 + k + 1) & _MASK64)
     return RngStream(parent.seed, stream_id=mixed)
 

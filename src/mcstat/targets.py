@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quadrature import QuadratureResult, quadrature_integrate
-from .rng import _libm
+from .rng import _count, _libm
 
 __all__ = [
     "TargetDensity",
@@ -183,8 +183,7 @@ def example_target_pdf_many(xs) -> np.ndarray:
 
 def example_target_moment(p: int, tol: float = 1e-12) -> float:
     """E[X^p] under the normalized example target, by adaptive quadrature."""
-    if p < 0 or p != int(p):
-        raise ValueError(f"moment order must be a nonnegative integer, got {p!r}")
+    p = _count("p", p)
     lo, hi = _DOMAIN
     num = quadrature_integrate(lambda x: x**p * _example_pdf_unnorm(x), lo, hi, tol=tol)
     return num.value / example_target_norm_const()

@@ -4,7 +4,10 @@ import importlib.util
 import json
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
@@ -98,3 +101,47 @@ def test_verdict_follows_the_metric_direction_and_is_printed_per_metric():
     assert bench_pairs.verdicts(change, parent, END_TO_END)[1] == "accept verdict: gain"
     assert bench_pairs.verdicts([None], [None], END_TO_END)[0] == \
         "wall_s verdict: no pair reports it"
+
+
+VERDICTS = {"gain", "unresolved", "no regression", "regression"}
+
+
+def _check_record(rec, metric_names):
+    # The JSON record's schema, as the README's scripts paragraph states it.
+    assert set(rec) == {"workload", "pairs", "host", "parent", "change", "metrics"}
+    assert set(rec["host"]) == {"cpu", "nproc", "python", "numpy", "glibc"}
+    for side in ("parent", "change"):
+        assert set(rec[side]) == {"commit", "dirty", "failed", "attempted",
+                                  "not_correct", "without_result"}
+    assert set(rec["metrics"]) == set(metric_names)
+    for m in rec["metrics"].values():
+        assert set(m) == {"parent", "change", "pairs", "wins", "verdict"}
+        assert set(m["parent"]) == set(m["change"]) == {"q1", "median", "q3"}
+        assert 0 <= m["wins"] <= m["pairs"] <= rec["pairs"]
+        assert m["verdict"] in VERDICTS
+
+
+def test_record_holds_the_host_commits_failures_and_each_metric(tmp_path):
+    parent = [json.loads(_line(w)) for w in PARENT]
+    change = [json.loads(_line(w - 0.02, failed=1)) for w in PARENT]
+    rec = bench_pairs.record("demo", {"parent": tmp_path, "change": tmp_path},
+                             parent, change, END_TO_END)
+    _check_record(json.loads(json.dumps(rec)), ["wall_s", "accept"])
+    assert rec["parent"]["commit"] is None  # not a git checkout
+    assert (rec["change"]["failed"], rec["change"]["attempted"]) == (10, 120)
+    assert rec["host"]["nproc"] >= 1
+    wall = rec["metrics"]["wall_s"]
+    assert (wall["wins"], wall["pairs"], wall["verdict"]) == (10, 10, "gain")
+    assert wall["parent"]["median"] == pytest.approx(0.2005)
+
+
+def test_every_committed_bench_file_has_the_record_schema():
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        records = json.loads(path.read_text())
+        assert isinstance(records, list) and records, path.name
+        for rec in records:
+            _check_record(rec, names)
+            assert all(rec["metrics"].values()), path.name

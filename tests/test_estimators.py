@@ -1,6 +1,7 @@
 """Running moments, importance sampling, and the three evidence estimators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -559,6 +560,20 @@ def test_chib_rejects_non_finite_theta_star(theta_star):
     draws = gen.normal(pm, math.sqrt(pv), size=100)
     with pytest.raises(ValueError, match="theta_star must be finite"):
         chib_log_evidence(model, data, draws, theta_star=theta_star)
+
+
+@pytest.mark.parametrize("draws, message", [
+    ([0.1, math.nan, 0.3], "non-finite posterior draw nan at index 1"),
+    ([0.1, 0.2, -math.inf], "non-finite posterior draw -inf at index 2"),
+    ([1e200, -1e200, 0.3], "sample variance, got inf"),
+    ([1e308] * 3 + [-1e308] * 6, "sample variance, got nan"),
+])
+def test_chib_rejects_non_finite_draws_and_variance_without_warning(draws, message):
+    model = ConjugateNormalModel(0.0, 1.0, 1.0, "m")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            chib_log_evidence(model, [0.5], draws)
 
 
 # ---------------------------------------------------------------------------

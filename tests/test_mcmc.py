@@ -271,6 +271,15 @@ def test_calibrate_failure_carries_best_attempt():
     assert 0.0 <= err.measured_rate <= 1.0
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -0.05])
+def test_calibrate_rejects_a_bad_tol_before_any_draw(tol):
+    rng = rng_new(7)
+    before = rng.state_bytes()
+    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
+        calibrate_scale_report(EXAMPLE, 0.5, 0.0, rng, tol=tol)
+    assert rng.state_bytes() == before
+
+
 @pytest.mark.parametrize("target_accept, scale, rate", [
     (0.5, 1.116912815552888, 0.50765),
     (0.25, 2.769425465572066, 0.2523),
@@ -557,7 +566,7 @@ def test_lockstep_failure_names_the_row_with_the_scalar_error():
 
 
 def test_lockstep_kernels_reject_what_the_scalar_runners_reject():
-    with pytest.raises(ValueError, match="exceed burn_in"):
+    with pytest.raises(ValueError, match="iters must be an integer >= 101, got 100"):
         run_gibbs_chains(0.0, 100, 100, _substreams(0, 2))
     with pytest.raises(ValueError, match="finite"):
         run_gibbs_chains(math.inf, 100, 0, _substreams(0, 2))
