@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import RngStream, _count
+from .rng import RngStream, _count, _finite, _real
 from .targets import ConjugateNormalModel, TargetDensity
 
 __all__ = [
@@ -75,22 +75,18 @@ def running_moments(values, cps: Sequence[int]) -> RunningEstimate:
 
     `values` has shape (T,), or (K, T) for K sequences in lockstep; the
     result's mean and m2 have shape values.shape[:-1] + (len(cps),). `cps`
-    must be strictly increasing positive counts. After one value m2 is
-    exactly +0.0 (0.0 plus a product that may be -0.0), so se is 0 there.
+    must be strictly increasing counts >= 1. After one value m2 is exactly
+    +0.0 (0.0 plus a product that may be -0.0), so se is 0 there.
     Values past the last checkpoint are not read; a non-finite value before
-    it raises, naming its 1-based iteration and, for 2-D input, its row.
+    it raises, naming its index (t, or (row, t) for 2-D input).
     """
+    cps = [_count("cps", c, 1) for c in cps]
     v = np.asarray(values, dtype=float)
-    last = cps[-1] if len(cps) else 0
+    last = cps[-1] if cps else 0
     if v.ndim not in (1, 2) or v.shape[-1] < last:
         raise ValueError(f"values of shape {v.shape} are not (T,) or (K, T), or are "
                          f"shorter than the final checkpoint {last}")
-    block = v[..., :last]
-    bad = np.argwhere(~np.isfinite(block))
-    if len(bad):
-        *row, t = bad[0]
-        raise ValueError(f"non-finite value {float(block[tuple(bad[0])])!r} at iteration "
-                         f"{t + 1}" + (f" of row {row[0]}" if row else ""))
+    block = _finite("values", v[..., :last])
     means, m2s = np.empty((2, len(cps)) + v.shape[:-1])  # row j: checkpoint j
     # The same step on a float (1-D input, as Python floats) or a column.
     mean = m2 = 0.0
@@ -241,11 +237,9 @@ def harmonic_mean_log_evidence(log_liks_at_posterior_draws: Sequence[float]) -> 
     No truncation of small likelihoods is applied; the resulting
     cross-replication spread is the diagnostic of interest.
     """
-    ll = np.asarray(log_liks_at_posterior_draws, dtype=float)
+    ll = _finite("log_liks_at_posterior_draws", log_liks_at_posterior_draws)
     if ll.size == 0:
         raise ValueError("log likelihood list must be nonempty")
-    if not np.all(np.isfinite(ll)):
-        raise ValueError("log likelihoods must be finite")
     m, w, eff = _shifted_weights(-ll)
     log_ev = -(float(m + np.log(np.sum(w))) - math.log(ll.size))
     diag = {
@@ -298,6 +292,7 @@ def bridge_log_evidence(post_draws: Sequence[float],
     if theta1.size == 0 or theta2.size == 0:
         raise ValueError("both draw lists must be nonempty")
     n1, n2 = theta1.size, theta2.size
+    tol = _real("tol", tol, 0.0)
     max_iter = _count("max_iter", max_iter, 1)
 
     l1 = _eval_log_fn(log_post_unnorm, theta1) - _eval_log_fn(log_prop, theta1)
@@ -342,15 +337,11 @@ def chib_log_evidence(model: ConjugateNormalModel,
     mean and variance; t* defaults to the sample mean, where the ordinate
     estimate has the least variance (the identity holds at any point).
     """
-    if theta_star is not None and not math.isfinite(theta_star):
-        raise ValueError(f"theta_star must be finite, got {theta_star!r}")
-    draws = np.asarray(posterior_draws, dtype=float)
+    if theta_star is not None:
+        theta_star = _real("theta_star", theta_star)
+    draws = _finite("posterior_draws", posterior_draws)
     if draws.size == 0:
         raise ValueError("posterior draws must be nonempty")
-    bad = np.flatnonzero(~np.isfinite(draws))
-    if bad.size:
-        raise ValueError(f"non-finite posterior draw {float(draws.flat[bad[0]])!r} "
-                         f"at index {bad[0]}")
     # Finite draws can still overflow the variance; that raises below.
     with np.errstate(over="ignore", invalid="ignore"):
         m_hat = float(np.mean(draws))
@@ -358,7 +349,7 @@ def chib_log_evidence(model: ConjugateNormalModel,
     if not 0.0 < v_hat < math.inf:
         raise ValueError(f"posterior draws need a positive finite sample variance, "
                          f"got {v_hat!r}")
-    t_star = m_hat if theta_star is None else float(theta_star)
+    t_star = m_hat if theta_star is None else theta_star
 
     log_ordinate = (-0.5 * (t_star - m_hat) ** 2 / v_hat
                     - 0.5 * math.log(2.0 * math.pi * v_hat))

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -45,7 +44,8 @@ from .mcmc import (ChainFailure, ChainTrace, RwProposal, calibrate_scale_report,
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.run_gibbs_chain and mcstat.harness.run_mh_chain.
 from .mcmc import run_gibbs_chain, run_mh_chain  # noqa: F401
-from .rng import NormalDist, RngStream, _count, derive_substream, normals, rng_new
+from .rng import (NormalDist, RngStream, _count, _finite, _real, derive_substream, normals,
+                  rng_new)
 # Not called here: kept as a module attribute because perfbench's tracer
 # wraps mcstat.harness.sample_normal.
 from .rng import sample_normal  # noqa: F401
@@ -88,10 +88,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 1)."""
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment's settings; a bad value raises ConfigError when built."""
@@ -116,16 +112,13 @@ class ExperimentConfig:
             if self.burn_in is not None:
                 object.__setattr__(self, "burn_in",
                                    _count("burn_in", self.burn_in, 0, self.iters))
+            object.__setattr__(self, "mu", _real("mu", self.mu))
+            object.__setattr__(self, "target_accept",
+                               _real("target_accept", self.target_accept, 0.0, 1.0))
+            if self.scale != "auto":
+                object.__setattr__(self, "scale", _real("scale", self.scale, 0.0))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not (_is_real(self.mu) and math.isfinite(self.mu)):
-            raise ConfigError(f"mu must be a finite real, got {self.mu!r}")
-        if not (_is_real(self.target_accept) and 0.0 < self.target_accept < 1.0):
-            raise ConfigError(f"target_accept must be in (0, 1), got {self.target_accept!r}")
-        if self.scale != "auto":
-            if not (_is_real(self.scale) and 0.0 < self.scale < math.inf):
-                raise ConfigError(
-                    f"scale must be a positive finite real or 'auto', got {self.scale!r}")
 
     def effective_burn_in(self) -> int:
         return self.iters // 10 if self.burn_in is None else self.burn_in
@@ -326,19 +319,14 @@ def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSumma
 def _iid_values(rng: RngStream, iters: int, mu: float) -> np.ndarray:
     """One figure1 run: x^3/(1+x^2+x^4) at `iters` draws x ~ N(mu, 1).
 
-    A non-finite value raises, naming its 1-based iteration.
+    A non-finite value raises, naming its index.
     """
-    values = cubic_ratio(normals(rng, iters, mu, 1.0))
-    finite = np.isfinite(values)
-    if not finite.all():
-        t = int(np.argmin(finite))
-        raise ValueError(f"non-finite value {float(values[t])!r} at iteration {t + 1}")
-    return values
+    return _finite("values", cubic_ratio(normals(rng, iters, mu, 1.0)))
 
 
 def figure1(config: ExperimentConfig) -> ExperimentResult:
     """iid Monte Carlo envelope for E[X^3/(1+X^2+X^4)], X ~ N(mu, 1)."""
-    mu = float(config.mu)
+    mu = config.mu
     reference = gaussian_functional_expectation(mu)
     cps = checkpoints(config.iters)
     runs = _replicate("envelope run", config.seed, config.runs,
@@ -411,7 +399,7 @@ def figure3(config: ExperimentConfig) -> ExperimentResult:
                     calibration_rate=report.measured_rate,
                     calibration_windows=report.windows_used)
     else:
-        scale = float(config.scale)
+        scale = config.scale
         info["scale_source"] = "fixed"
     info["scale"] = scale
 

@@ -41,8 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import (_BLOCK, _MIN_TAIL_MASS, _SQRT2, RngStream, _count, _libm,
-                  _norm_ppf_lower, _norm_ppf_many_unchecked, norm_ppf_many)
+from .rng import (_BLOCK, _MIN_TAIL_MASS, _SQRT2, RngStream, _count, _finite, _libm,
+                  _norm_ppf_lower, _norm_ppf_many_unchecked, _real, norm_ppf_many)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.mcmc.sample_normal and mcstat.mcmc.sample_truncated_normal.
 from .rng import sample_normal, sample_truncated_normal  # noqa: F401
@@ -109,8 +109,7 @@ class RwProposal:
     scale: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.scale < math.inf:
-            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        object.__setattr__(self, "scale", _real("scale", self.scale, 0.0))
 
 
 class ChainFailure(ValueError):
@@ -266,10 +265,8 @@ def calibrate_scale_report(target: TargetDensity, target_accept: float,
     scale is then frozen and validated on a _CAL_VALIDATION_STEPS run; a
     miss beyond `tol` raises CalibrationError carrying the attempt.
     """
-    if not 0.0 < target_accept < 1.0:
-        raise ValueError(f"target_accept must be in (0, 1), got {target_accept!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    target_accept = _real("target_accept", target_accept, 0.0, 1.0)
+    tol = _real("tol", tol, 0.0)
 
     log_scale = 0.0
     x = float(init)
@@ -375,13 +372,6 @@ def _raise_unless_rows(ok, message, *values):
         raise ChainFailure(row, ValueError(message.format(*(float(v[row]) for v in values))))
 
 
-def _finite_state(x) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"state must be finite, got {x!r}")
-    return x
-
-
 def slice_gibbs_step(x: float, rng: RngStream) -> float:
     """One slice/Gibbs update: u | x uniform on the slice, then x | u.
 
@@ -389,7 +379,7 @@ def slice_gibbs_step(x: float, rng: RngStream) -> float:
     truncation bound b always exceeds |x|; x | u is N(0, 1) truncated to
     [-b, b] by inversion. Reads two floats through rng.next_float_open().
     """
-    x = _finite_state(x)
+    x = _real("x", x)
     return _slice_step(x, rng.next_float_open(), rng.next_float_open())
 
 
@@ -401,7 +391,7 @@ def run_gibbs_chain(init: float, iters: int, burn_in: int,
     """
     iters, burn_in = _check_lengths(iters, burn_in)
     states = np.empty(iters)
-    x = _finite_state(init)
+    x = _real("init", init)
     for start in range(0, iters, _BLOCK):
         stop = min(start + _BLOCK, iters)
         floats = rng.floats_open(2 * (stop - start)).tolist()
@@ -423,7 +413,7 @@ def run_gibbs_chains(init: float, iters: int, burn_in: int,
     """
     _check_streams(rngs)
     iters, burn_in = _check_lengths(iters, burn_in)
-    x = np.full(len(rngs), _finite_state(init))
+    x = np.full(len(rngs), _real("init", init))
     states = np.empty((len(rngs), iters))
     floats = np.empty((2 * _BLOCK, len(rngs)))  # (draw, row): one contiguous row per draw
     # x^4 of a large state is inf, silently, as in run_gibbs_chain's floats.
@@ -480,14 +470,11 @@ def batch_means_se(values, n_batches: int = 50) -> float:
     sequence. A non-finite value raises, naming its index.
     """
     n_batches = _count("n_batches", n_batches, 2)
-    v = np.asarray(values, dtype=float)
+    v = _finite("values", values)
     if v.ndim != 1:
         raise ValueError(f"values must be one chain of shape (T,), got shape {v.shape}")
     if v.size < 4:
         raise ValueError("need at least 4 values for batch means")
-    bad = np.flatnonzero(~np.isfinite(v))
-    if len(bad):
-        raise ValueError(f"non-finite value {float(v.flat[bad[0]])!r} at index {bad[0]}")
     n_batches = min(n_batches, v.size // 2)
     m = v.size // n_batches
     batches = v[:n_batches * m].reshape(n_batches, m).mean(axis=1)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import _count
+from .rng import _count, _real
 
 __all__ = ["QuadratureResult", "QuadratureError", "quadrature_integrate",
            "gauss_legendre_integrate"]
@@ -39,13 +39,10 @@ def quadrature_integrate(fn: Callable[[float], float], lo: float, hi: float,
     its share of tol.  Raises QuadratureError instead of returning a silently
     bad value when the evaluation budget runs out.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"integration bounds must be finite, got [{lo}, {hi}]")
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    lo, hi, tol = _real("lo", lo), _real("hi", hi), _real("tol", tol, 0.0)
     max_evals = _count("max_evals", max_evals, 1)
     if lo == hi:
-        return QuadratureResult(0.0, 0.0, 1)
+        return QuadratureResult(0.0, 0.0, 0)
     sign = 1.0
     if lo > hi:
         lo, hi, sign = hi, lo, -1.0
@@ -96,14 +93,14 @@ def gauss_legendre_integrate(fn: Callable[[float], float], lo: float, hi: float,
     2*(order//2)-1; for smooth integrands it is a conservative bound. A
     non-finite integrand value raises, naming its x.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"integration bounds must be finite, got [{lo}, {hi}]")
+    lo, hi = _real("lo", lo), _real("hi", hi)
     panels = _count("panels", panels, 1)
     order = _count("order", order, 2)
     edges = np.linspace(lo, hi, panels + 1)
     value = _gl_fixed(fn, edges, order)
     check = _gl_fixed(fn, edges, order // 2)
-    return QuadratureResult(value, abs(value - check), panels * (order + order // 2))
+    return QuadratureResult(float(value), float(abs(value - check)),
+                            panels * (order + order // 2))
 
 
 def _gl_fixed(fn: Callable[[float], float], edges: np.ndarray, order: int) -> float:

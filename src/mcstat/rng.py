@@ -29,16 +29,25 @@ time through `_libm`, which takes any shape: numpy's own log and exp differ
 from libm in the last ulp on a few percent of inputs, which would break the
 bit-for-bit contract.
 
-Counts.  Every count, index and seed in mcstat (seed, stream_id, substream
-index, draw count, T, runs, iters, burn-in) is checked by `_count`: any
-integer type is accepted, numpy's included, and a bool, a float or a value
-out of range raises ValueError naming the argument.
+Counts, reals and arrays.  Every count, index and seed (seed, stream_id,
+substream index, draw count, T, runs, iters, burn-in) is checked by
+`_count`, every real argument (mean, sd, scale, df, tol, bound, initial
+state, target_accept) by `_real`, and every array that must be finite
+(data, draws, log likelihoods, running values, CDF points) by `_finite`.
+Any integer or real type is accepted, numpy's included; a real is stored as
+the Python float it equals, so a float32 argument runs float64 arithmetic.
+A bool, a string, NaN or a value out of range raises ValueError naming the
+argument, and a non-finite array element names its index.  Checks made per
+draw or per evaluation stay inline, where a helper call would cost as much
+as the draw: `sample_normal`, `sample_truncated_normal`, `norm_ppf`,
+`slice_truncation_bound`, mcmc's slice steps and quadrature's integrand.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -86,9 +95,9 @@ def _splitmix64(z: int) -> int:
 
 
 def _count(name: str, v, lo: int = 0, hi: int | None = None) -> int:
-    """`v` as a Python int in [lo, hi), or >= lo when hi is None (Counts in
-    the module docstring). Through operator.index, numpy integers act as
-    plain ints."""
+    """`v` as a Python int in [lo, hi), or >= lo when hi is None (see the
+    module docstring). Through operator.index, numpy integers act as plain
+    ints."""
     try:
         i = operator.index(v)
     except TypeError:
@@ -97,6 +106,30 @@ def _count(name: str, v, lo: int = 0, hi: int | None = None) -> int:
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
         raise ValueError(f"{name} must be an integer {bounds}, got {v!r}")
     return i
+
+
+def _real(name: str, v, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """`v` as a Python float in the open interval (lo, hi) (see the module
+    docstring). numpy reals act as the float they equal."""
+    try:
+        x = float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.nan
+    if not lo < x < hi:
+        raise ValueError(f"{name} must be a real in ({lo:g}, {hi:g}), got {v!r}")
+    return x
+
+
+def _finite(name: str, a) -> np.ndarray:
+    """`a` as a float array; its first NaN or +-inf raises, naming its index
+    (an int for 1-D input, a tuple such as (row, t) for more dimensions)."""
+    a = np.asarray(a, dtype=float)
+    ok = np.isfinite(a)
+    if not ok.all():
+        i = np.unravel_index(int(np.argmin(ok)), a.shape)
+        i = int(i[0]) if a.ndim == 1 else tuple(map(int, i))
+        raise ValueError(f"{name} must be finite, got {float(a[i])!r} at index {i}")
+    return a
 
 
 class RngStream:
@@ -397,8 +430,7 @@ def sample_normal(rng: RngStream, mean: float, sd: float) -> float:
 def normals(rng: RngStream, n: int, mean: float, sd: float) -> np.ndarray:
     """n draws from N(mean, sd^2) as an array, equal bit for bit to n calls
     of sample_normal(rng, mean, sd) and leaving the stream where they would."""
-    if not 0.0 < sd < math.inf:
-        raise ValueError(f"normal sd must be positive and finite, got {sd!r}")
+    sd = _real("sd", sd, 0.0)
     # Inverted in slices of at most _PPF_SLICE floats so the quantile's
     # temporaries stay bounded. The floats lie in (0, 1), so they skip
     # norm_ppf_many's check.
@@ -477,10 +509,8 @@ def _std_gamma(rng: RngStream, shape: float) -> float:
 
 def sample_student_t(rng: RngStream, df: float, loc: float, scale: float) -> float:
     """One draw from loc + scale * t(df), as normal over sqrt(chi2/df)."""
-    if not 0.0 < df < math.inf:
-        raise ValueError(f"student-t df must be positive and finite, got {df!r}")
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"student-t scale must be positive and finite, got {scale!r}")
+    df = _real("df", df, 0.0)
+    scale = _real("scale", scale, 0.0)
     z = norm_ppf(rng.next_float_open())
     chi2 = 2.0 * _std_gamma(rng, 0.5 * df)
     return loc + scale * z / math.sqrt(chi2 / df)
@@ -496,10 +526,8 @@ class NormalDist:
     sd: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise ValueError(f"normal mean must be finite, got {self.mean!r}")
-        if not 0.0 < self.sd < math.inf:
-            raise ValueError(f"normal sd must be positive and finite, got {self.sd!r}")
+        object.__setattr__(self, "mean", _real("mean", self.mean))
+        object.__setattr__(self, "sd", _real("sd", self.sd, 0.0))
 
     def sample(self, rng: RngStream) -> float:
         return sample_normal(rng, self.mean, self.sd)
@@ -515,13 +543,8 @@ class StudentTDist:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.df < math.inf:
-            raise ValueError(f"student-t df must be positive and finite, got {self.df!r}")
-        if not math.isfinite(self.loc):
-            raise ValueError(f"student-t loc must be finite, got {self.loc!r}")
-        if not 0.0 < self.scale < math.inf:
-            raise ValueError(
-                f"student-t scale must be positive and finite, got {self.scale!r}")
+        for name, lo in (("df", 0.0), ("loc", -math.inf), ("scale", 0.0)):
+            object.__setattr__(self, name, _real(name, getattr(self, name), lo))
 
     def sample(self, rng: RngStream) -> float:
         return sample_student_t(rng, self.df, self.loc, self.scale)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quadrature import QuadratureResult, quadrature_integrate
-from .rng import _count, _libm
+from .rng import _count, _finite, _libm, _real
 
 __all__ = [
     "TargetDensity",
@@ -154,15 +154,10 @@ def example_target_cdf_many(xs) -> np.ndarray:
     """Vectorized CDF of the example target (used by the KS checks).
 
     Raises unless every element is finite, naming the first bad one by its
-    flat index.
+    index.
     """
     knots, cum, nodes, weights = _oracle_table()
-    xs = np.asarray(xs, dtype=float)
-    finite = np.isfinite(xs)
-    if not finite.all():
-        i = int(np.argmin(finite))  # the flat index of the first False
-        raise ValueError(f"cdf argument must be finite, got {float(xs.flat[i])!r} "
-                         f"at index {i}")
+    xs = _finite("xs", xs)
     lo, hi = _DOMAIN
     clipped = np.clip(xs, lo, hi)
     idx = np.clip(np.searchsorted(knots, clipped, side="right") - 1, 0, knots.size - 2)
@@ -195,8 +190,7 @@ def gaussian_functional_expectation(mu: float, tol: float = 1e-12) -> float:
     The integrand is bounded (|h| < 0.39), so truncating the Gaussian at
     12 standard deviations leaves error below 1e-30.
     """
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu!r}")
+    mu = _real("mu", mu)
 
     def integrand(x: float) -> float:
         return cubic_ratio(x) * math.exp(-0.5 * (x - mu) ** 2) / math.sqrt(2.0 * math.pi)
@@ -218,10 +212,8 @@ class ConjugateNormalModel:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if not self.prior_var > 0.0:
-            raise ValueError(f"prior_var must be positive, got {self.prior_var!r}")
-        if not self.obs_var > 0.0:
-            raise ValueError(f"obs_var must be positive, got {self.obs_var!r}")
+        for name, lo in (("prior_mean", -math.inf), ("prior_var", 0.0), ("obs_var", 0.0)):
+            object.__setattr__(self, name, _real(name, getattr(self, name), lo))
 
     def log_prior(self, theta):
         """Log prior density; accepts scalars or numpy arrays."""
@@ -250,11 +242,9 @@ def _suff_stats(data: Sequence[float]) -> tuple[int, float, float]:
 def _suff_stats_of(shape: tuple[int, ...], raw: bytes) -> tuple[int, float, float]:
     # Keyed on the data's shape and bytes; a raising call is not cached, so
     # every call on bad data raises.
-    arr = np.frombuffer(raw).reshape(shape)
+    arr = _finite("data", np.frombuffer(raw).reshape(shape))
     if arr.size == 0:
         raise ValueError("data must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("data contains non-finite values")
     return int(arr.size), float(arr.sum()), float(np.dot(arr, arr))
 
 

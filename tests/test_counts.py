@@ -12,7 +12,8 @@ import pickle
 import numpy as np
 import pytest
 
-from mcstat.estimators import bridge_log_evidence, mc_estimate, self_normalized_is
+from mcstat.estimators import (bridge_log_evidence, mc_estimate, running_moments,
+                               self_normalized_is)
 from mcstat.harness import ConfigError, ExperimentConfig, checkpoints, run_envelope
 from mcstat.mcmc import (ChainTrace, RwProposal, batch_means_se, run_gibbs_chain,
                          run_gibbs_chains, run_mh_chain, run_mh_chains)
@@ -111,3 +112,9 @@ def test_every_count_is_checked_by_name_and_numpy_integers_act_as_ints(
         with pytest.raises(error, match=f"^{name} must be an integer "):
             call(bad)
     assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
+
+
+@pytest.mark.parametrize("cps", [[True, 20], [10.0, 20]])
+def test_running_moments_checks_each_checkpoint_as_a_count(cps):
+    with pytest.raises(ValueError, match=rf"^cps must be an integer >= 1, got {cps[0]!r}$"):
+        running_moments(np.arange(20.0), cps)

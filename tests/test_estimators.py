@@ -87,7 +87,7 @@ def test_running_moments_checkpoint_bounds():
     with pytest.raises(ValueError, match="shorter"):
         running_moments([1.0, 2.0], [1, 3])
     for cps in ([2, 2], [3, 1], [0, 2]):
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="strictly increasing|^cps must be an integer >= 1"):
             running_moments([1.0, 2.0, 3.0], cps)
     est = running_moments([1.0], [])
     assert est.count.shape == est.mean.shape == est.m2.shape == (0,)
@@ -105,14 +105,14 @@ def test_single_observation_has_zero_se():
 
 
 def test_non_finite_update_reports_iteration():
-    with pytest.raises(ValueError, match="iteration 4$"):
+    with pytest.raises(ValueError, match="^values must be finite, got nan at index 3$"):
         running_moments([1.0, 2.0, 3.0, math.nan], [4])
-    with pytest.raises(ValueError, match="iteration 4$"):
+    with pytest.raises(ValueError, match="^values must be finite, got inf at index 3$"):
         running_moments([1.0, 2.0, 3.0, math.inf], [4])
     block = np.ones((4, 6))
     block[2, 4] = math.nan
     block[3, 1] = math.inf
-    with pytest.raises(ValueError, match="iteration 5 of row 2$"):
+    with pytest.raises(ValueError, match=r"^values must be finite, got nan at index \(2, 4\)$"):
         running_moments(block, [6])
 
 
@@ -558,13 +558,13 @@ def test_chib_rejects_degenerate_draws():
 def test_chib_rejects_non_finite_theta_star(theta_star):
     model, data, pm, pv, gen = _conjugate_setup(18)
     draws = gen.normal(pm, math.sqrt(pv), size=100)
-    with pytest.raises(ValueError, match="theta_star must be finite"):
+    with pytest.raises(ValueError, match=r"^theta_star must be a real in \(-inf, inf\)"):
         chib_log_evidence(model, data, draws, theta_star=theta_star)
 
 
 @pytest.mark.parametrize("draws, message", [
-    ([0.1, math.nan, 0.3], "non-finite posterior draw nan at index 1"),
-    ([0.1, 0.2, -math.inf], "non-finite posterior draw -inf at index 2"),
+    ([0.1, math.nan, 0.3], "posterior_draws must be finite, got nan at index 1"),
+    ([0.1, 0.2, -math.inf], "posterior_draws must be finite, got -inf at index 2"),
     ([1e200, -1e200, 0.3], "sample variance, got inf"),
     ([1e308] * 3 + [-1e308] * 6, "sample variance, got nan"),
 ])

@@ -402,7 +402,7 @@ def test_figure1_non_finite_value_names_run_and_iteration(tmp_path, capsys,
         return y
 
     monkeypatch.setattr("mcstat.harness.cubic_ratio", nan_at_run2_iter5)
-    msg = r"envelope run 2 \(substream 2\) failed: non-finite value nan at iteration 5$"
+    msg = r"envelope run 2 \(substream 2\) failed: values must be finite, got nan at index 4$"
     with pytest.raises(RuntimeError, match=msg):
         figure1(ExperimentConfig("figure1", seed=0, runs=4, iters=200,
                                  out_dir=tmp_path / "lib"))

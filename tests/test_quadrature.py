@@ -100,6 +100,7 @@ def test_gauss_legendre_polynomial_exactness():
                 for k, c in enumerate(coeffs))
     res = gauss_legendre_integrate(poly, -1.0, 2.0, panels=1, order=20)
     assert res.value == pytest.approx(truth, rel=1e-13)
+    assert type(res.value) is float and type(res.abs_error_estimate) is float
 
 
 def test_rules_agree_on_smooth_integrand():
@@ -132,3 +133,15 @@ def test_result_reports_evaluation_count():
     res = quadrature_integrate(counted, 0.0, 1.0)
     assert isinstance(res, QuadratureResult)
     assert res.evaluations == calls
+
+
+def test_empty_interval_reports_zero_evaluations():
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return math.cos(x)
+
+    res = quadrature_integrate(counted, 0.5, 0.5)
+    assert (res.value, res.evaluations, calls) == (0.0, 0, 0)
