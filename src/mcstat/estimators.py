@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import RngStream, _count, _finite, _real
+from .rng import RngStream, _count, _every, _finite, _real
 from .targets import ConjugateNormalModel, TargetDensity
 
 __all__ = [
@@ -132,8 +132,7 @@ def _shifted_weights(log_weights) -> tuple[float, np.ndarray, float]:
     lw = np.asarray(log_weights, dtype=float)
     if lw.size == 0:
         raise ValueError("log_weights must be nonempty")
-    if np.any(np.isnan(lw)) or np.any(lw == math.inf):
-        raise ValueError("log_weights must be < +inf and not NaN")
+    _every("log_weights", lw, lw < math.inf, "< +inf and not NaN")
     m = float(np.max(lw))
     if m == -math.inf:
         raise ValueError("all weights are zero")
@@ -257,10 +256,7 @@ def _eval_log_fn(fn, xs: np.ndarray) -> np.ndarray:
     if out.shape != xs.shape:
         raise ValueError(f"log density returned shape {out.shape} for draws of "
                          f"shape {xs.shape}; pass a vectorized log density")
-    bad = np.flatnonzero(out == math.inf)  # a log density may be -inf, never +inf
-    if bad.size:
-        raise ValueError(f"log density is +inf at draw {bad[0]} "
-                         f"(theta = {float(xs.flat[bad[0]])!r})")
+    _every("log density", out, out != math.inf, "< +inf")  # -inf is allowed
     return out
 
 
@@ -273,7 +269,8 @@ def bridge_log_evidence(post_draws: Sequence[float],
     """Iterative optimal-bridge estimate of log integral exp(log_post_unnorm).
 
     Both densities must be vectorized log densities: called once with the
-    array of draws, they return an array of the same shape.
+    array of draws, they return an array of the same shape. A +inf log
+    density or a NaN log ratio raises, naming the index of its first draw.
 
     Meng-Wong fixed point on the log ratio lam = log evidence, with
     s1 = n1/(n1+n2), s2 = n2/(n1+n2):
@@ -297,8 +294,8 @@ def bridge_log_evidence(post_draws: Sequence[float],
 
     l1 = _eval_log_fn(log_post_unnorm, theta1) - _eval_log_fn(log_prop, theta1)
     l2 = _eval_log_fn(log_post_unnorm, theta2) - _eval_log_fn(log_prop, theta2)
-    if np.any(np.isnan(l1)) or np.any(np.isnan(l2)):
-        raise ValueError("log density ratio is NaN at some draw")
+    for name, ratio in (("post_draws", l1), ("prop_draws", l2)):
+        _every(f"log density ratio at {name}", ratio, ~np.isnan(ratio), "a number")
 
     log_s1 = math.log(n1 / (n1 + n2))
     log_s2 = math.log(n2 / (n1 + n2))

@@ -27,10 +27,10 @@ same arithmetic on arrays, with every transcendental taken from the C
 library one element at a time (rng._libm). As the MH runners have one
 loop on floats and one on rows, the slice/Gibbs update has one step on
 floats (_slice_step) and one on (K,) rows (_slice_rows); the two share only
-the slice bound and rng's normal quantile. A row whose step fails raises
-ChainFailure with the row's index and the float step's message. Single
-chains (calibration, run_mh_chain, run_gibbs_chain) keep their scalar
-loops, which beat numpy's per-call overhead at K = 1.
+the slice bound, rng's normal quantile and rng's failure texts. A row whose
+step fails raises ChainFailure with the row's index and the float step's
+message. Single chains (calibration, run_mh_chain, run_gibbs_chain) keep
+their scalar loops, which beat numpy's per-call overhead at K = 1.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import (_BLOCK, _MIN_TAIL_MASS, _SQRT2, RngStream, _count, _finite, _libm,
-                  _norm_ppf_lower, _norm_ppf_many_unchecked, _real, norm_ppf_many)
+from .rng import (_BLOCK, _DEAD_INTERVAL, _MIN_TAIL_MASS, _P_RANGE, _SQRT2, RngStream, _count,
+                  _finite, _libm, _norm_ppf_lower, _norm_ppf_many_unchecked, _real,
+                  norm_ppf_many)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.mcmc.sample_normal and mcstat.mcmc.sample_truncated_normal.
 from .rng import sample_normal, sample_truncated_normal  # noqa: F401
@@ -144,8 +145,7 @@ def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
     iters, burn_in = _check_lengths(iters, burn_in)
     states = np.empty(iters)
     accepted = np.empty(iters, dtype=bool)
-    x = float(init)
-    lfx = _init_logpdf(target, init)
+    x, lfx = _mh_start(target, init)
     logpdf = target.logpdf
     scale = prop.scale
     for start in range(0, iters, _BLOCK):
@@ -179,8 +179,7 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
     """
     _check_streams(rngs)
     iters, burn_in = _check_lengths(iters, burn_in)
-    lfx = np.full(len(rngs), _init_logpdf(target, init))
-    x = np.full(len(rngs), float(init))
+    x, lfx = (np.full(len(rngs), v) for v in _mh_start(target, init))
     states = np.empty((len(rngs), iters))
     accepted = np.empty((len(rngs), iters), dtype=bool)
     zs = np.empty((_BLOCK, len(rngs)))  # (step, row): one contiguous row per step
@@ -209,11 +208,13 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
     return ChainTrace(states, accepted, burn_in, tuple((r.seed, r.stream_id) for r in rngs))
 
 
-def _init_logpdf(target: TargetDensity, init: float) -> float:
-    lfx = target.logpdf(float(init))
+def _mh_start(target: TargetDensity, init: float) -> tuple[float, float]:
+    # (x, log f(x)) for an MH chain's initial state.
+    x = _real("init", init)
+    lfx = target.logpdf(x)
     if not math.isfinite(lfx):
-        raise ValueError(f"init {init!r} has zero target density")
-    return lfx
+        raise ValueError(f"init {x!r} has zero target density")
+    return x, lfx
 
 
 def _check_streams(rngs: Sequence[RngStream]) -> None:
@@ -267,9 +268,10 @@ def calibrate_scale_report(target: TargetDensity, target_accept: float,
     """
     target_accept = _real("target_accept", target_accept, 0.0, 1.0)
     tol = _real("tol", tol, 0.0)
+    init, _ = _mh_start(target, init)
 
     log_scale = 0.0
-    x = float(init)
+    x = init
     tail: list[float] = []
     for k in range(1, _CAL_WINDOWS + 1):
         window = run_mh_chain(target, RwProposal(math.exp(log_scale)), x,
@@ -323,8 +325,6 @@ def _slice_bound(u, sqrt):
 
 
 _U_RANGE = "u must be in (0, 1], got {!r}"
-_DEAD_SLICE = "truncation interval [-{0}, {0}] has probability {1:.3e}, below machine threshold"
-_P_RANGE = "norm_ppf requires 0 < p < 1, got {!r}"
 
 
 def _slice_step(x: float, f_aux: float, f_cdf: float) -> float:
@@ -339,7 +339,7 @@ def _slice_step(x: float, f_aux: float, f_cdf: float) -> float:
     pa = 0.5 * math.erfc(v)  # Phi(-b)
     mass = 0.5 * math.erfc(-v) - pa  # Phi(b) - Phi(-b)
     if not mass > _MIN_TAIL_MASS:
-        raise ValueError(_DEAD_SLICE.format(b, mass))
+        raise ValueError(_DEAD_INTERVAL.format(-b, b, mass))
     p = pa + f_cdf * mass
     if not 0.0 < p < 1.0:
         raise ValueError(_P_RANGE.format(p))
@@ -355,14 +355,15 @@ def _slice_rows(x: np.ndarray, f_aux: np.ndarray, f_cdf: np.ndarray) -> np.ndarr
     u = f_aux / (1.0 + x2 + x2 * x2)
     _raise_unless_rows((u > 0.0) & (u <= 1.0), _U_RANGE, u)
     b = _slice_bound(u, np.sqrt)
+    neg_b = -b
     v = b / _SQRT2
     phi = 0.5 * _libm(math.erfc, np.concatenate((v, -v)))  # Phi(-b), then Phi(b)
     pa = phi[:len(v)]
     mass = phi[len(v):] - pa
-    _raise_unless_rows(mass > _MIN_TAIL_MASS, _DEAD_SLICE, b, mass)
+    _raise_unless_rows(mass > _MIN_TAIL_MASS, _DEAD_INTERVAL, neg_b, b, mass)
     p = pa + f_cdf * mass
     _raise_unless_rows((p > 0.0) & (p < 1.0), _P_RANGE, p)
-    return 0.0 + np.minimum(np.maximum(_norm_ppf_many_unchecked(p), -b), b)
+    return 0.0 + np.minimum(np.maximum(_norm_ppf_many_unchecked(p), neg_b), b)
 
 
 def _raise_unless_rows(ok, message, *values):

@@ -29,18 +29,19 @@ time through `_libm`, which takes any shape: numpy's own log and exp differ
 from libm in the last ulp on a few percent of inputs, which would break the
 bit-for-bit contract.
 
-Counts, reals and arrays.  Every count, index and seed (seed, stream_id,
-substream index, draw count, T, runs, iters, burn-in) is checked by
-`_count`, every real argument (mean, sd, scale, df, tol, bound, initial
-state, target_accept) by `_real`, and every array that must be finite
-(data, draws, log likelihoods, running values, CDF points) by `_finite`.
-Any integer or real type is accepted, numpy's included; a real is stored as
-the Python float it equals, so a float32 argument runs float64 arithmetic.
-A bool, a string, NaN or a value out of range raises ValueError naming the
-argument, and a non-finite array element names its index.  Checks made per
-draw or per evaluation stay inline, where a helper call would cost as much
-as the draw: `sample_normal`, `sample_truncated_normal`, `norm_ppf`,
+Counts, reals and arrays.  Every count, index and seed is checked by
+`_count`, and every real argument (mean, loc, sd, scale, df, tol, bound,
+initial state, target_accept) by `_real`, which returns the Python float it
+equals, so a float32 argument runs float64 arithmetic; a bool, a string, NaN
+or a value out of range raises ValueError naming the argument.  Every array
+check is `_every(name, a, ok, rule)`, raising `<name> must be <rule>, got <v>
+at index <i>` at the first element where `ok` is False: `_finite` (data,
+draws, log likelihoods, running values, CDF points), `norm_ppf_many`, the
+importance weights, and the bridge's log densities and their ratios.  Checks
+made per draw or per evaluation stay inline, where a helper call would cost
+as much as the draw: `sample_normal`, `sample_truncated_normal`, `norm_ppf`,
 `slice_truncation_bound`, mcmc's slice steps and quadrature's integrand.
+Their dead-interval and quantile-domain texts are written once, here.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Smallest truncation-interval probability we are willing to invert through.
 _MIN_TAIL_MASS = 1e-300
+# The per-draw failure texts, formatted here and by mcmc's slice steps.
+_DEAD_INTERVAL = "truncation interval [{}, {}] has probability {:.3e}, below machine threshold"
+_P_RANGE = "p must be in (0, 1), got {!r}"
 
 # Most open floats one block computes at once (two PCG words each).
 _BLOCK = 1024
@@ -120,15 +124,20 @@ def _real(name: str, v, lo: float = -math.inf, hi: float = math.inf) -> float:
     return x
 
 
-def _finite(name: str, a) -> np.ndarray:
-    """`a` as a float array; its first NaN or +-inf raises, naming its index
-    (an int for 1-D input, a tuple such as (row, t) for more dimensions)."""
-    a = np.asarray(a, dtype=float)
-    ok = np.isfinite(a)
+def _every(name: str, a: np.ndarray, ok: np.ndarray, rule: str) -> None:
+    """Raise `<name> must be <rule>, got <v> at index <i>` at the first
+    element of `a` where `ok` is False; i is an int for 1-D input and a
+    tuple such as (row, t) for more dimensions."""
     if not ok.all():
         i = np.unravel_index(int(np.argmin(ok)), a.shape)
         i = int(i[0]) if a.ndim == 1 else tuple(map(int, i))
-        raise ValueError(f"{name} must be finite, got {float(a[i])!r} at index {i}")
+        raise ValueError(f"{name} must be {rule}, got {float(a[i])!r} at index {i}")
+
+
+def _finite(name: str, a) -> np.ndarray:
+    """`a` as a float array; its first NaN or +-inf raises (see _every)."""
+    a = np.asarray(a, dtype=float)
+    _every(name, a, np.isfinite(a), "finite")
     return a
 
 
@@ -268,8 +277,9 @@ def derive_substream(parent: RngStream, k: int) -> RngStream:
 
 def sample_uniform(rng: RngStream, lo: float, hi: float) -> float:
     """One draw from U[lo, hi)."""
-    if not math.isfinite(hi - lo):  # also rules out infinite and NaN bounds
-        raise ValueError(f"uniform bounds and width must be finite, got [{lo}, {hi})")
+    lo, hi = _real("lo", lo), _real("hi", hi)
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"uniform width must be finite, got [{lo}, {hi})")
     if not lo < hi:
         raise ValueError(f"uniform interval must satisfy lo < hi, got [{lo}, {hi})")
     v = lo + rng.next_float() * (hi - lo)
@@ -337,7 +347,7 @@ def norm_ppf(p: float) -> float:
     lower-tail refinement is free of cancellation.
     """
     if not 0.0 < p < 1.0:
-        raise ValueError(f"norm_ppf requires 0 < p < 1, got {p!r}")
+        raise ValueError(_P_RANGE.format(p))
     if p > 0.5:
         return -_norm_ppf_lower(1.0 - p)
     return _norm_ppf_lower(p)
@@ -371,11 +381,10 @@ def _libm(fn, a: np.ndarray) -> np.ndarray:
 def norm_ppf_many(p) -> np.ndarray:
     """norm_ppf of every element of `p`, equal bit for bit to the scalar.
 
-    Takes any shape. Raises unless every element lies in (0, 1).
+    Takes any shape. The first element outside (0, 1) raises (see _every).
     """
     p = np.asarray(p, dtype=float)
-    if not np.all((p > 0.0) & (p < 1.0)):
-        raise ValueError("norm_ppf_many requires 0 < p < 1 for every element")
+    _every("p", p, (p > 0.0) & (p < 1.0), "in (0, 1)")
     return _norm_ppf_many_unchecked(p)
 
 
@@ -430,7 +439,7 @@ def sample_normal(rng: RngStream, mean: float, sd: float) -> float:
 def normals(rng: RngStream, n: int, mean: float, sd: float) -> np.ndarray:
     """n draws from N(mean, sd^2) as an array, equal bit for bit to n calls
     of sample_normal(rng, mean, sd) and leaving the stream where they would."""
-    sd = _real("sd", sd, 0.0)
+    mean, sd = _real("mean", mean), _real("sd", sd, 0.0)
     # Inverted in slices of at most _PPF_SLICE floats so the quantile's
     # temporaries stay bounded. The floats lie in (0, 1), so they skip
     # norm_ppf_many's check.
@@ -440,27 +449,17 @@ def normals(rng: RngStream, n: int, mean: float, sd: float) -> np.ndarray:
     return mean + sd * z
 
 
-def _std_truncnorm_upper(rng: RngStream, a: float, b: float) -> float:
-    # Both endpoints in the upper half-line: invert on the survival scale,
-    # where erfc keeps far-tail masses representable.
-    qa = norm_sf(a)
-    qb = norm_sf(b)  # 0.0 when b = +inf
-    mass = qa - qb
-    if not mass > _MIN_TAIL_MASS:
-        raise ValueError(
-            f"truncation interval [{a}, {b}] has probability {mass:.3e}, below machine threshold")
-    q = qb + rng.next_float_open() * mass
-    return -norm_ppf(q)
-
-
 def sample_truncated_normal(rng: RngStream, mean: float, sd: float,
                             lo: float, hi: float) -> float:
     """One draw from N(mean, sd^2) restricted to [lo, hi], by inversion.
 
-    Endpoints may be infinite.  Raises if the interval carries no numerically
-    representable probability mass; a call that raises consumes no draw, as
-    its one rng.next_float_open() comes after every check.  `rng` may be
-    any object with next_float_open().
+    Endpoints may be infinite.  The standardized interval [a, b] is inverted
+    on the lower-tail CDF scale, where erfc keeps far-tail masses
+    representable; an interval in the upper half-line (a >= 0) is mirrored
+    to [-b, -a] first and its draw negated.  Raises if the interval carries
+    no numerically representable probability mass; a call that raises
+    consumes no draw, as its one rng.next_float_open() comes after every
+    check.  `rng` may be any object with next_float_open().
     """
     if not 0.0 < sd < math.inf:
         raise ValueError(f"truncated normal sd must be positive and finite, got {sd!r}")
@@ -468,21 +467,14 @@ def sample_truncated_normal(rng: RngStream, mean: float, sd: float,
         raise ValueError(f"truncation interval must satisfy lo < hi, got [{lo}, {hi}]")
     a = (lo - mean) / sd
     b = (hi - mean) / sd
-    if a >= 0.0:
-        z = _std_truncnorm_upper(rng, a, b)
-    elif b <= 0.0:
-        z = -_std_truncnorm_upper(rng, -b, -a)
-    else:
-        pa = norm_cdf(a)  # 0.0 when a = -inf
-        pb = norm_cdf(b)
-        mass = pb - pa
-        if not mass > _MIN_TAIL_MASS:
-            raise ValueError(
-                f"truncation interval [{lo}, {hi}] has probability {mass:.3e}, "
-                "below machine threshold")
-        z = norm_ppf(pa + rng.next_float_open() * mass)
+    mirror = a >= 0.0
+    pa, pb = (norm_cdf(-b), norm_cdf(-a)) if mirror else (norm_cdf(a), norm_cdf(b))
+    mass = pb - pa
+    if not mass > _MIN_TAIL_MASS:
+        raise ValueError(_DEAD_INTERVAL.format(lo, hi, mass))
+    z = norm_ppf(pa + rng.next_float_open() * mass)
     # Inversion error is ~1 ulp; clamp so the range contract is exact.
-    z = min(max(z, a), b)
+    z = min(max(-z if mirror else z, a), b)
     x = mean + sd * z
     return min(max(x, lo), hi)
 
@@ -509,8 +501,7 @@ def _std_gamma(rng: RngStream, shape: float) -> float:
 
 def sample_student_t(rng: RngStream, df: float, loc: float, scale: float) -> float:
     """One draw from loc + scale * t(df), as normal over sqrt(chi2/df)."""
-    df = _real("df", df, 0.0)
-    scale = _real("scale", scale, 0.0)
+    df, loc, scale = _real("df", df, 0.0), _real("loc", loc), _real("scale", scale, 0.0)
     z = norm_ppf(rng.next_float_open())
     chi2 = 2.0 * _std_gamma(rng, 0.5 * df)
     return loc + scale * z / math.sqrt(chi2 / df)

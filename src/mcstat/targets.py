@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quadrature import QuadratureResult, quadrature_integrate
-from .rng import _count, _finite, _libm, _real
+from .rng import _LOG_SQRT_2PI, _SQRT_2PI, _count, _finite, _libm, _real
 
 __all__ = [
     "TargetDensity",
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 _DOMAIN = (-10.0, 10.0)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,7 @@ def gaussian_functional_expectation(mu: float, tol: float = 1e-12) -> float:
     mu = _real("mu", mu)
 
     def integrand(x: float) -> float:
-        return cubic_ratio(x) * math.exp(-0.5 * (x - mu) ** 2) / math.sqrt(2.0 * math.pi)
+        return cubic_ratio(x) * math.exp(-0.5 * (x - mu) ** 2) / _SQRT_2PI
 
     return quadrature_integrate(integrand, mu - 12.0, mu + 12.0, tol=tol).value
 

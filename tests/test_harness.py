@@ -436,7 +436,7 @@ def test_chain_envelope_failure_names_the_run(tmp_path, capsys, monkeypatch):
 
 
 def test_chain_envelope_failure_names_the_run_figure3(tmp_path, capsys, monkeypatch):
-    _assert_run_2_failure_named("figure3", "norm_ppf_many requires 0 < p < 1",
+    _assert_run_2_failure_named("figure3", r"p must be in \(0, 1\), got nan at index 0$",
                                 tmp_path, capsys, monkeypatch)
 
 

@@ -452,7 +452,7 @@ def test_gibbs_chains_match_scalar_runner_bitwise(k, init):
 
 
 # The float step checks u, then the slice's mass, then the quantile's p.
-_SLICE_CHECKS = ("u must", "truncation interval", "norm_ppf requires")
+_SLICE_CHECKS = ("u must", "truncation interval", "p must")
 
 
 def _assert_row_step_matches_float_step(triples):

@@ -24,7 +24,7 @@ from mcstat.mcmc import (RwProposal, calibrate_scale_report, run_gibbs_chain,
                          run_gibbs_chains, run_mh_chain, run_mh_chains, slice_gibbs_step)
 from mcstat.quadrature import gauss_legendre_integrate, quadrature_integrate
 from mcstat.rng import (NormalDist, StudentTDist, derive_substream, normal_logpdf, normals,
-                        rng_new, sample_student_t)
+                        rng_new, sample_student_t, sample_uniform)
 from mcstat.targets import (EXAMPLE_TARGET, ConjugateNormalModel,
                             gaussian_functional_expectation)
 
@@ -47,10 +47,18 @@ def _drawn(rng, value):
 # (name, call with the real and a fresh stream, a good value, a value out of
 # range, error type); a call that draws must use the stream it is given
 CALL_SITES = [
+    pytest.param("mean", lambda v, r: _drawn(r, normals(r, 5, v, 1.0)), 0.1, -math.inf,
+                 ValueError, id="normals-mean"),
     pytest.param("sd", lambda v, r: _drawn(r, normals(r, 5, 0.0, v)), 1.2, 0.0, ValueError,
                  id="normals-sd"),
+    pytest.param("lo", lambda v, r: _drawn(r, sample_uniform(r, v, 2.0)), 0.1, -math.inf,
+                 ValueError, id="sample_uniform-lo"),
+    pytest.param("hi", lambda v, r: _drawn(r, sample_uniform(r, 0.0, v)), 1.2, -math.inf,
+                 ValueError, id="sample_uniform-hi"),
     pytest.param("df", lambda v, r: _drawn(r, sample_student_t(r, v, 0.0, 1.0)), 3.3, 0.0,
                  ValueError, id="sample_student_t-df"),
+    pytest.param("loc", lambda v, r: _drawn(r, sample_student_t(r, 3.0, v, 1.0)), 0.1,
+                 -math.inf, ValueError, id="sample_student_t-loc"),
     pytest.param("scale", lambda v, r: _drawn(r, sample_student_t(r, 3.0, 0.0, v)), 1.2, -1.0,
                  ValueError, id="sample_student_t-scale"),
     pytest.param("mean", lambda v, r: NormalDist(v, 1.0), 0.1, -math.inf, ValueError,
@@ -65,6 +73,15 @@ CALL_SITES = [
                  id="StudentTDist-scale"),
     pytest.param("scale", lambda v, r: RwProposal(v), 1.2, 0.0, ValueError,
                  id="RwProposal-scale"),
+    pytest.param("init", lambda v, r: _drawn(r, run_mh_chain(
+        EXAMPLE_TARGET, RwProposal(1.0), v, 20, 2, r)), 0.3, -math.inf, ValueError,
+                 id="run_mh_chain-init"),
+    pytest.param("init", lambda v, r: _drawn(r, run_mh_chains(
+        EXAMPLE_TARGET, RwProposal(1.0), v, 20, 2, [r])), 0.3, -math.inf, ValueError,
+                 id="run_mh_chains-init"),
+    pytest.param("init", lambda v, r: _drawn(r, calibrate_scale_report(
+        EXAMPLE_TARGET, 0.5, v, r)), 0.3, -math.inf, ValueError,
+                 id="calibrate_scale_report-init"),
     pytest.param("target_accept", lambda v, r: _drawn(r, calibrate_scale_report(
         EXAMPLE_TARGET, v, 0.0, r)), 0.3, 1.0, ValueError,
                  id="calibrate_scale_report-target_accept"),

@@ -443,6 +443,79 @@ def test_truncnorm_rejects_empty_or_dead_interval():
     assert ahead.next_float_open() == 0.25  # no float consumed
 
 
+def _three_branch_truncated_normal(rng, mean, sd, lo, hi):
+    # The reference: an earlier sampler that inverted an upper-half interval
+    # on the survival scale, a lower-half one as its mirror image, and a
+    # straddling one on the CDF scale, each branch with its own mass check.
+    def upper(a, b):
+        qa, qb = norm_sf(a), norm_sf(b)
+        mass = qa - qb
+        if not mass > 1e-300:
+            raise ValueError("dead interval")
+        return -norm_ppf(qb + rng.next_float_open() * mass)
+
+    a = (lo - mean) / sd
+    b = (hi - mean) / sd
+    if a >= 0.0:
+        z = upper(a, b)
+    elif b <= 0.0:
+        z = -upper(-b, -a)
+    else:
+        pa, pb = norm_cdf(a), norm_cdf(b)
+        mass = pb - pa
+        if not mass > 1e-300:
+            raise ValueError("dead interval")
+        z = norm_ppf(pa + rng.next_float_open() * mass)
+    z = min(max(z, a), b)
+    return min(max(mean + sd * z, lo), hi)
+
+
+_TN_ENDPOINTS = [-math.inf, -40.0, -8.5, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.25, 1.0,
+                 8.5, 40.0, math.inf]
+_TN_WIDTHS = [1e-9, 1e-6, 1e-3, 0.5]
+
+
+def _tn_intervals():
+    pairs = [(lo, hi) for lo in _TN_ENDPOINTS for hi in _TN_ENDPOINTS if lo < hi]
+    for e in _TN_ENDPOINTS[1:-1]:
+        pairs += [(e, e + w) for w in _TN_WIDTHS] + [(e - w, e) for w in _TN_WIDTHS]
+    return [pair for pair in pairs if pair[0] < pair[1]]
+
+
+def test_truncnorm_draws_what_the_three_branch_sampler_drew():
+    # Equal bits and equal stream positions on both half-lines and across 0;
+    # a dead interval raises in both and draws nothing.
+    dead = 0
+    for mean, sd in [(0.0, 1.0), (0.5, 2.0), (-3.0, 0.25)]:
+        for k, (lo, hi) in enumerate(_tn_intervals()):
+            new, ref = derive_substream(rng_new(29), k), derive_substream(rng_new(29), k)
+            for _ in range(5):
+                start = new.state_bytes()
+                try:
+                    want = _three_branch_truncated_normal(ref, mean, sd, lo, hi)
+                except ValueError:
+                    with pytest.raises(ValueError, match="below machine threshold"):
+                        sample_truncated_normal(new, mean, sd, lo, hi)
+                    assert new.state_bytes() == ref.state_bytes() == start
+                    dead += 1
+                    break
+                got = sample_truncated_normal(new, mean, sd, lo, hi)
+                assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), \
+                    (mean, sd, lo, hi)
+                assert new.state_bytes() == ref.state_bytes()
+    assert dead  # the table reaches the mass check
+
+
+@pytest.mark.parametrize("lo, hi", [(401.0, 402.0), (-399.0, -398.0)])
+def test_truncnorm_dead_interval_names_the_callers_interval(lo, hi):
+    # both half-lines, at mean 1: the interval named is [lo, hi], not [a, b]
+    r = rng_new(0)
+    with pytest.raises(ValueError, match=rf"^truncation interval \[{lo}, {hi}\] has "
+                                         r"probability .* below machine threshold$"):
+        sample_truncated_normal(r, 1.0, 1.0, lo, hi)
+    assert r.state_bytes() == rng_new(0).state_bytes()
+
+
 @given(mean=st.floats(-5, 5), sd=st.floats(0.1, 3.0),
        offset=st.floats(-6.0, 4.0), width=st.floats(0.5, 6.0),
        seed=st.integers(0, 2**32))
