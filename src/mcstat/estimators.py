@@ -292,8 +292,10 @@ def bridge_log_evidence(post_draws: Sequence[float],
     tol = _real("tol", tol, 0.0)
     max_iter = _count("max_iter", max_iter, 1)
 
-    l1 = _eval_log_fn(log_post_unnorm, theta1) - _eval_log_fn(log_prop, theta1)
-    l2 = _eval_log_fn(log_post_unnorm, theta2) - _eval_log_fn(log_prop, theta2)
+    post1, prop1 = _eval_log_fn(log_post_unnorm, theta1), _eval_log_fn(log_prop, theta1)
+    post2, prop2 = _eval_log_fn(log_post_unnorm, theta2), _eval_log_fn(log_prop, theta2)
+    with np.errstate(invalid="ignore"):  # -inf - -inf: a NaN ratio, named below
+        l1, l2 = post1 - prop1, post2 - prop2
     for name, ratio in (("post_draws", l1), ("prop_draws", l2)):
         _every(f"log density ratio at {name}", ratio, ~np.isnan(ratio), "a number")
 

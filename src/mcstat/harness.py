@@ -14,14 +14,16 @@ Four experiments share one config type:
   synthetic conjugate-normal dataset with analytic ground truth.
 
 Replication k always consumes substream k of the config seed; datasets and
-calibration get reserved substream ids far above any run index. figure1,
-evidence and run_envelope replicate through one loop, `_replicate`, which
-yields each result; the chain figures hand all their substreams to one
-lockstep chain kernel (`run_gibbs_chains`, `run_mh_chains`), which steps
-every run at once. Either way a failure names its replication and
-substream, in the words of `_run_failed`. The envelope figures fill one
-(runs, iters) block and reduce it with one lockstep `running_moments`. An
-ExperimentConfig is checked when built. `_write_csv` writes every CSV float
+calibration get reserved substream ids far above any run index. evidence
+and run_envelope replicate through one loop, `_replicate`, which yields
+each result. figure1 reads every run's uniforms into one block and
+inverts the block in shared slices (`rng._invert_open`). The chain figures
+hand all their substreams to one lockstep chain kernel
+(`run_gibbs_chains`, `run_mh_chains`), which steps every run at once.
+In each case a failure names its replication and substream, in the words
+of `_run_failed`. The envelope figures fill one (runs, iters) block and
+reduce it with one lockstep `running_moments`. An ExperimentConfig is
+checked when built. `_write_csv` writes every CSV float
 cell with 17 significant digits, so outputs are byte-stable and the files
 round-trip to full precision. The keys every info.csv shares
 (experiment, seed, runs, iters) are written in one place, `_write_info`.
@@ -44,8 +46,8 @@ from .mcmc import (ChainFailure, ChainTrace, RwProposal, calibrate_scale_report,
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.run_gibbs_chain and mcstat.harness.run_mh_chain.
 from .mcmc import run_gibbs_chain, run_mh_chain  # noqa: F401
-from .rng import (NormalDist, RngStream, _count, _finite, _real, derive_substream, normals,
-                  rng_new)
+from .rng import (NormalDist, RngStream, _count, _finite, _invert_open, _real,
+                  derive_substream, normals, rng_new)
 # Not called here: kept as a module attribute because perfbench's tracer
 # wraps mcstat.harness.sample_normal.
 from .rng import sample_normal  # noqa: F401
@@ -316,24 +318,28 @@ def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSumma
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _iid_values(rng: RngStream, iters: int, mu: float) -> np.ndarray:
-    """One figure1 run: x^3/(1+x^2+x^4) at `iters` draws x ~ N(mu, 1).
-
-    A non-finite value raises, naming its index.
-    """
-    return _finite("values", cubic_ratio(normals(rng, iters, mu, 1.0)))
-
-
 def figure1(config: ExperimentConfig) -> ExperimentResult:
-    """iid Monte Carlo envelope for E[X^3/(1+X^2+X^4)], X ~ N(mu, 1)."""
+    """iid Monte Carlo envelope for E[X^3/(1+X^2+X^4)], X ~ N(mu, 1).
+
+    Row k of the (runs, iters) block is run k's open floats from substream
+    k; the quantile inverts the whole block in shared slices, and each row
+    becomes x^3/(1+x^2+x^4) at x = mu + z. Row k is then
+    cubic_ratio(normals(substream k, iters, mu, 1.0)) bit for bit, since
+    normals computes mu + 1.0 * z and 1.0 * z is z. A non-finite value
+    raises, naming its run and index.
+    """
     mu = config.mu
     reference = gaussian_functional_expectation(mu)
     cps = checkpoints(config.iters)
-    runs = _replicate("envelope run", config.seed, config.runs,
-                      _iid_values, config.iters, mu)
     values = np.empty((config.runs, config.iters))
-    for row, run in zip(values, runs):
-        row[:] = run
+    for row, rng in zip(values, _substreams(config.seed, config.runs)):
+        row[:] = rng.floats_open(config.iters)
+    _invert_open(values.reshape(-1))
+    for k, row in enumerate(values):
+        try:
+            row[:] = _finite("values", cubic_ratio(mu + row))
+        except Exception as exc:
+            raise _run_failed("envelope run", k, exc) from exc
     est = running_moments(values, cps)
     summary = _summarize(cps, est.mean)
 

@@ -16,8 +16,10 @@ Brown 1994, "Random Number Generation with Arbitrary Strides").  Blocks hold
 at most `_BLOCK` floats, so transient memory does not grow with n; the chain
 runners and the lockstep chain kernels in mcmc read their streams in blocks
 of the same size.  `normals` draws its n floats at once and inverts them in
-slices of at most `_PPF_SLICE`; the evidence experiment draws its whole
-replication with one call.
+slices of at most `_PPF_SLICE`, through `_invert_open`; the evidence
+experiment draws its whole replication with one call.  figure1 reads every
+run's floats into one (runs, iters) block and inverts the whole block with
+`_invert_open`, so its slices are shared across runs.
 
 `norm_ppf_many` is `norm_ppf` over an array of any shape.  The two share the
 rational approximations and the Halley step, written once for floats and
@@ -40,8 +42,10 @@ draws, log likelihoods, running values, CDF points), `norm_ppf_many`, the
 importance weights, and the bridge's log densities and their ratios.  Checks
 made per draw or per evaluation stay inline, where a helper call would cost
 as much as the draw: `sample_normal`, `sample_truncated_normal`, `norm_ppf`,
-`slice_truncation_bound`, mcmc's slice steps and quadrature's integrand.
-Their dead-interval and quantile-domain texts are written once, here.
+`slice_truncation_bound`, mcmc's slice steps and quadrature's integrand;
+the two samplers still take float() of their mean, sd and bounds, so a
+float32 argument runs float64 arithmetic there too.  Their dead-interval
+and quantile-domain texts are written once, here.
 """
 
 from __future__ import annotations
@@ -347,7 +351,8 @@ def norm_ppf(p: float) -> float:
     lower-tail refinement is free of cancellation.
     """
     if not 0.0 < p < 1.0:
-        raise ValueError(_P_RANGE.format(p))
+        # float(p): a numpy float reads as on the array path
+        raise ValueError(_P_RANGE.format(float(p)))
     if p > 0.5:
         return -_norm_ppf_lower(1.0 - p)
     return _norm_ppf_lower(p)
@@ -433,20 +438,27 @@ def sample_normal(rng: RngStream, mean: float, sd: float) -> float:
     """One draw from N(mean, sd^2) by inversion."""
     if not 0.0 < sd < math.inf:
         raise ValueError(f"normal sd must be positive and finite, got {sd!r}")
-    return mean + sd * norm_ppf(rng.next_float_open())
+    # float(): a numpy float32 argument runs float64 arithmetic
+    return float(mean) + float(sd) * norm_ppf(rng.next_float_open())
 
 
 def normals(rng: RngStream, n: int, mean: float, sd: float) -> np.ndarray:
     """n draws from N(mean, sd^2) as an array, equal bit for bit to n calls
     of sample_normal(rng, mean, sd) and leaving the stream where they would."""
     mean, sd = _real("mean", mean), _real("sd", sd, 0.0)
-    # Inverted in slices of at most _PPF_SLICE floats so the quantile's
-    # temporaries stay bounded. The floats lie in (0, 1), so they skip
-    # norm_ppf_many's check.
-    z = rng.floats_open(n)
-    for start in range(0, z.size, _PPF_SLICE):
-        z[start:start + _PPF_SLICE] = _norm_ppf_many_unchecked(z[start:start + _PPF_SLICE])
-    return mean + sd * z
+    return mean + sd * _invert_open(rng.floats_open(n))
+
+
+def _invert_open(u: np.ndarray) -> np.ndarray:
+    """Replace the open floats of the 1-D array `u` by their standard
+    normal quantiles, in place, and return `u`.
+
+    Slices of at most _PPF_SLICE floats keep the quantile's temporaries
+    bounded. Open floats lie in (0, 1), so they skip norm_ppf_many's check.
+    """
+    for start in range(0, u.size, _PPF_SLICE):
+        u[start:start + _PPF_SLICE] = _norm_ppf_many_unchecked(u[start:start + _PPF_SLICE])
+    return u
 
 
 def sample_truncated_normal(rng: RngStream, mean: float, sd: float,
@@ -463,6 +475,8 @@ def sample_truncated_normal(rng: RngStream, mean: float, sd: float,
     """
     if not 0.0 < sd < math.inf:
         raise ValueError(f"truncated normal sd must be positive and finite, got {sd!r}")
+    # float(): a numpy float32 argument runs float64 arithmetic
+    mean, sd, lo, hi = float(mean), float(sd), float(lo), float(hi)
     if not lo < hi:
         raise ValueError(f"truncation interval must satisfy lo < hi, got [{lo}, {hi}]")
     a = (lo - mean) / sd

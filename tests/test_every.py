@@ -38,6 +38,15 @@ def test_the_quantile_reads_one_domain_text_on_every_path():
     assert err.value.row == 1
 
 
+def test_a_numpy_float_reads_as_a_float_on_the_scalar_and_array_paths():
+    with pytest.raises(ValueError, match=_P_TEXT + r"1\.5$"):
+        norm_ppf(np.float64(1.5))
+    with pytest.raises(ValueError, match=_P_TEXT + r"1\.5 at index 0$"):
+        norm_ppf_many([1.5])
+    with pytest.raises(ValueError, match=_P_TEXT + r"1\.5 at index 0$"):
+        norm_ppf_many(np.array([np.float64(1.5)]))
+
+
 def test_ess_names_its_first_bad_weight():
     with pytest.raises(ValueError, match=r"^log_weights must be < \+inf and not NaN, "
                                          r"got nan at index 1$"):
@@ -98,3 +107,18 @@ def test_element_searches_appear_only_in_rng_every_or_its_arguments():
     # the guard sees the searches where they live
     assert {("rng.py", "unravel_index", "body"), ("rng.py", "isfinite", "argument"),
             ("estimators.py", "isnan", "argument")} <= found
+
+
+def test_the_bridge_names_a_draw_where_both_densities_are_zero():
+    # both log densities are -inf at post draw 3; -inf - -inf is a NaN
+    # ratio, named without a RuntimeWarning (the suite raises warnings)
+    post = np.linspace(-1.0, 1.0, 10)
+    prop = np.linspace(-2.0, 2.0, 10)
+
+    def zero_at_post3(f):
+        return lambda th: np.where(th == post[3], -math.inf, f(th))
+
+    with pytest.raises(ValueError, match=r"^log density ratio at post_draws must be a "
+                                         r"number, got nan at index 3$"):
+        bridge_log_evidence(post, prop, zero_at_post3(lambda th: -0.5 * th * th),
+                            zero_at_post3(lambda th: -th * th / 8.0))

@@ -18,7 +18,7 @@ import pytest
 from mcstat.cli import _OPTIONS
 from mcstat.cli import main as cli_main
 from mcstat.estimators import (bridge_log_evidence, chib_log_evidence,
-                               harmonic_mean_log_evidence)
+                               harmonic_mean_log_evidence, running_moments)
 from mcstat.harness import (
     ConfigError,
     ExperimentConfig,
@@ -226,6 +226,27 @@ def test_figure1_at_a_huge_negative_mu_from_the_cli(tmp_path):
                      "--out", str(tmp_path)]) == 0
     rows = _read_csv(tmp_path / "envelope.csv")
     assert all(math.isfinite(float(row["running_mean"])) for row in rows)
+
+
+# 5 x 1500: slice boundaries of the shared inversion (every 4096 floats)
+# fall inside runs 2 and 4; 2 x 5000: each run spans two slices.
+@pytest.mark.parametrize("runs, iters", [(5, 1500), (2, 5000)])
+@pytest.mark.parametrize("mu", [0.0, 2.5])
+def test_figure1_block_rows_are_the_per_run_draws(tmp_path, monkeypatch, runs, iters, mu):
+    blocks = []
+
+    def keep_block(values, cps):
+        blocks.append(values.copy())
+        return running_moments(values, cps)
+
+    monkeypatch.setattr("mcstat.harness.running_moments", keep_block)
+    figure1(ExperimentConfig("figure1", seed=7, runs=runs, iters=iters, mu=mu,
+                             out_dir=tmp_path))
+    [block] = blocks
+    assert block.shape == (runs, iters)
+    for k, row in enumerate(block):
+        want = cubic_ratio(normals(derive_substream(rng_new(7), k), iters, mu, 1.0))
+        assert row.tobytes() == want.tobytes(), k
 
 
 @pytest.mark.parametrize("experiment", ["figure1", "figure2", "figure3", "evidence"])

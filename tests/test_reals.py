@@ -24,7 +24,8 @@ from mcstat.mcmc import (RwProposal, calibrate_scale_report, run_gibbs_chain,
                          run_gibbs_chains, run_mh_chain, run_mh_chains, slice_gibbs_step)
 from mcstat.quadrature import gauss_legendre_integrate, quadrature_integrate
 from mcstat.rng import (NormalDist, StudentTDist, derive_substream, normal_logpdf, normals,
-                        rng_new, sample_student_t, sample_uniform)
+                        rng_new, sample_normal, sample_student_t, sample_truncated_normal,
+                        sample_uniform)
 from mcstat.targets import (EXAMPLE_TARGET, ConjugateNormalModel,
                             gaussian_functional_expectation)
 
@@ -152,6 +153,27 @@ def test_float32_mean_gives_a_float64_logpdf():
     got = NormalDist(np.float32(0.1), 1.0).logpdf(0.3)
     assert type(got) is float
     assert got == normal_logpdf(0.3, float(np.float32(0.1)), 1.0) == -0.9389385329066494
+
+
+# The per-draw samplers check inline (no _real call per draw) and still run
+# float64 arithmetic on a numpy real: (sampler, its real arguments, position).
+_PER_DRAW = [pytest.param(sampler, args, i, id=f"{sampler.__name__}-{name}")
+             for sampler, args in ((sample_normal, (0.5, 1.3)),
+                                   (sample_truncated_normal, (0.5, 1.3, -1.0, 3.0)))
+             for i, name in enumerate(("mean", "sd", "lo", "hi")[:len(args)])]
+
+
+@pytest.mark.parametrize("sampler, args, position", _PER_DRAW)
+def test_per_draw_samplers_run_float64_arithmetic_on_numpy_reals(sampler, args, position):
+    want = sampler(rng_new(SEED), *args)
+    assert type(want) is float
+    for numpy_real in (np.float32, np.float64):
+        given = list(args)
+        given[position] = numpy_real(given[position])
+        got = sampler(rng_new(SEED), *given)
+        assert type(got) is float
+        assert pickle.dumps(got) == pickle.dumps(sampler(rng_new(SEED), *map(float, given)))
+    assert pickle.dumps(got) == pickle.dumps(want)  # a float64 draws what its float draws
 
 
 def test_float32_target_accept_is_written_as_the_value_the_run_used(tmp_path):
