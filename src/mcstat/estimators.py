@@ -12,7 +12,11 @@ result type: the harmonic mean of likelihoods, the iterative optimal-bridge
 estimator of Meng and Wong, and Chib's posterior-ordinate identity with a
 normal parametric fit. The harmonic mean is implemented without any
 variance-stabilizing truncation on purpose: its instability is a quantity
-the experiment harness measures, not a defect to hide.
+the experiment harness measures, not a defect to hide. The bridge's fixed
+point is one loop over rows of log ratios, `_bridge_rows`:
+bridge_log_evidence runs it on one row, and the evidence experiment on a
+group of replications in lockstep, each row stopping at its own iteration.
+Each estimator takes its draws or log values as one-dimensional arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .mcmc import ChainFailure, _raise_unless_rows
 from .rng import RngStream, _count, _every, _finite, _real
 from .targets import ConjugateNormalModel, TargetDensity
 
@@ -42,12 +47,23 @@ __all__ = [
 _BOOTSTRAP_RESAMPLES = 200
 
 
-def _logsumexp(arr: np.ndarray) -> float:
-    arr = np.asarray(arr, dtype=float)
-    m = np.max(arr)
-    if not math.isfinite(m):
-        return float(m)  # all -inf -> -inf; +inf or NaN propagates
-    return float(m + np.log(np.sum(np.exp(arr - m))))
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    # m + log(sum(exp(row - m))) for each row of the 2-D `a`, m the row's
+    # max; a row whose m is not finite gives m (all -inf -> -inf; +inf or
+    # NaN propagates).
+    m = a.max(axis=1)
+    finite = np.abs(m) < math.inf
+    if not finite.all():
+        m[finite] = _logsumexp_rows(a[finite])
+        return m
+    return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
+
+
+def _one_dim(name: str, a: np.ndarray) -> np.ndarray:
+    # `a` itself, unless it has more than one dimension
+    if a.ndim > 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {a.shape}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -129,7 +145,7 @@ def mc_estimate(target_sampler: Callable[[RngStream], float],
 
 def _shifted_weights(log_weights) -> tuple[float, np.ndarray, float]:
     """(m, exp(lw - m), ESS) for m = max(lw): the weights exponentiated once."""
-    lw = np.asarray(log_weights, dtype=float)
+    lw = _one_dim("log_weights", np.asarray(log_weights, dtype=float))
     if lw.size == 0:
         raise ValueError("log_weights must be nonempty")
     _every("log_weights", lw, lw < math.inf, "< +inf and not NaN")
@@ -236,7 +252,8 @@ def harmonic_mean_log_evidence(log_liks_at_posterior_draws: Sequence[float]) -> 
     No truncation of small likelihoods is applied; the resulting
     cross-replication spread is the diagnostic of interest.
     """
-    ll = _finite("log_liks_at_posterior_draws", log_liks_at_posterior_draws)
+    ll = _one_dim("log_liks_at_posterior_draws",
+                  _finite("log_liks_at_posterior_draws", log_liks_at_posterior_draws))
     if ll.size == 0:
         raise ValueError("log likelihood list must be nonempty")
     m, w, eff = _shifted_weights(-ll)
@@ -284,11 +301,10 @@ def bridge_log_evidence(post_draws: Sequence[float],
     draws; stops when successive lam differ by < tol or max_iter is hit,
     with the convergence flag set accordingly.
     """
-    theta1 = np.asarray(post_draws, dtype=float)
-    theta2 = np.asarray(prop_draws, dtype=float)
+    theta1 = _one_dim("post_draws", np.asarray(post_draws, dtype=float))
+    theta2 = _one_dim("prop_draws", np.asarray(prop_draws, dtype=float))
     if theta1.size == 0 or theta2.size == 0:
         raise ValueError("both draw lists must be nonempty")
-    n1, n2 = theta1.size, theta2.size
     tol = _real("tol", tol, 0.0)
     max_iter = _count("max_iter", max_iter, 1)
 
@@ -298,32 +314,52 @@ def bridge_log_evidence(post_draws: Sequence[float],
         l1, l2 = post1 - prop1, post2 - prop2
     for name, ratio in (("post_draws", l1), ("prop_draws", l2)):
         _every(f"log density ratio at {name}", ratio, ~np.isnan(ratio), "a number")
+    try:
+        return _bridge_rows(l1.reshape(1, -1), l2.reshape(1, -1), tol, max_iter)[0]
+    except ChainFailure as exc:
+        raise ValueError(str(exc)) from None
 
+
+def _bridge_rows(l1: np.ndarray, l2: np.ndarray, tol: float,
+                 max_iter: int) -> list[EvidenceEstimate]:
+    """The Meng-Wong loop of bridge_log_evidence on each row of the (R, n1)
+    and (R, n2) log ratios l1 and l2, which hold no NaN.
+
+    The rows iterate in lockstep; each stops at its own iteration with its
+    own convergence flag, and equals the loop on that row alone bit for bit.
+    The lowest row that fails a step raises ChainFailure.
+    """
+    n1, n2 = l1.shape[1], l2.shape[1]
     log_s1 = math.log(n1 / (n1 + n2))
     log_s2 = math.log(n2 / (n1 + n2))
 
-    lam = _logsumexp(l2) - math.log(n2)  # simple IS estimate as the seed
-    if not math.isfinite(lam):
-        raise ValueError("no effective support overlap between draws and proposal")
+    lam = _logsumexp_rows(l2) - math.log(n2)  # simple IS estimate as the seed
+    ok = np.abs(lam) < math.inf
+    _raise_unless_rows(ok, "no effective support overlap between draws and proposal")
 
     s1_l1, s1_l2 = log_s1 + l1, log_s1 + l2  # fixed across iterations
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        log_num = _logsumexp(l2 - np.logaddexp(s1_l2, log_s2 + lam)) - math.log(n2)
-        log_den = _logsumexp(-np.logaddexp(s1_l1, log_s2 + lam)) - math.log(n1)
-        if not (math.isfinite(log_num) and math.isfinite(log_den)):
-            raise ValueError("bridge iteration left the shared support")
+    iterations = np.zeros(len(lam), dtype=int)
+    converged = np.zeros(len(lam), dtype=bool)
+    rows = np.arange(len(lam))  # the rows still iterating, and their ratios below
+    for it in range(1, max_iter + 1):
+        s2_lam = log_s2 + lam[rows, None]
+        log_num = _logsumexp_rows(l2 - np.logaddexp(s1_l2, s2_lam)) - math.log(n2)
+        log_den = _logsumexp_rows(-np.logaddexp(s1_l1, s2_lam)) - math.log(n1)
+        ok[rows] = (np.abs(log_num) < math.inf) & (np.abs(log_den) < math.inf)
+        _raise_unless_rows(ok, "bridge iteration left the shared support")
         lam_new = log_num - log_den
-        if abs(lam_new - lam) < tol:
-            lam = lam_new
-            converged = True
+        done = np.abs(lam_new - lam[rows]) < tol
+        lam[rows] = lam_new
+        iterations[rows] = it
+        converged[rows] = done
+        if done.all():
             break
-        lam = lam_new
+        if done.any():  # drop the finished rows; copying only then keeps R = 1 cheap
+            rows, l2, s1_l1, s1_l2 = rows[~done], l2[~done], s1_l1[~done], s1_l2[~done]
 
-    diag = {"iterations": iterations, "converged": converged,
-            "n_post": n1, "n_prop": n2}
-    return EvidenceEstimate(float(lam), "bridge", diag)
+    return [EvidenceEstimate(v, "bridge", {"iterations": i, "converged": c,
+                                           "n_post": n1, "n_prop": n2})
+            for v, i, c in zip(lam.tolist(), iterations.tolist(), converged.tolist())]
 
 
 def chib_log_evidence(model: ConjugateNormalModel,
@@ -338,7 +374,7 @@ def chib_log_evidence(model: ConjugateNormalModel,
     """
     if theta_star is not None:
         theta_star = _real("theta_star", theta_star)
-    draws = _finite("posterior_draws", posterior_draws)
+    draws = _one_dim("posterior_draws", _finite("posterior_draws", posterior_draws))
     if draws.size == 0:
         raise ValueError("posterior draws must be nonempty")
     # Finite draws can still overflow the variance; that raises below.

@@ -14,10 +14,13 @@ Four experiments share one config type:
   synthetic conjugate-normal dataset with analytic ground truth.
 
 Replication k always consumes substream k of the config seed; datasets and
-calibration get reserved substream ids far above any run index. evidence
-and run_envelope replicate through one loop, `_replicate`, which yields
+calibration get reserved substream ids far above any run index.
+run_envelope replicates through one loop, `_replicate`, which yields
 each result. figure1 reads every run's uniforms into one block and
-inverts the block in shared slices (`rng._invert_open`). The chain figures
+inverts the block in shared slices (`rng._invert_open`). evidence runs its
+replications in groups of max(1, 8192 // iters) rows (`_evidence_group`),
+one draw block and one bridge loop (`estimators._bridge_rows`) per group,
+with the harmonic mean and Chib per row. The chain figures
 hand all their substreams to one lockstep chain kernel
 (`run_gibbs_chains`, `run_mh_chains`), which steps every run at once.
 In each case a failure names its replication and substream, in the words
@@ -39,15 +42,18 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .estimators import (EvidenceEstimate, bridge_log_evidence, chib_log_evidence,
+from .estimators import (EvidenceEstimate, _bridge_rows, chib_log_evidence,
                          harmonic_mean_log_evidence, running_moments)
+# Not called here: kept as a module attribute because perfbench's tracer
+# wraps mcstat.harness.bridge_log_evidence.
+from .estimators import bridge_log_evidence  # noqa: F401
 from .mcmc import (ChainFailure, ChainTrace, RwProposal, calibrate_scale_report,
                    run_gibbs_chains, run_mh_chains)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.run_gibbs_chain and mcstat.harness.run_mh_chain.
 from .mcmc import run_gibbs_chain, run_mh_chain  # noqa: F401
-from .rng import (NormalDist, RngStream, _count, _finite, _invert_open, _real,
-                  derive_substream, normals, rng_new)
+from .rng import (_LOG_SQRT_2PI, NormalDist, RngStream, _count, _every, _finite,
+                  _invert_open, _libm, _real, derive_substream, normals, rng_new)
 # Not called here: kept as a module attribute because perfbench's tracer
 # wraps mcstat.harness.sample_normal.
 from .rng import sample_normal  # noqa: F401
@@ -80,6 +86,10 @@ _CAL_STREAM = 10**9 + 9
 
 _HIST_BINS = 50
 _HIST_RANGE = (-4.0, 4.0)
+
+# evidence runs its replications in groups of max(1, this // iters) rows:
+# numpy calls span a group's rows, and its arrays stay bounded.
+_EVIDENCE_GROUP_DRAWS = 8192
 
 # Diagnostic written to the evidence CSVs' ess_or_iterations column.
 _EVIDENCE_DIAGNOSTIC = {"harmonic_mean": "ess", "bridge": "iterations",
@@ -425,32 +435,91 @@ def _synthetic_dataset(seed: int, n: int = 20) -> np.ndarray:
     return normals(derive_substream(rng_new(seed), _DATA_STREAM), n, 0.5, 1.0)
 
 
-def _evidence_replication(rng: RngStream, posteriors, data: np.ndarray,
-                          T: int) -> list[list[EvidenceEstimate]]:
-    """One replication of `evidence`: [harmonic mean, bridge, Chib] per posterior.
+def _each_row(fn: Callable, *rows) -> list:
+    """[fn(*args) for args in zip(*rows)]; a failure raises ChainFailure
+    naming its row."""
+    out = []
+    for r, args in enumerate(zip(*rows)):
+        try:
+            out.append(fn(*args))
+        except Exception as exc:
+            raise ChainFailure(r, exc) from exc
+    return out
 
-    The replication reads its whole budget of 2 * T draws per posterior as
-    one block of standard normals, in stream order: each posterior's T
-    draws, then the T draws of the normal proposal fitted to them. The
-    block is `normals(rng, 4T, 0.0, 1.0)`, whose `0.0 + 1.0 * z` is the
-    quantile z bit for bit: only z = -0.0 would change, and the quantile of
-    an open float is never -0.0 (p = 0.5 gives +0.0, and every p > 0.5 is
-    the negation of a strictly negative lower quantile). Scaling a slice of
-    the block is then the arithmetic `normals` does, so the draws are those
-    of one `normals(rng, T, ...)` call per slice, bit for bit.
+
+def _check_rows(check: Callable[[np.ndarray], None], a: np.ndarray) -> None:
+    # check(a) on the whole (rows, T) block; if it fails, check(row) on each
+    # row, so the lowest failing row raises ChainFailure with its own index.
+    try:
+        check(a)
+    except ValueError:
+        _each_row(check, a)
+        raise
+
+
+def _evidence_group(rngs: Sequence[RngStream], posteriors, data: np.ndarray,
+                    T: int) -> list[list[list[EvidenceEstimate]]]:
+    """Replications of `evidence` on the streams `rngs`, in lockstep: per
+    row, [harmonic mean, bridge, Chib] per posterior.
+
+    Row k reads its whole budget of 2 * T draws per posterior from rngs[k]
+    as one block of open floats, in stream order: each posterior's T draws,
+    then the T draws of the normal proposal fitted to them. The quantile
+    inverts every row's block at once, in shared slices, and a slice of
+    row k's quantiles z becomes draws as `mean + sd * z`. That is the
+    arithmetic of one `normals(rngs[k], T, mean, sd)` call per slice, so
+    the draws are those calls' bit for bit: `normals(rng, 4T, 0.0, 1.0)`
+    would give z itself, as 0.0 + 1.0 * z is z unless z = -0.0, and the
+    quantile of an open float is never -0.0 (p = 0.5 gives +0.0, and every
+    p > 0.5 is the negation of a strictly negative lower quantile).
+
+    Per posterior, the draws, their log likelihood, the fits and the
+    bridge's log ratios are (rows, T) arrays. The posterior draws' log
+    density is the likelihood already computed plus the log prior, which is
+    log_posterior_unnorm's sum; the fit's log density is NormalDist.logpdf
+    with the fit's log sd from libm. The harmonic mean runs on each row,
+    the bridge on all rows at once (`_bridge_rows`, after
+    bridge_log_evidence's density and ratio checks, with its defaults),
+    and Chib on each row and posterior in row order. The lowest row that
+    fails a stage raises ChainFailure with the message a one-row group
+    gives.
     """
-    z = normals(rng, 2 * len(posteriors) * T, 0.0, 1.0).reshape(len(posteriors), 2, T)
-    ests = []
-    for (model, pm, pv), (z_post, z_prop) in zip(posteriors, z):
+    n = 2 * len(posteriors) * T
+    z = np.empty((len(rngs), n))
+    for row, rng in zip(z, rngs):
+        row[:] = rng.floats_open(n)
+    z = _invert_open(z.reshape(-1)).reshape(len(rngs), len(posteriors), 2, T)
+    by_model = []
+    for (model, pm, pv), (z_post, z_prop) in zip(posteriors, z.transpose(1, 2, 0, 3)):
         post = pm + math.sqrt(pv) * z_post
-        hm = harmonic_mean_log_evidence(model.log_likelihood(data, post))
-        fit = NormalDist(float(np.mean(post)), float(np.std(post, ddof=1)))
-        prop = fit.mean + fit.sd * z_prop
-        bridge = bridge_log_evidence(post, prop,
-                                     lambda th: model.log_posterior_unnorm(data, th),
-                                     fit.logpdf)
-        ests.append([hm, bridge, chib_log_evidence(model, data, post)])
-    return ests
+        ll = model.log_likelihood(data, post)
+        hm = _each_row(harmonic_mean_log_evidence, ll)
+        fit_mean, fit_sd = np.mean(post, axis=1), np.std(post, axis=1, ddof=1)
+        _each_row(NormalDist, fit_mean.tolist(), fit_sd.tolist())  # the fit's checks
+        log_sd = _libm(math.log, fit_sd)[:, None]
+        fit_mean, fit_sd = fit_mean[:, None], fit_sd[:, None]
+        prop = fit_mean + fit_sd * z_prop
+
+        def fit_logpdf(x: np.ndarray) -> np.ndarray:
+            zz = (x - fit_mean) / fit_sd
+            return -0.5 * zz * zz - log_sd - _LOG_SQRT_2PI
+
+        post1, prop1 = ll + model.log_prior(post), fit_logpdf(post)
+        post2, prop2 = model.log_posterior_unnorm(data, prop), fit_logpdf(prop)
+        for dens in (post1, prop1, post2, prop2):
+            _check_rows(lambda x: _every("log density", x, x != math.inf, "< +inf"), dens)
+        with np.errstate(invalid="ignore"):  # -inf - -inf: a NaN ratio, named below
+            l1, l2 = post1 - prop1, post2 - prop2
+        for name, ratio in (("post_draws", l1), ("prop_draws", l2)):
+            _check_rows(lambda x: _every(f"log density ratio at {name}", x, ~np.isnan(x),
+                                         "a number"), ratio)
+        by_model.append((post, hm, _bridge_rows(l1, l2, 1e-8, 1000)))
+
+    chib = _each_row(lambda *posts: [chib_log_evidence(m, data, p)
+                                     for (m, _, _), p in zip(posteriors, posts)],
+                     *(post for post, _, _ in by_model))
+    return [[[hm[r], bridge[r], chib[r][mi]] for mi, (_, hm, bridge) in enumerate(by_model)]
+            for r in range(len(rngs))]
 
 
 def evidence(config: ExperimentConfig) -> ExperimentResult:
@@ -458,7 +527,9 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
 
     Per replication and model: T exact posterior draws feed the harmonic
     mean and Chib; the bridge pairs them with T draws from a normal
-    proposal fitted to the posterior sample. Per-model CSVs follow the row
+    proposal fitted to the posterior sample. Replications run in groups of
+    max(1, 8192 // T) rows (`_evidence_group`); a failure names its
+    replication and substream. Per-model CSVs follow the row
     schema (estimator, seed, T, log_evidence, analytic_truth, error,
     ess_or_iterations, converged); seed is the replication substream index.
     """
@@ -471,8 +542,14 @@ def evidence(config: ExperimentConfig) -> ExperimentResult:
     bf_rows: list[list] = []
     analytic_bf = truths[0] - truths[1]
 
-    reps = _replicate("evidence replication", config.seed, config.runs,
-                      _evidence_replication, posteriors, data, T)
+    streams = list(_substreams(config.seed, config.runs))
+    group = max(1, _EVIDENCE_GROUP_DRAWS // T)
+    reps: list[list[list[EvidenceEstimate]]] = []
+    for first in range(0, config.runs, group):
+        try:
+            reps += _evidence_group(streams[first:first + group], posteriors, data, T)
+        except ChainFailure as exc:
+            raise _run_failed("evidence replication", first + exc.row, exc) from exc
     for r, ests in enumerate(reps):
         for mi, model_ests in enumerate(ests):
             for est in model_ests:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mcstat.estimators import (
     RunningEstimate,
     SnisResult,
+    _bridge_rows,
     bridge_log_evidence,
     chib_log_evidence,
     ess,
@@ -18,6 +19,7 @@ from mcstat.estimators import (
     running_moments,
     self_normalized_is,
 )
+from mcstat.mcmc import ChainFailure
 from mcstat.rng import NormalDist, StudentTDist, rng_new, sample_normal
 from mcstat.targets import (
     ConjugateNormalModel,
@@ -511,6 +513,90 @@ def test_bridge_rejects_scalar_log_density():
     draws = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(ValueError, match="vectorized"):
         bridge_log_evidence(draws, draws, lambda th: 0.0, lambda th: -0.5 * th * th)
+
+
+def _meng_wong_one_row(l1, l2, tol, max_iter):
+    # bridge_log_evidence's fixed point as a loop on one row of log ratios,
+    # with a scalar logsumexp: the reference for _bridge_rows.
+    def logsumexp(a):
+        m = np.max(a)
+        return float(m) if not math.isfinite(m) else float(m + np.log(np.sum(np.exp(a - m))))
+
+    n1, n2 = l1.size, l2.size
+    log_s1, log_s2 = math.log(n1 / (n1 + n2)), math.log(n2 / (n1 + n2))
+    lam = logsumexp(l2) - math.log(n2)
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        log_num = logsumexp(l2 - np.logaddexp(log_s1 + l2, log_s2 + lam)) - math.log(n2)
+        log_den = logsumexp(-np.logaddexp(log_s1 + l1, log_s2 + lam)) - math.log(n1)
+        lam_new = log_num - log_den
+        if abs(lam_new - lam) < tol:
+            lam, converged = lam_new, True
+            break
+        lam = lam_new
+    return lam, iterations, converged
+
+
+def _bridge_ratio_rows(n1=300, n2=200):
+    # Log ratios log N(x; 0, 1) + c - log N(x; mu, s) for proposals from a
+    # perfect fit to a poor one, so rows converge at different iterations.
+    gen = np.random.default_rng(21)
+    l1, l2 = [], []
+    for c, mu, s in [(0.0, 0.0, 1.0), (1.5, 0.0, 1.001), (-2.0, 0.5, 0.8),
+                     (3.0, 1.0, 2.0), (0.25, -1.5, 0.6), (-0.5, 2.0, 3.0)]:
+        post, prop = gen.normal(0.0, 1.0, n1), gen.normal(mu, s, n2)
+
+        def ratio(x):
+            return c - 0.5 * x * x + 0.5 * ((x - mu) / s) ** 2 + math.log(s)
+
+        l1.append(ratio(post))
+        l2.append(ratio(prop))
+    return np.array(l1), np.array(l2)
+
+
+@pytest.mark.parametrize("max_iter", [2, 1000])
+def test_bridge_rows_match_the_loop_on_each_row(max_iter):
+    l1, l2 = _bridge_ratio_rows()
+    got = _bridge_rows(l1, l2, 1e-8, max_iter)
+    want = [_meng_wong_one_row(a, b, 1e-8, max_iter) for a, b in zip(l1, l2)]
+    assert len(got) == len(want) == len(l1)
+    for g, (lam, iterations, converged) in zip(got, want):
+        assert np.float64(g.log_evidence).view(np.uint64) == np.float64(lam).view(np.uint64)
+        assert g.diagnostics == {"iterations": iterations, "converged": converged,
+                                 "n_post": l1.shape[1], "n_prop": l2.shape[1]}
+    if max_iter == 2:  # some rows stop early, the others run out unconverged
+        assert {(w[1], w[2]) for w in want} == {(1, True), (2, True), (2, False)}
+    else:
+        assert len({w[1] for w in want}) >= 3 and all(w[2] for w in want)
+
+
+def test_bridge_rows_name_the_lowest_failing_row():
+    l1, l2 = _bridge_ratio_rows()
+    l2[[4, 2]] = -math.inf  # rows 2 and 4: no proposal draw has posterior mass
+    with pytest.raises(ChainFailure, match="^no effective support overlap") as err:
+        _bridge_rows(l1, l2, 1e-8, 1000)
+    assert err.value.row == 2
+
+
+def _two_dim_cases():
+    model = ConjugateNormalModel(0.0, 1.0, 1.0, "m")
+    density = lambda th: -0.5 * th * th  # noqa: E731
+    return [
+        ("log_weights", ess),
+        ("log_liks_at_posterior_draws", harmonic_mean_log_evidence),
+        ("post_draws", lambda a: bridge_log_evidence(a, [0.0], density, density)),
+        ("prop_draws", lambda a: bridge_log_evidence([0.0], a, density, density)),
+        ("posterior_draws", lambda a: chib_log_evidence(model, [0.5], a)),
+    ]
+
+
+@pytest.mark.parametrize("name, call", _two_dim_cases())
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
+def test_evidence_estimators_reject_a_two_dimensional_sample(name, call, shape):
+    sample = np.arange(6.0)[:shape[0] * shape[1]].reshape(shape) / 10.0
+    with pytest.raises(ValueError, match=rf"^{name} must be one-dimensional, "
+                                         rf"got shape \({shape[0]}, {shape[1]}\)$"):
+        call(sample)
 
 
 # ---------------------------------------------------------------------------

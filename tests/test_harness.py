@@ -31,14 +31,14 @@ from mcstat.harness import (
     figure3,
     run_envelope,
     run_experiment,
-    _evidence_replication,
+    _evidence_group,
     _synthetic_dataset,
 )
 from mcstat.mcmc import CalibrationError
 from mcstat.rng import derive_substream, normal_logpdf, normals, rng_new
 from mcstat.svgplot import Band, Series, svg_histogram, svg_line_plot
-from mcstat.targets import (cubic_ratio, gaussian_functional_expectation, get_model,
-                            posterior_params)
+from mcstat.targets import (ConjugateNormalModel, cubic_ratio,
+                            gaussian_functional_expectation, get_model, posterior_params)
 
 from conftest import NanStream
 
@@ -375,7 +375,8 @@ def test_evidence_is_deterministic(tmp_path):
 
 
 def _evidence_replication_by_model(rng, posteriors, data, T):
-    # The replication as four sequential normals calls, one per block.
+    # The replication as four sequential normals calls, one per block, and
+    # the 1-D bridge_log_evidence.
     ests = []
     for model, pm, pv in posteriors:
         post = normals(rng, T, pm, math.sqrt(pv))
@@ -400,7 +401,7 @@ def test_evidence_replication_replays_four_normals_calls(seed, T):
     for k in (0, runs // 2, runs - 1):
         a = derive_substream(rng_new(seed), k)
         b = derive_substream(rng_new(seed), k)
-        got = _evidence_replication(a, posteriors, data, T)
+        (got,) = _evidence_group([a], posteriors, data, T)
         want = _evidence_replication_by_model(b, posteriors, data, T)
         assert a.state_bytes() == b.state_bytes()
         for g, w in zip(sum(got, []), sum(want, []), strict=True):
@@ -408,6 +409,51 @@ def test_evidence_replication_replays_four_normals_calls(seed, T):
             assert np.float64(g.log_evidence).view(np.uint64) == \
                    np.float64(w.log_evidence).view(np.uint64)
             assert repr(g.diagnostics) == repr(w.diagnostics)
+
+
+@pytest.mark.parametrize("T", [1000, 1500])  # groups of 8 + 3; 5 + 5 + 1 past _PPF_SLICE
+def test_evidence_groups_match_replications_one_at_a_time(tmp_path, T):
+    seed, runs = 4, 11
+    res = evidence(ExperimentConfig("evidence", seed=seed, runs=runs, iters=T,
+                                    out_dir=tmp_path))
+    data = _synthetic_dataset(seed)
+    posteriors = [(m, *posterior_params(m, data))
+                  for m in (get_model("conj-n01"), get_model("conj-n14"))]
+    want = [_evidence_replication_by_model(derive_substream(rng_new(seed), k),
+                                           posteriors, data, T) for k in range(runs)]
+    diagnostic = {"harmonic_mean": "ess", "bridge": "iterations", "chib": "n_draws"}
+    for mi, name in enumerate(("evidence_m0.csv", "evidence_m1.csv")):
+        rows = _read_csv(res.files[name])
+        expected = [(k, est) for k, ests in enumerate(want) for est in ests[mi]]
+        assert len(rows) == len(expected) == 3 * runs
+        for row, (k, est) in zip(rows, expected):
+            assert (row["estimator"], row["seed"], row["T"]) == (est.estimator, str(k), str(T))
+            assert np.float64(row["log_evidence"]).view(np.uint64) == \
+                   np.float64(est.log_evidence).view(np.uint64)
+            diag = est.diagnostics[diagnostic[est.estimator]]
+            assert row["ess_or_iterations"] == \
+                   (format(diag, ".17g") if isinstance(diag, float) else str(diag))
+            assert row["converged"] == str(est.converged)
+
+
+def test_evidence_failure_in_a_lockstep_stage_names_the_replication(tmp_path, monkeypatch):
+    # A +inf log prior at replication 3's 18th posterior draw for the first
+    # model; the group of 5 rows evaluates every row's densities at once.
+    seed, T = 0, 200
+    data = _synthetic_dataset(seed)
+    pm, pv = posterior_params(get_model("conj-n01"), data)
+    draw = normals(derive_substream(rng_new(seed), 3), T, pm, math.sqrt(pv))[17]
+    log_prior = ConjugateNormalModel.log_prior
+
+    def inf_at_draw(self, theta):
+        return np.where(theta == draw, math.inf, log_prior(self, theta))
+
+    monkeypatch.setattr(ConjugateNormalModel, "log_prior", inf_at_draw)
+    msg = (r"^evidence replication 3 \(substream 3\) failed: "
+           r"log density must be < \+inf, got inf at index 17$")
+    with pytest.raises(RuntimeError, match=msg):
+        evidence(ExperimentConfig("evidence", seed=seed, runs=5, iters=T,
+                                  out_dir=tmp_path))
 
 
 def test_figure1_non_finite_value_names_run_and_iteration(tmp_path, capsys,
