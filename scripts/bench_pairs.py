@@ -2,10 +2,11 @@
 """Compare two checkouts on one perfbench workload over alternating pairs.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W [--pairs 10]
+        [--size {bench,headline}]
 
 Pair k (seed k, for k = 1..pairs) runs
-`python3 perfbench/run.py --workload W --seed k --trace 0` once in each
-tree, at perfbench's own run length, one process at a time; odd pairs run
+`python3 perfbench/run.py --workload W --seed k --trace 0 --size S` once in
+each tree, at perfbench's own run length, one process at a time; odd pairs run
 the parent first and even pairs the change, so a drift in host speed
 favours neither side. Each run's last
 line of standard output is its JSON result. For every end-to-end metric in
@@ -41,6 +42,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIZES = ("bench", "headline")  # perfbench/run.py --size; a record without "size" is bench
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -140,12 +142,14 @@ def verdicts(parent: list[dict | None], change: list[dict | None],
 
 
 def record(workload: str, trees: dict[str, Path], parent: list[dict | None],
-           change: list[dict | None], end_to_end: list[dict]) -> dict:
-    """The JSON record of one workload's pairs (schema in the README): the
-    host, each tree's commit and failures, and every end-to-end metric's
-    quartiles, wins and verdict."""
+           change: list[dict | None], end_to_end: list[dict],
+           size: str = "bench") -> dict:
+    """The JSON record of one workload's pairs at perfbench size `size`
+    (schema in the README): the host, each tree's commit and failures, and
+    every end-to-end metric's quartiles, wins and verdict."""
     return {
         "workload": workload,
+        "size": size,
         "pairs": len(parent),
         "host": _host(),
         "parent": {**_commit(trees["parent"]), **_failures(parent)},
@@ -181,9 +185,9 @@ def _commit(tree: Path) -> dict:
     return {"commit": head, "dirty": None if head is None else bool(git("status", "--porcelain"))}
 
 
-def _run(tree: Path, workload: str, seed: int) -> dict | None:
+def _run(tree: Path, workload: str, seed: int, size: str) -> dict | None:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0", "--size", size]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
@@ -198,6 +202,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--size", choices=SIZES, default="bench",
+                        help="perfbench's workload size (default: bench)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -207,15 +213,15 @@ def main(argv=None) -> int:
     for seed in range(1, args.pairs + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
-            results[side].append(_run(getattr(args, side), args.workload, seed))
+            results[side].append(_run(getattr(args, side), args.workload, seed, args.size))
         print(f"# pair {seed}/{args.pairs} done", file=sys.stderr)
     lines, correct = summarize(results["parent"], results["change"], end_to_end)
-    print(f"{args.workload}: {args.pairs} pairs at seeds 1-{args.pairs}")
+    print(f"{args.workload}: {args.pairs} pairs at seeds 1-{args.pairs}, size {args.size}")
     for line in lines + verdicts(results["parent"], results["change"], end_to_end):
         print(line)
     trees = {"parent": args.parent, "change": args.change}
     print(json.dumps(record(args.workload, trees, results["parent"], results["change"],
-                            end_to_end)))
+                            end_to_end, args.size)))
     return 0 if correct else 1
 
 

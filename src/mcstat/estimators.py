@@ -12,11 +12,13 @@ result type: the harmonic mean of likelihoods, the iterative optimal-bridge
 estimator of Meng and Wong, and Chib's posterior-ordinate identity with a
 normal parametric fit. The harmonic mean is implemented without any
 variance-stabilizing truncation on purpose: its instability is a quantity
-the experiment harness measures, not a defect to hide. The bridge's fixed
-point is one loop over rows of log ratios, `_bridge_rows`:
-bridge_log_evidence runs it on one row, and the evidence experiment on a
-group of replications in lockstep, each row stopping at its own iteration.
-Each estimator takes its draws or log values as one-dimensional arrays.
+the experiment harness measures, not a defect to hide. Each is written
+once, over rows: `_harmonic_rows` on rows of log likelihoods,
+`_bridge_rows` (the Meng-Wong fixed point, each row stopping at its own
+iteration) on rows of log ratios, and `_chib_rows` on rows of fitted
+means and variances. The public estimators check one-dimensional draws or
+log values and run their core on one row; the evidence experiment runs
+each core once on a group of replications.
 """
 
 from __future__ import annotations
@@ -143,18 +145,26 @@ def mc_estimate(target_sampler: Callable[[RngStream], float],
     return running_moments(values, range(1, T + 1))
 
 
+def _shifted_rows(lw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """(m, w, s, ESS) for the rows of the 2-D log weights `lw`, each with a
+    finite max m: w = exp(lw - m), exponentiated once, s its row sums, and
+    each row's ESS s^2 / (w . w) from its own dot product."""
+    m = lw.max(axis=1)
+    w = np.exp(lw - m[:, None])
+    s = w.sum(axis=1)
+    return m, w, s, [a * a / float(np.dot(row, row)) for a, row in zip(s.tolist(), w)]
+
+
 def _shifted_weights(log_weights) -> tuple[float, np.ndarray, float]:
     """(m, exp(lw - m), ESS) for m = max(lw): the weights exponentiated once."""
     lw = _one_dim("log_weights", np.asarray(log_weights, dtype=float))
     if lw.size == 0:
         raise ValueError("log_weights must be nonempty")
     _every("log_weights", lw, lw < math.inf, "< +inf and not NaN")
-    m = float(np.max(lw))
-    if m == -math.inf:
+    if np.max(lw) == -math.inf:
         raise ValueError("all weights are zero")
-    w = np.exp(lw - m)
-    s1 = float(np.sum(w))
-    return m, w, s1 * s1 / float(np.dot(w, w))
+    m, w, _, eff = _shifted_rows(lw.reshape(1, -1))
+    return float(m[0]), w[0], eff[0]
 
 
 def ess(log_weights: Sequence[float]) -> float:
@@ -256,15 +266,20 @@ def harmonic_mean_log_evidence(log_liks_at_posterior_draws: Sequence[float]) -> 
                   _finite("log_liks_at_posterior_draws", log_liks_at_posterior_draws))
     if ll.size == 0:
         raise ValueError("log likelihood list must be nonempty")
-    m, w, eff = _shifted_weights(-ll)
-    log_ev = -(float(m + np.log(np.sum(w))) - math.log(ll.size))
-    diag = {
-        "n_draws": int(ll.size),
-        "log_lik_spread": float(np.max(ll) - np.min(ll)),
-        "ess": eff,  # weight concentration of the reciprocal likelihoods
-        "converged": True,
-    }
-    return EvidenceEstimate(log_ev, "harmonic_mean", diag)
+    return _harmonic_rows(ll.reshape(1, -1))[0]
+
+
+def _harmonic_rows(ll: np.ndarray) -> list[EvidenceEstimate]:
+    """harmonic_mean_log_evidence on each row of the (R, T) finite log
+    likelihoods `ll`, bit for bit."""
+    m, w, s, eff = _shifted_rows(-ll)
+    log_ev = -((m + np.log(s)) - math.log(ll.shape[1]))
+    spread = ll.max(axis=1) - ll.min(axis=1)
+    return [EvidenceEstimate(v, "harmonic_mean",
+                             {"n_draws": ll.shape[1], "log_lik_spread": d,
+                              "ess": e,  # weight concentration of the reciprocal likelihoods
+                              "converged": True})
+            for v, d, e in zip(log_ev.tolist(), spread.tolist(), eff)]
 
 
 def _eval_log_fn(fn, xs: np.ndarray) -> np.ndarray:
@@ -371,6 +386,7 @@ def chib_log_evidence(model: ConjugateNormalModel,
     The posterior ordinate pihat is a normal density with the draws' sample
     mean and variance; t* defaults to the sample mean, where the ordinate
     estimate has the least variance (the identity holds at any point).
+    Runs `_chib_rows` on the one fit.
     """
     if theta_star is not None:
         theta_star = _real("theta_star", theta_star)
@@ -385,11 +401,26 @@ def chib_log_evidence(model: ConjugateNormalModel,
         raise ValueError(f"posterior draws need a positive finite sample variance, "
                          f"got {v_hat!r}")
     t_star = m_hat if theta_star is None else theta_star
+    return _chib_rows(model, data, np.array([m_hat]), np.array([v_hat]),
+                      np.array([t_star]), int(draws.size))[0]
 
-    log_ordinate = (-0.5 * (t_star - m_hat) ** 2 / v_hat
-                    - 0.5 * math.log(2.0 * math.pi * v_hat))
-    log_ev = (model.log_likelihood(data, t_star) + model.log_prior(t_star)
-              - log_ordinate)
-    diag = {"theta_star": t_star, "fit_mean": m_hat, "fit_var": v_hat,
-            "n_draws": int(draws.size), "converged": True}
-    return EvidenceEstimate(float(log_ev), "chib", diag)
+
+def _chib_rows(model: ConjugateNormalModel, data: Sequence[float], mean: np.ndarray,
+               var: np.ndarray, t_star: np.ndarray, n_draws: int) -> list[EvidenceEstimate]:
+    """chib_log_evidence on R fits at once, bit for bit: row r has the
+    fit's sample mean[r] and positive finite variance var[r] from n_draws
+    draws, and evaluates the identity at t_star[r].
+
+    The likelihood runs on all rows at once. The rest stays float
+    arithmetic per row, as the one-row identity is written: a float's
+    `** 2` is libm's pow, in the log prior and the ordinate, and can differ
+    in the last bit from the d * d that numpy squares an array with.
+    """
+    out = []
+    for t, m, v, lik in zip(t_star.tolist(), mean.tolist(), var.tolist(),
+                            model.log_likelihood(data, t_star).tolist()):
+        log_ordinate = -0.5 * (t - m) ** 2 / v - 0.5 * math.log(2.0 * math.pi * v)
+        out.append(EvidenceEstimate(lik + model.log_prior(t) - log_ordinate, "chib",
+                                    {"theta_star": t, "fit_mean": m, "fit_var": v,
+                                     "n_draws": n_draws, "converged": True}))
+    return out

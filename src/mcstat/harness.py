@@ -18,35 +18,39 @@ calibration get reserved substream ids far above any run index.
 run_envelope replicates through one loop, `_replicate`, which yields
 each result. figure1 reads every run's uniforms into one block and
 inverts the block in shared slices (`rng._invert_open`). evidence runs its
-replications in groups of max(1, 8192 // iters) rows (`_evidence_group`),
-one draw block and one bridge loop (`estimators._bridge_rows`) per group,
-with the harmonic mean and Chib per row. The chain figures
+replications in groups of max(1, 8192 // iters) rows (`_evidence_group`):
+one draw block per group, and each estimator's row core
+(`estimators._harmonic_rows`, `_bridge_rows`, `_chib_rows`) once per
+model and group. The chain figures
 hand all their substreams to one lockstep chain kernel
 (`run_gibbs_chains`, `run_mh_chains`), which steps every run at once.
 In each case a failure names its replication and substream, in the words
 of `_run_failed`. The envelope figures fill one (runs, iters) block and
 reduce it with one lockstep `running_moments`. An ExperimentConfig is
-checked when built. `_write_csv` writes every CSV float
-cell with 17 significant digits, so outputs are byte-stable and the files
-round-trip to full precision. The keys every info.csv shares
+checked when built. `_write_csv` writes every CSV float cell with 17
+significant digits, so outputs are byte-stable and the files round-trip to
+full precision; it formats each line itself, with csv.writer's minimal
+quoting, and writes the file in one pass. The keys every info.csv shares
 (experiment, seed, runs, iters) are written in one place, `_write_info`.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .estimators import (EvidenceEstimate, _bridge_rows, chib_log_evidence,
-                         harmonic_mean_log_evidence, running_moments)
-# Not called here: kept as a module attribute because perfbench's tracer
-# wraps mcstat.harness.bridge_log_evidence.
-from .estimators import bridge_log_evidence  # noqa: F401
+from .estimators import (EvidenceEstimate, _bridge_rows, _chib_rows, _harmonic_rows,
+                         running_moments)
+# Not called here: kept as module attributes because perfbench's tracer
+# wraps mcstat.harness.bridge_log_evidence, harmonic_mean_log_evidence and
+# chib_log_evidence.
+from .estimators import (bridge_log_evidence, chib_log_evidence,  # noqa: F401
+                         harmonic_mean_log_evidence)
 from .mcmc import (ChainFailure, ChainTrace, RwProposal, calibrate_scale_report,
                    run_gibbs_chains, run_mh_chains)
 # Not called here: kept as module attributes because perfbench's tracer
@@ -232,13 +236,35 @@ class ExperimentResult:
 # Shared pieces
 # ---------------------------------------------------------------------------
 
+# Characters that make csv.writer's QUOTE_MINIMAL quote a cell; from
+# Python 3.13 it quotes a carriage return too.
+_CSV_QUOTED = ',"\n\r' if sys.version_info >= (3, 13) else ',"\n'
+
+
+def _csv_text(v) -> str:
+    # A non-float cell as csv.writer writes it: None as "", anything else as
+    # str(v), quoted if it holds a delimiter, a quote or a line break.
+    s = "" if v is None else str(v)
+    if any(c in s for c in _CSV_QUOTED):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _csv_line(row) -> str:
+    # One record as csv.writer(lineterminator="\n") writes it, float cells
+    # with 17 significant digits; a record of one empty cell is written as
+    # "" so that it is not a blank line.
+    cells = ["%.17g" % v if isinstance(v, float) else str(v) if type(v) is int
+             else _csv_text(v) for v in row]
+    return ",".join(cells) + "\n" if cells != [""] else '""\n'
+
+
 def _write_csv(path: Path, header: list[str], rows) -> Path:
-    """Write a CSV: float cells with 17 significant digits, others as csv does."""
+    """Write a CSV in one pass of formatted lines: float cells with 17
+    significant digits, others as csv.writer (minimal quoting) writes them."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
-                    for row in rows)
+        fh.write(_csv_line(header))
+        fh.writelines(map(_csv_line, rows))
     return path
 
 
@@ -435,16 +461,12 @@ def _synthetic_dataset(seed: int, n: int = 20) -> np.ndarray:
     return normals(derive_substream(rng_new(seed), _DATA_STREAM), n, 0.5, 1.0)
 
 
-def _each_row(fn: Callable, *rows) -> list:
-    """[fn(*args) for args in zip(*rows)]; a failure raises ChainFailure
-    naming its row."""
-    out = []
-    for r, args in enumerate(zip(*rows)):
-        try:
-            out.append(fn(*args))
-        except Exception as exc:
-            raise ChainFailure(r, exc) from exc
-    return out
+def _on_row(r: int, check: Callable, *args) -> None:
+    # check(*args), row r's one-row check; its error raises as ChainFailure(r)
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ChainFailure(r, exc) from exc
 
 
 def _check_rows(check: Callable[[np.ndarray], None], a: np.ndarray) -> None:
@@ -453,7 +475,8 @@ def _check_rows(check: Callable[[np.ndarray], None], a: np.ndarray) -> None:
     try:
         check(a)
     except ValueError:
-        _each_row(check, a)
+        for r, row in enumerate(a):
+            _on_row(r, check, row)
         raise
 
 
@@ -474,15 +497,16 @@ def _evidence_group(rngs: Sequence[RngStream], posteriors, data: np.ndarray,
     p > 0.5 is the negation of a strictly negative lower quantile).
 
     Per posterior, the draws, their log likelihood, the fits and the
-    bridge's log ratios are (rows, T) arrays. The posterior draws' log
-    density is the likelihood already computed plus the log prior, which is
-    log_posterior_unnorm's sum; the fit's log density is NormalDist.logpdf
-    with the fit's log sd from libm. The harmonic mean runs on each row,
-    the bridge on all rows at once (`_bridge_rows`, after
-    bridge_log_evidence's density and ratio checks, with its defaults),
-    and Chib on each row and posterior in row order. The lowest row that
-    fails a stage raises ChainFailure with the message a one-row group
-    gives.
+    bridge's log ratios are (rows, T) arrays, and each estimator runs once
+    on all rows: the harmonic mean (`estimators._harmonic_rows`), the
+    bridge (`_bridge_rows`, after bridge_log_evidence's density and ratio
+    checks, with its defaults) and Chib (`_chib_rows`, on the fit's mean
+    and variance). The fit's variance is taken once; its sd is the square
+    root, as np.std takes it, and its log sd comes from libm. The posterior
+    draws' log density is the likelihood already computed plus the log
+    prior, which is log_posterior_unnorm's sum; the fit's log density is
+    NormalDist.logpdf. The lowest row that fails a stage raises
+    ChainFailure with the message a one-row group gives.
     """
     n = 2 * len(posteriors) * T
     z = np.empty((len(rngs), n))
@@ -493,15 +517,19 @@ def _evidence_group(rngs: Sequence[RngStream], posteriors, data: np.ndarray,
     for (model, pm, pv), (z_post, z_prop) in zip(posteriors, z.transpose(1, 2, 0, 3)):
         post = pm + math.sqrt(pv) * z_post
         ll = model.log_likelihood(data, post)
-        hm = _each_row(harmonic_mean_log_evidence, ll)
-        fit_mean, fit_sd = np.mean(post, axis=1), np.std(post, axis=1, ddof=1)
-        _each_row(NormalDist, fit_mean.tolist(), fit_sd.tolist())  # the fit's checks
+        _check_rows(lambda x: _finite("log_liks_at_posterior_draws", x), ll)
+        fit_mean, fit_var = np.mean(post, axis=1), np.var(post, axis=1, ddof=1)
+        fit_sd = np.sqrt(fit_var)
+        fit_ok = (np.abs(fit_mean) < math.inf) & (fit_sd > 0.0) & (fit_sd < math.inf)
+        if not fit_ok.all():  # NormalDist's checks, on the lowest failing row
+            r = int(np.argmin(fit_ok))
+            _on_row(r, NormalDist, float(fit_mean[r]), float(fit_sd[r]))
         log_sd = _libm(math.log, fit_sd)[:, None]
-        fit_mean, fit_sd = fit_mean[:, None], fit_sd[:, None]
-        prop = fit_mean + fit_sd * z_prop
+        m_col, sd_col = fit_mean[:, None], fit_sd[:, None]
+        prop = m_col + sd_col * z_prop
 
         def fit_logpdf(x: np.ndarray) -> np.ndarray:
-            zz = (x - fit_mean) / fit_sd
+            zz = (x - m_col) / sd_col
             return -0.5 * zz * zz - log_sd - _LOG_SQRT_2PI
 
         post1, prop1 = ll + model.log_prior(post), fit_logpdf(post)
@@ -513,12 +541,9 @@ def _evidence_group(rngs: Sequence[RngStream], posteriors, data: np.ndarray,
         for name, ratio in (("post_draws", l1), ("prop_draws", l2)):
             _check_rows(lambda x: _every(f"log density ratio at {name}", x, ~np.isnan(x),
                                          "a number"), ratio)
-        by_model.append((post, hm, _bridge_rows(l1, l2, 1e-8, 1000)))
-
-    chib = _each_row(lambda *posts: [chib_log_evidence(m, data, p)
-                                     for (m, _, _), p in zip(posteriors, posts)],
-                     *(post for post, _, _ in by_model))
-    return [[[hm[r], bridge[r], chib[r][mi]] for mi, (_, hm, bridge) in enumerate(by_model)]
+        by_model.append((_harmonic_rows(ll), _bridge_rows(l1, l2, 1e-8, 1000),
+                         _chib_rows(model, data, fit_mean, fit_var, fit_mean, T)))
+    return [[[hm[r], bridge[r], chib[r]] for hm, bridge, chib in by_model]
             for r in range(len(rngs))]
 
 

@@ -108,7 +108,10 @@ VERDICTS = {"gain", "unresolved", "no regression", "regression"}
 
 def _check_record(rec, metric_names):
     # The JSON record's schema, as the README's scripts paragraph states it.
-    assert set(rec) == {"workload", "pairs", "host", "parent", "change", "metrics"}
+    # Records written before --size existed have no "size"; they are bench.
+    assert set(rec) - {"size"} == {"workload", "pairs", "host", "parent", "change",
+                                   "metrics"}
+    assert rec.get("size", "bench") in bench_pairs.SIZES
     assert set(rec["host"]) == {"cpu", "nproc", "python", "numpy", "glibc"}
     for side in ("parent", "change"):
         assert set(rec[side]) == {"commit", "dirty", "failed", "attempted",
@@ -127,6 +130,13 @@ def test_record_holds_the_host_commits_failures_and_each_metric(tmp_path):
     rec = bench_pairs.record("demo", {"parent": tmp_path, "change": tmp_path},
                              parent, change, END_TO_END)
     _check_record(json.loads(json.dumps(rec)), ["wall_s", "accept"])
+    assert rec["size"] == "bench"
+    headline = bench_pairs.record("demo", {"parent": tmp_path, "change": tmp_path},
+                                  parent, change, END_TO_END, "headline")
+    _check_record(headline, ["wall_s", "accept"])
+    assert headline["size"] == "headline"
+    del headline["size"]  # as in the records written before --size
+    _check_record(headline, ["wall_s", "accept"])
     assert rec["parent"]["commit"] is None  # not a git checkout
     assert (rec["change"]["failed"], rec["change"]["attempted"]) == (10, 120)
     assert rec["host"]["nproc"] >= 1
@@ -145,3 +155,20 @@ def test_every_committed_bench_file_has_the_record_schema():
         for rec in records:
             _check_record(rec, names)
             assert all(rec["metrics"].values()), path.name
+
+
+def test_size_is_passed_to_perfbench_and_checked(monkeypatch):
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        return type("Done", (), {"returncode": 0, "stdout": _line(0.2) + "\n",
+                                 "stderr": ""})()
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs._run(ROOT, "evidence", 3, "headline")["correct"]
+    assert calls[-1][1:] == ["perfbench/run.py", "--workload", "evidence", "--seed", "3",
+                             "--trace", "0", "--size", "headline"]
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", ".", "--change", ".", "--workload", "evidence",
+                          "--size", "tiny"])

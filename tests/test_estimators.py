@@ -11,6 +11,8 @@ from mcstat.estimators import (
     RunningEstimate,
     SnisResult,
     _bridge_rows,
+    _chib_rows,
+    _harmonic_rows,
     bridge_log_evidence,
     chib_log_evidence,
     ess,
@@ -28,6 +30,7 @@ from mcstat.targets import (
     cubic_ratio,
     example_target_logpdf,
     gaussian_functional_expectation,
+    get_model,
     posterior_params,
 )
 
@@ -660,6 +663,104 @@ def test_chib_rejects_non_finite_draws_and_variance_without_warning(draws, messa
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             chib_log_evidence(model, [0.5], draws)
+
+
+# ---------------------------------------------------------------------------
+# Row cores: the harmonic mean and Chib on (R, T) groups
+# ---------------------------------------------------------------------------
+
+def _bits(x):
+    return int(np.float64(x).view(np.uint64))
+
+
+def _harmonic_one_row(ll):
+    # The 1-D harmonic mean as it was written before its row core:
+    # (log evidence, log-likelihood spread, ESS).
+    lw = -ll
+    m = float(np.max(lw))
+    w = np.exp(lw - m)
+    s1 = float(np.sum(w))
+    return (-(float(m + np.log(np.sum(w))) - math.log(ll.size)),
+            float(np.max(ll) - np.min(ll)), s1 * s1 / float(np.dot(w, w)))
+
+
+def _chib_one_row(model, data, draws, theta_star, log_prior=None,
+                  square=lambda d: d ** 2):
+    # Chib's identity on one row as it was written before its row core,
+    # in Python floats; `log_prior` and `square` swap in other arithmetic.
+    m = float(np.mean(draws))
+    v = float(np.var(draws, ddof=1))
+    log_ordinate = -0.5 * square(theta_star - m) / v - 0.5 * math.log(2.0 * math.pi * v)
+    return (model.log_likelihood(data, theta_star) + (log_prior or model.log_prior)(theta_star)
+            - log_ordinate)
+
+
+def _pow_trap(model, data, row, gen, swap):
+    """A t* at which Chib on `row` would change if the log prior ran on a
+    one-element array (swap "log_prior") or the squared distance to the
+    fit's mean were numpy's d * d (swap "square"), in place of the float
+    ** 2 that both take. Candidates are screened 10^5 at a time."""
+    m = float(np.mean(row))
+    while True:
+        ts = m + gen.uniform(-0.5, 0.5, 100_000)
+        if swap == "log_prior":
+            changed = {"log_prior": lambda t: float(model.log_prior(np.array([t]))[0])}
+            differs = model.log_prior(ts) != [model.log_prior(t) for t in ts.tolist()]
+        else:
+            changed = {"square": lambda d: d * d}
+            d = ts - m
+            differs = d * d != [x ** 2 for x in d.tolist()]
+        for t in ts[differs].tolist():
+            if _chib_one_row(model, data, row, t) != \
+               _chib_one_row(model, data, row, t, **changed):
+                return t
+
+
+def test_chib_rows_keep_float_powers_on_the_pow_trap_rows():
+    # Rows 0-2 sit on log-prior traps, rows 3-5 on square traps. Five data
+    # points keep the log likelihood small enough that a last-bit change
+    # in the log prior reaches the estimate.
+    model = get_model("conj-n01")
+    gen = np.random.default_rng(2109)
+    data = gen.normal(0.5, 1.0, size=5).tolist()
+    pm, pv = posterior_params(model, data)
+    T = 100
+    draws = gen.normal(pm, math.sqrt(pv), size=(6, T))
+    t_star = np.array([_pow_trap(model, data, row, gen, "log_prior" if r < 3 else "square")
+                       for r, row in enumerate(draws)])
+    mean, var = np.mean(draws, axis=1), np.var(draws, axis=1, ddof=1)
+    got = _chib_rows(model, data, mean, var, t_star, T)
+    for r, row in enumerate(draws):
+        want = _chib_one_row(model, data, row, float(t_star[r]))
+        one = chib_log_evidence(model, data, row.copy(), theta_star=float(t_star[r]))
+        assert _bits(got[r].log_evidence) == _bits(one.log_evidence) == _bits(want)
+        assert got[r].diagnostics == one.diagnostics
+        assert one.diagnostics["theta_star"] == t_star[r]
+
+
+@pytest.mark.parametrize("T", [100, 333, 1001])  # 333 and 1001 leave rows unaligned
+def test_row_cores_equal_the_one_dimensional_calls(T):
+    model = get_model("conj-n14")
+    gen = np.random.default_rng(T)
+    data = gen.normal(0.5, 1.0, size=20).tolist()
+    pm, pv = posterior_params(model, data)
+    draws = gen.normal(pm, math.sqrt(pv), size=(7, T))
+    ll = model.log_likelihood(data, draws)
+    ll[3] *= 40.0  # one row whose weights span many orders of magnitude
+    mean, var = np.mean(draws, axis=1), np.var(draws, axis=1, ddof=1)
+    harmonic = _harmonic_rows(ll)
+    chib = _chib_rows(model, data, mean, var, mean, T)
+    for r in range(len(draws)):
+        one = harmonic_mean_log_evidence(ll[r].copy())
+        log_ev, spread, eff = _harmonic_one_row(ll[r].copy())
+        assert _bits(harmonic[r].log_evidence) == _bits(one.log_evidence) == _bits(log_ev)
+        assert harmonic[r].diagnostics == one.diagnostics == {
+            "n_draws": T, "log_lik_spread": spread, "ess": eff, "converged": True}
+        assert _bits(one.diagnostics["ess"]) == _bits(eff)
+        one = chib_log_evidence(model, data, draws[r].copy())
+        want = _chib_one_row(model, data, draws[r].copy(), float(np.mean(draws[r].copy())))
+        assert _bits(chib[r].log_evidence) == _bits(one.log_evidence) == _bits(want)
+        assert chib[r].diagnostics == one.diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,10 @@ from mcstat.harness import (
     run_experiment,
     _evidence_group,
     _synthetic_dataset,
+    _write_csv,
 )
 from mcstat.mcmc import CalibrationError
-from mcstat.rng import derive_substream, normal_logpdf, normals, rng_new
+from mcstat.rng import RngStream, derive_substream, normal_logpdf, normals, rng_new
 from mcstat.svgplot import Band, Series, svg_histogram, svg_line_plot
 from mcstat.targets import (ConjugateNormalModel, cubic_ratio,
                             gaussian_functional_expectation, get_model, posterior_params)
@@ -507,22 +508,32 @@ def test_chain_envelope_failure_names_the_run_figure3(tmp_path, capsys, monkeypa
                                 tmp_path, capsys, monkeypatch)
 
 
+class _HalfStream(RngStream):
+    """A stream whose open floats are all 0.5; it advances as RngStream does."""
+
+    __slots__ = ()
+
+    def floats_open(self, n):
+        super().floats_open(n)
+        return np.full(n, 0.5)
+
+
 def test_evidence_failure_names_the_replication(tmp_path, capsys, monkeypatch):
-    # replication 3 calls Chib for its first model on the 7th call overall
-    calls = []
+    # Posterior means of 0.0, and substream 3 reads 0.5 only: its quantiles
+    # are 0.0, its posterior draws all 0.0 and their fitted sd is 0, so
+    # NormalDist's check fails for replication 3 in the group of rows 0..4.
+    def derive(parent, k):
+        rng = derive_substream(parent, k)
+        return _HalfStream(rng.seed, rng.stream_id) if k == 3 else rng
 
-    def flaky_chib(*args):
-        calls.append(None)
-        if len(calls) == 7:
-            raise ValueError("boom")
-        return chib_log_evidence(*args)
-
-    monkeypatch.setattr("mcstat.harness.chib_log_evidence", flaky_chib)
-    msg = r"evidence replication 3 \(substream 3\) failed: boom"
+    monkeypatch.setattr("mcstat.harness.derive_substream", derive)
+    monkeypatch.setattr("mcstat.harness.posterior_params",
+                        lambda model, data: (0.0, posterior_params(model, data)[1]))
+    msg = (r"evidence replication 3 \(substream 3\) failed: "
+           r"sd must be a real in \(0, inf\), got 0\.0$")
     with pytest.raises(RuntimeError, match=msg):
         evidence(ExperimentConfig("evidence", seed=0, runs=5, iters=200,
                                   out_dir=tmp_path / "lib"))
-    calls.clear()
     rc = cli_main(["evidence", "--runs", "5", "--iters", "200",
                    "--out", str(tmp_path / "cli")])
     assert rc == 2
@@ -575,6 +586,32 @@ def test_svg_histogram_rejects_an_overlay_of_the_wrong_length(tmp_path):
         svg_histogram([0.0, 1.0, 2.0], [0.5, 0.5], path,
                       overlay_x=[0.0, 0.5, 1.5, 2.0], overlay_y=[0.5])
     assert not path.exists()
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # _write_csv formats its lines itself; they must be the bytes that
+    # csv.writer gives for the same cells once floats are formatted.
+    floats = np.random.default_rng(8).integers(0, 2**64, 600, dtype=np.uint64)
+    rows = [
+        [1, True, None, -7, 0],
+        [np.int64(-3), np.float64(0.1), np.bool_(False), np.float32(0.1), np.uint8(200)],
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2],
+        ["a,b", 'say "hi"', "two\nlines", "cr\rhere", '","', "plain", " pad "],
+        [""],
+        [None],
+        [],
+        ["", ""],
+        [(1, 2), "x"],
+        floats.view(np.float64).tolist(),
+    ]
+    header = ["key", "a,b", 'c"d']
+    got = _write_csv(tmp_path / "got.csv", header, iter(rows))
+    with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                    for row in rows)
+    assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_export_csv_runs_equal_one(tmp_path):

@@ -104,6 +104,17 @@ def test_state_bytes_is_a_snapshot():
     assert r.state_bytes() != raw1
 
 
+def test_pcg32_matches_the_reference_demo_output():
+    # pcg32_srandom(42, 54) leaves state 0x185706b82c2e03f8 and increment
+    # (54 << 1) | 1 = 0x6d; these are the first six words of O'Neill's
+    # pcg32-demo (the reference C implementation) from that seeding.
+    raw = (0x185706b82c2e03f8).to_bytes(8, "little") + (0x6D).to_bytes(8, "little")
+    r = RngStream.from_state_bytes(raw)
+    assert r.stream_id == 54
+    assert [r.next_u32() for _ in range(6)] == [
+        0xA15C02B7, 0x7B47F409, 0xBA1D3330, 0x83D2F293, 0xBFA4784B, 0xCBED606E]
+
+
 def test_from_state_bytes_rejects_wrong_length():
     with pytest.raises(ValueError):
         RngStream.from_state_bytes(b"\x00" * 15)
