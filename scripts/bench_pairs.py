@@ -2,7 +2,7 @@
 """Compare two checkouts on one perfbench workload over alternating pairs.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W [--pairs 10]
-        [--size {bench,headline}]
+        [--size {bench,headline}] [--tier1]
 
 Pair k (seed k, for k = 1..pairs) runs
 `python3 perfbench/run.py --workload W --seed k --trace 0 --size S` once in
@@ -24,6 +24,11 @@ per metric:
   than the bound;
 * regression: anything else.
 
+With --tier1, after the pairs it runs the tier-1 suite once in each tree,
+parent first (`python -m pytest -q --continue-on-collection-errors` with
+`src` on PYTHONPATH), and prints and records each run's wall seconds and
+its passed, failed (errors included) and xfailed counts.
+
 Its last line of standard output is one JSON record of the same numbers,
 with the host and each tree's commit (schema in the README). It exits 1
 if any run reports `correct: false` or ends without a JSON result.
@@ -36,13 +41,16 @@ import importlib.metadata
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = ("bench", "headline")  # perfbench/run.py --size; a record without "size" is bench
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")  # ROADMAP's tier-1 command
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -143,11 +151,12 @@ def verdicts(parent: list[dict | None], change: list[dict | None],
 
 def record(workload: str, trees: dict[str, Path], parent: list[dict | None],
            change: list[dict | None], end_to_end: list[dict],
-           size: str = "bench") -> dict:
+           size: str = "bench", tier1: dict | None = None) -> dict:
     """The JSON record of one workload's pairs at perfbench size `size`
     (schema in the README): the host, each tree's commit and failures, and
-    every end-to-end metric's quartiles, wins and verdict."""
-    return {
+    every end-to-end metric's quartiles, wins and verdict; with `tier1`,
+    each side's tier-1 run (see _tier1) under "tier1"."""
+    rec = {
         "workload": workload,
         "size": size,
         "pairs": len(parent),
@@ -156,6 +165,9 @@ def record(workload: str, trees: dict[str, Path], parent: list[dict | None],
         "change": {**_commit(trees["change"]), **_failures(change)},
         "metrics": {m["name"]: _metric(parent, change, m) for m in end_to_end},
     }
+    if tier1 is not None:
+        rec["tier1"] = tier1
+    return rec
 
 
 def _host() -> dict:
@@ -196,6 +208,22 @@ def _run(tree: Path, workload: str, seed: int, size: str) -> dict | None:
     return json.loads(lines[-1])
 
 
+def _tier1(tree: Path) -> dict:
+    """One tier-1 run in `tree`: its wall seconds and the passed, failed
+    and xfailed counts of pytest's summary line, errors counted as failed."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))}
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
+                         text=True, check=False)
+    seconds = time.perf_counter() - start
+    lines = out.stdout.strip().splitlines()
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", lines[-1] if lines else "")}
+    return {"seconds": seconds, "passed": counts.get("passed", 0),
+            "failed": sum(counts.get(w, 0) for w in ("failed", "error", "errors")),
+            "xfailed": counts.get("xfailed", 0)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -204,6 +232,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--size", choices=SIZES, default="bench",
                         help="perfbench's workload size (default: bench)")
+    parser.add_argument("--tier1", action="store_true",
+                        help="also run the tier-1 suite once per side, parent first")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -220,8 +250,12 @@ def main(argv=None) -> int:
     for line in lines + verdicts(results["parent"], results["change"], end_to_end):
         print(line)
     trees = {"parent": args.parent, "change": args.change}
+    tier1 = {side: _tier1(trees[side]) for side in ("parent", "change")} if args.tier1 else None
+    for side, run in (tier1 or {}).items():
+        print(f"tier1 {side}: {run['passed']} passed, {run['failed']} failed, "
+              f"{run['xfailed']} xfailed in {run['seconds']:.1f} s")
     print(json.dumps(record(args.workload, trees, results["parent"], results["change"],
-                            end_to_end, args.size)))
+                            end_to_end, args.size, tier1)))
     return 0 if correct else 1
 
 

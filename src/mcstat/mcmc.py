@@ -41,9 +41,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import (_BLOCK, _DEAD_INTERVAL, _MIN_TAIL_MASS, _P_RANGE, _SQRT2, RngStream, _count,
-                  _finite, _libm, _norm_ppf_lower, _norm_ppf_many_unchecked, _real,
-                  norm_ppf_many)
+from .rng import (_BLOCK, _DEAD_INTERVAL, _HALF_0D, _MIN_TAIL_MASS, _MIN_TAIL_MASS_0D, _ONE_0D,
+                  _P_RANGE, _SQRT2, _SQRT2_0D, _ZERO_0D, RngStream, _count, _finite, _libm,
+                  _norm_ppf_lower, _norm_ppf_many_unchecked, _real, norm_ppf_many)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.mcmc.sample_normal and mcstat.mcmc.sample_truncated_normal.
 from .rng import sample_normal, sample_truncated_normal  # noqa: F401
@@ -184,7 +184,7 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
     accepted = np.empty((len(rngs), iters), dtype=bool)
     zs = np.empty((_BLOCK, len(rngs)))  # (step, row): one contiguous row per step
     log_us = np.empty((_BLOCK, len(rngs)))
-    scale = prop.scale
+    scale = np.array(prop.scale)  # 0-d: see rng's module docstring
     logpdf_many = target.logpdf_many
     # A proposal that overflows is inf, silently, as in run_mh_chain's floats.
     with np.errstate(over="ignore"):
@@ -200,7 +200,7 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
                 y = x + z * scale
                 lfy = logpdf_many(y)
                 log_alpha = lfy - lfx
-                acc = (log_alpha >= 0.0) | (log_u < log_alpha)
+                acc = (log_alpha >= _ZERO_0D) | (log_u < log_alpha)
                 x = np.where(acc, y, x)
                 lfx = np.where(acc, lfy, lfx)
                 states[:, t] = x
@@ -351,24 +351,25 @@ def _slice_step(x: float, f_aux: float, f_cdf: float) -> float:
 def _slice_rows(x: np.ndarray, f_aux: np.ndarray, f_cdf: np.ndarray) -> np.ndarray:
     # _slice_step on each element of a (K,) row of lockstep states, bit for bit.
     # A failing check raises ChainFailure for the lowest row that fails it.
+    # Its constants are rng's 0-d twins of _slice_step's floats.
     x2 = x * x
-    u = f_aux / (1.0 + x2 + x2 * x2)
-    _raise_unless_rows((u > 0.0) & (u <= 1.0), _U_RANGE, u)
+    u = f_aux / (_ONE_0D + x2 + x2 * x2)
+    _raise_unless_rows((u > _ZERO_0D) & (u <= _ONE_0D), _U_RANGE, u)
     b = _slice_bound(u, np.sqrt)
     neg_b = -b
-    v = b / _SQRT2
-    phi = 0.5 * _libm(math.erfc, np.concatenate((v, -v)))  # Phi(-b), then Phi(b)
+    v = b / _SQRT2_0D
+    phi = _HALF_0D * _libm(math.erfc, np.concatenate((v, -v)))  # Phi(-b), then Phi(b)
     pa = phi[:len(v)]
     mass = phi[len(v):] - pa
-    _raise_unless_rows(mass > _MIN_TAIL_MASS, _DEAD_INTERVAL, neg_b, b, mass)
+    _raise_unless_rows(mass > _MIN_TAIL_MASS_0D, _DEAD_INTERVAL, neg_b, b, mass)
     p = pa + f_cdf * mass
-    _raise_unless_rows((p > 0.0) & (p < 1.0), _P_RANGE, p)
-    return 0.0 + np.minimum(np.maximum(_norm_ppf_many_unchecked(p), neg_b), b)
+    _raise_unless_rows((p > _ZERO_0D) & (p < _ONE_0D), _P_RANGE, p)
+    return _ZERO_0D + np.minimum(np.maximum(_norm_ppf_many_unchecked(p), neg_b), b)
 
 
 def _raise_unless_rows(ok, message, *values):
     # Raise the float step's error for the lowest row of `ok` that is False.
-    if not ok.all():
+    if np.count_nonzero(ok) < ok.size:
         row = int(np.argmin(ok))
         raise ChainFailure(row, ValueError(message.format(*(float(v[row]) for v in values))))
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quadrature import QuadratureResult, quadrature_integrate
-from .rng import _LOG_SQRT_2PI, _SQRT_2PI, _count, _finite, _libm, _real
+from .rng import _LOG_SQRT_2PI, _NEG_HALF_0D, _SQRT_2PI, _count, _finite, _libm, _real
 
 __all__ = [
     "TargetDensity",
@@ -70,7 +70,7 @@ class TargetDensity:
         xs = np.asarray(xs, dtype=float)
         inside = (self.support_lo <= xs) & (xs <= self.support_hi)
         with np.errstate(over="ignore"):
-            if inside.all():
+            if np.count_nonzero(inside) == inside.size:
                 return np.asarray(self.log_unnorm(xs), dtype=float)
             out = np.full(xs.shape, -math.inf)
             out[inside] = self.log_unnorm(xs[inside])
@@ -85,7 +85,7 @@ def example_target_logpdf(x):
     a float array, log1p from the C library either way."""
     x2 = x * x
     if isinstance(x, np.ndarray):
-        return -0.5 * x2 - _libm(math.log1p, x2 + x2 * x2)
+        return _NEG_HALF_0D * x2 - _libm(math.log1p, x2 + x2 * x2)
     return -0.5 * x2 - math.log1p(x2 + x2 * x2)
 
 

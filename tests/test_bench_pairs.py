@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -109,9 +110,17 @@ VERDICTS = {"gain", "unresolved", "no regression", "regression"}
 def _check_record(rec, metric_names):
     # The JSON record's schema, as the README's scripts paragraph states it.
     # Records written before --size existed have no "size"; they are bench.
-    assert set(rec) - {"size"} == {"workload", "pairs", "host", "parent", "change",
-                                   "metrics"}
+    # "tier1" is there only for a run with --tier1.
+    assert set(rec) - {"size", "tier1"} == {"workload", "pairs", "host", "parent", "change",
+                                            "metrics"}
     assert rec.get("size", "bench") in bench_pairs.SIZES
+    if "tier1" in rec:
+        assert set(rec["tier1"]) == {"parent", "change"}
+        for run in rec["tier1"].values():
+            assert set(run) == {"seconds", "passed", "failed", "xfailed"}
+            assert run["seconds"] > 0.0
+            assert all(type(run[k]) is int and run[k] >= 0
+                       for k in ("passed", "failed", "xfailed"))
     assert set(rec["host"]) == {"cpu", "nproc", "python", "numpy", "glibc"}
     for side in ("parent", "change"):
         assert set(rec[side]) == {"commit", "dirty", "failed", "attempted",
@@ -172,3 +181,46 @@ def test_size_is_passed_to_perfbench_and_checked(monkeypatch):
     with pytest.raises(SystemExit):
         bench_pairs.main(["--parent", ".", "--change", ".", "--workload", "evidence",
                           "--size", "tiny"])
+
+
+def test_tier1_runs_once_per_side_parent_first_and_is_recorded(monkeypatch, tmp_path):
+    summaries = {"parent": "1 failed, 515 passed, 1 xfailed, 2 warnings in 120.50s (0:02:00)",
+                 "change": "516 passed, 1 xfailed in 110.00s (0:01:50)"}
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append((cmd, Path(cwd), kwargs.get("env", {}).get("PYTHONPATH", "")))
+        if cmd[1] == "perfbench/run.py":
+            return type("Done", (), {"returncode": 0, "stdout": _line(0.2) + "\n",
+                                     "stderr": ""})()
+        side = "parent" if Path(cwd) == trees["parent"] else "change"
+        return type("Done", (), {"returncode": 1 if side == "parent" else 0,
+                                 "stdout": "..F..\n" + summaries[side] + "\n", "stderr": ""})()
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "_commit", lambda tree: {"commit": None, "dirty": None})
+    lines = []
+    monkeypatch.setattr("builtins.print", lambda *a, **k: lines.append(" ".join(map(str, a))))
+    assert bench_pairs.main(["--parent", str(trees["parent"]), "--change",
+                             str(trees["change"]), "--workload", "evidence", "--pairs", "1",
+                             "--tier1"]) == 0
+    suites = [(cmd[1:], cwd, path) for cmd, cwd, path in calls if "pytest" in cmd]
+    assert [cwd for _, cwd, _ in suites] == [trees["parent"], trees["change"]]
+    assert all(cmd == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+               and path.split(os.pathsep)[0] == "src" for cmd, _, path in suites)
+    rec = json.loads(lines[-1])
+    one = [json.loads(_line(0.2))]
+    _check_record(bench_pairs.record("demo", trees, one, one, END_TO_END, tier1=rec["tier1"]),
+                  ["wall_s", "accept"])
+    assert {k: v for k, v in rec["tier1"]["parent"].items() if k != "seconds"} == \
+        {"passed": 515, "failed": 1, "xfailed": 1}
+    assert {k: v for k, v in rec["tier1"]["change"].items() if k != "seconds"} == \
+        {"passed": 516, "failed": 0, "xfailed": 1}
+    assert "tier1 change: 516 passed, 0 failed, 1 xfailed in" in lines[-2]
+    # without --tier1 the suite does not run and the record has no "tier1"
+    calls.clear()
+    bench_pairs.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+                      "--workload", "evidence", "--pairs", "1"])
+    assert not any("pytest" in cmd for cmd, _, _ in calls)
+    assert "tier1" not in json.loads(lines[-1])

@@ -7,12 +7,17 @@ import pytest
 import scipy.stats as sps
 from hypothesis import given, settings, strategies as st
 
+import mcstat.rng as rng_mod
+from mcstat.mcmc import slice_gibbs_step
 from mcstat.rng import (
     _BLOCK,
     _PPF_P_LOW,
     _PPF_SLICE,
+    _halley,
     _libm,
     _open_floats,
+    _ppf_central,
+    _ppf_tail,
     NormalDist,
     RngStream,
     StudentTDist,
@@ -30,6 +35,7 @@ from mcstat.rng import (
     sample_uniform,
     student_t_logpdf,
 )
+from mcstat.targets import EXAMPLE_TARGET, example_target_logpdf
 
 from conftest import ks_critical, ks_statistic
 
@@ -284,6 +290,51 @@ def test_libm_keeps_shape(shape):
 @settings(max_examples=100, deadline=None)
 def test_norm_ppf_many_matches_scalar_property(ps):
     assert _bits(norm_ppf_many(ps)) == _bits([norm_ppf(p) for p in ps])
+
+
+@pytest.mark.parametrize("n", [1, 100, _PPF_SLICE])  # one row, K = 100, one slice
+def test_norm_ppf_many_matches_scalar_at_lockstep_widths(n):
+    # each branch edge in front of n - 1 fixed-seed uniforms, then the
+    # uniforms alone: the array path's 0-d constants give the float bits
+    u = rng_new(22).floats_open(n)
+    for ps in [np.concatenate(([edge], u[1:])) for edge in _PPF_EDGES] + [u]:
+        assert _bits(norm_ppf_many(ps)) == _bits([norm_ppf(p) for p in ps.tolist()])
+
+
+def _twins():
+    # (0-d constant, its float) for every constant the array paths use
+    pairs = [(rng_mod._ZERO_0D, 0.0), (rng_mod._HALF_0D, 0.5), (rng_mod._NEG_HALF_0D, -0.5),
+             (rng_mod._ONE_0D, 1.0), (rng_mod._TWO_0D, 2.0), (rng_mod._NEG_TWO_0D, -2.0),
+             (rng_mod._FAR_0D, 700.0)]
+    for name in ("_SQRT2", "_SQRT_2PI", "_PPF_P_LOW", "_MIN_TAIL_MASS"):
+        pairs.append((getattr(rng_mod, f"{name}_0D"), getattr(rng_mod, name)))
+    for name in ("_PPF_A", "_PPF_B", "_PPF_C", "_PPF_D"):
+        zero_d, floats = getattr(rng_mod, f"{name}_0D"), getattr(rng_mod, name)
+        assert len(zero_d) == len(floats)
+        pairs += zip(zero_d, floats)
+    return pairs
+
+
+def test_zero_d_constants_are_their_float_twins_bit_for_bit():
+    pairs = _twins()
+    assert len(pairs) == 32
+    for zero_d, f in pairs:
+        assert type(zero_d) is np.ndarray and zero_d.dtype == np.float64
+        assert zero_d.shape == ()
+        assert type(f) is float
+        assert zero_d.tobytes() == np.float64(f).tobytes()
+
+
+def test_float_paths_return_python_floats():
+    # a 0-d constant on a float path would turn these into numpy values
+    for p in (0.3, 0.7, 0.01, 0.995, 1e-300, 1e-310, 5e-324):  # central, tail, far tail
+        assert type(norm_ppf(p)) is float, p
+    assert type(_ppf_central(0.3)) is float
+    assert type(_ppf_tail(3.0)) is float
+    assert type(_halley(-1.0, 0.2, 0.15, 1.6)) is float
+    assert type(slice_gibbs_step(0.3, rng_new(1))) is float
+    assert type(example_target_logpdf(0.7)) is float
+    assert type(EXAMPLE_TARGET.logpdf(0.7)) is float
 
 
 # ---------------------------------------------------------------------------
