@@ -16,9 +16,11 @@ the experiment harness measures, not a defect to hide. Each is written
 once, over rows: `_harmonic_rows` on rows of log likelihoods,
 `_bridge_rows` (the Meng-Wong fixed point, each row stopping at its own
 iteration) on rows of log ratios, and `_chib_rows` on rows of fitted
-means and variances. The public estimators check one-dimensional draws or
-log values and run their core on one row; the evidence experiment runs
-each core once on a group of replications.
+means and variances. Each core checks its input through `_check_rows`
+(the bridge's log densities and ratios in `_bridge_density_rows`), so its
+lowest failing row raises ChainFailure; the public estimators run their
+core on one row, raising its failure as a plain ValueError, and the
+evidence experiment runs each core once on a group of replications.
 """
 
 from __future__ import annotations
@@ -66,6 +68,20 @@ def _one_dim(name: str, a: np.ndarray) -> np.ndarray:
     if a.ndim > 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {a.shape}")
     return a
+
+
+def _check_rows(check: Callable[[np.ndarray], None], a: np.ndarray) -> None:
+    # check(a) on the whole (rows, T) block; if it fails, check(row) on each
+    # row, so the lowest failing row raises ChainFailure with its own index.
+    try:
+        check(a)
+    except ValueError:
+        for r, row in enumerate(a):
+            try:
+                check(row)
+            except ValueError as exc:
+                raise ChainFailure(r, exc) from exc
+        raise
 
 
 @dataclass(frozen=True)
@@ -222,12 +238,12 @@ def self_normalized_is(target: TargetDensity,
     estimate = float(np.dot(w, values) / np.sum(w))
 
     # Bootstrap over (value, weight) pairs; no closed-form SE exists under
-    # self-normalization. numpy's generator is seeded from the stream so the
-    # whole result stays deterministic.
-    boot = np.random.default_rng(rng.next_u64())
+    # self-normalization. Each resample's T indices are floor(u * T) of T
+    # open floats from the stream, so the whole result replays from it; an
+    # open float is at most 1 - 2^-53, so every index is below T.
     reps = np.empty(_BOOTSTRAP_RESAMPLES)
     for b in range(_BOOTSTRAP_RESAMPLES):
-        idx = boot.integers(0, T, size=T)
+        idx = (rng.floats_open(T) * T).astype(np.intp)
         wb = w[idx]
         reps[b] = np.dot(wb, values[idx]) / np.sum(wb)
     se = float(np.std(reps, ddof=1))
@@ -263,15 +279,19 @@ def harmonic_mean_log_evidence(log_liks_at_posterior_draws: Sequence[float]) -> 
     cross-replication spread is the diagnostic of interest.
     """
     ll = _one_dim("log_liks_at_posterior_draws",
-                  _finite("log_liks_at_posterior_draws", log_liks_at_posterior_draws))
+                  np.asarray(log_liks_at_posterior_draws, dtype=float))
     if ll.size == 0:
         raise ValueError("log likelihood list must be nonempty")
-    return _harmonic_rows(ll.reshape(1, -1))[0]
+    try:
+        return _harmonic_rows(ll.reshape(1, -1))[0]
+    except ChainFailure as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _harmonic_rows(ll: np.ndarray) -> list[EvidenceEstimate]:
-    """harmonic_mean_log_evidence on each row of the (R, T) finite log
-    likelihoods `ll`, bit for bit."""
+    """harmonic_mean_log_evidence on each row of the (R, T) log
+    likelihoods `ll`, bit for bit; a non-finite one fails `_check_rows`."""
+    _check_rows(lambda x: _finite("log_liks_at_posterior_draws", x), ll)
     m, w, s, eff = _shifted_rows(-ll)
     log_ev = -((m + np.log(s)) - math.log(ll.shape[1]))
     spread = ll.max(axis=1) - ll.min(axis=1)
@@ -288,7 +308,6 @@ def _eval_log_fn(fn, xs: np.ndarray) -> np.ndarray:
     if out.shape != xs.shape:
         raise ValueError(f"log density returned shape {out.shape} for draws of "
                          f"shape {xs.shape}; pass a vectorized log density")
-    _every("log density", out, out != math.inf, "< +inf")  # -inf is allowed
     return out
 
 
@@ -323,16 +342,27 @@ def bridge_log_evidence(post_draws: Sequence[float],
     tol = _real("tol", tol, 0.0)
     max_iter = _count("max_iter", max_iter, 1)
 
-    post1, prop1 = _eval_log_fn(log_post_unnorm, theta1), _eval_log_fn(log_prop, theta1)
-    post2, prop2 = _eval_log_fn(log_post_unnorm, theta2), _eval_log_fn(log_prop, theta2)
+    dens = [_eval_log_fn(fn, theta).reshape(1, -1)
+            for theta in (theta1, theta2) for fn in (log_post_unnorm, log_prop)]
+    try:
+        return _bridge_density_rows(*dens, tol, max_iter)[0]
+    except ChainFailure as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _bridge_density_rows(post1: np.ndarray, prop1: np.ndarray, post2: np.ndarray,
+                         prop2: np.ndarray, tol: float, max_iter: int) -> list[EvidenceEstimate]:
+    """bridge_log_evidence on rows: the posterior's (post) and proposal's
+    (prop) log densities at the (R, n1) posterior draws (1) and the (R, n2)
+    proposal draws (2). A +inf density, then a NaN ratio, fails `_check_rows`."""
+    for dens in (post1, prop1, post2, prop2):  # -inf is allowed
+        _check_rows(lambda x: _every("log density", x, x != math.inf, "< +inf"), dens)
     with np.errstate(invalid="ignore"):  # -inf - -inf: a NaN ratio, named below
         l1, l2 = post1 - prop1, post2 - prop2
     for name, ratio in (("post_draws", l1), ("prop_draws", l2)):
-        _every(f"log density ratio at {name}", ratio, ~np.isnan(ratio), "a number")
-    try:
-        return _bridge_rows(l1.reshape(1, -1), l2.reshape(1, -1), tol, max_iter)[0]
-    except ChainFailure as exc:
-        raise ValueError(str(exc)) from None
+        _check_rows(lambda x: _every(f"log density ratio at {name}", x, ~np.isnan(x),
+                                     "a number"), ratio)
+    return _bridge_rows(l1, l2, tol, max_iter)
 
 
 def _bridge_rows(l1: np.ndarray, l2: np.ndarray, tol: float,

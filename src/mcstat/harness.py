@@ -15,15 +15,15 @@ Four experiments share one config type:
 
 Replication k always consumes substream k of the config seed; datasets and
 calibration get reserved substream ids far above any run index.
-run_envelope replicates through one loop, `_replicate`, which yields
-each result. figure1 reads every run's uniforms into one block and
-inverts the block in shared slices (`rng._invert_open`). evidence runs its
-replications in groups of max(1, 8192 // iters) rows (`_evidence_group`):
-one draw block per group, and each estimator's row core
-(`estimators._harmonic_rows`, `_bridge_rows`, `_chib_rows`) once per
-model and group. The chain figures
-hand all their substreams to one lockstep chain kernel
-(`run_gibbs_chains`, `run_mh_chains`), which steps every run at once.
+run_envelope calls its trace function once per replication. figure1
+reads every run's uniforms into one block and inverts the block in shared
+slices (`rng._invert_open`). evidence runs its replications in groups of
+max(1, 8192 // iters) rows (`_evidence_group`): one draw block per group,
+and each estimator's row core (`estimators._harmonic_rows`,
+`_bridge_density_rows`, `_chib_rows`), which checks its own input, once
+per model and group. The chain figures hand all their substreams to one
+lockstep chain kernel (`run_gibbs_chains`, `run_mh_chains`), which steps
+every run at once.
 In each case a failure names its replication and substream, in the words
 of `_run_failed`. The envelope figures fill one (runs, iters) block and
 reduce it with one lockstep `running_moments`. An ExperimentConfig is
@@ -44,8 +44,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .estimators import (EvidenceEstimate, _bridge_rows, _chib_rows, _harmonic_rows,
-                         running_moments)
+from .estimators import (EvidenceEstimate, _bridge_density_rows, _chib_rows,
+                         _harmonic_rows, running_moments)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.bridge_log_evidence, harmonic_mean_log_evidence and
 # chib_log_evidence.
@@ -56,8 +56,8 @@ from .mcmc import (ChainFailure, ChainTrace, RwProposal, calibrate_scale_report,
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.run_gibbs_chain and mcstat.harness.run_mh_chain.
 from .mcmc import run_gibbs_chain, run_mh_chain  # noqa: F401
-from .rng import (_LOG_SQRT_2PI, NormalDist, RngStream, _count, _every, _finite,
-                  _invert_open, _libm, _real, derive_substream, normals, rng_new)
+from .rng import (_LOG_SQRT_2PI, NormalDist, RngStream, _count, _finite, _invert_open,
+                  _libm, _real, derive_substream, normals, rng_new)
 # Not called here: kept as a module attribute because perfbench's tracer
 # wraps mcstat.harness.sample_normal.
 from .rng import sample_normal  # noqa: F401
@@ -182,34 +182,26 @@ def _run_failed(label: str, k: int, exc: Exception) -> RuntimeError:
     return RuntimeError(f"{label} {k} (substream {k}) failed: {exc}")
 
 
-def _replicate(label: str, seed: int, runs: int, fn: Callable, *args) -> Iterator:
-    """Yield fn(substream k of `seed`, *args) for k < runs; a failure is
-    re-raised as a RuntimeError naming the replication and its substream."""
-    for k, rng in enumerate(_substreams(seed, runs)):
-        try:
-            result = fn(rng, *args)
-        except Exception as exc:
-            raise _run_failed(label, k, exc) from exc
-        yield result
-
-
 def run_envelope(make_trace: Callable[[RngStream, Sequence[int]], Sequence[float]],
                  runs: int, iters: int, seed: int) -> EnvelopeSummary:
     """Run `runs` independent replications and collect their envelope.
 
     `make_trace(rng, cps)` must return the running-mean value at each
-    checkpoint in cps; replication k receives substream k of `seed`.
+    checkpoint in cps; replication k receives substream k of `seed`. Its
+    failure or a wrong shape raises, naming the replication and substream.
     """
     runs = _count("runs", runs, 1)
     cps = checkpoints(iters)
-
-    def trace(rng: RngStream) -> np.ndarray:
-        tr = np.asarray(make_trace(rng, cps), dtype=float)
-        if tr.shape != (len(cps),):
-            raise ValueError(f"returned {tr.shape}, expected ({len(cps)},)")
-        return tr
-
-    return _summarize(cps, np.array(list(_replicate("envelope run", seed, runs, trace))))
+    traces = np.empty((runs, len(cps)))
+    for k, rng in enumerate(_substreams(seed, runs)):
+        try:
+            tr = np.asarray(make_trace(rng, cps), dtype=float)
+            if tr.shape != (len(cps),):
+                raise ValueError(f"returned {tr.shape}, expected ({len(cps)},)")
+        except Exception as exc:
+            raise _run_failed("envelope run", k, exc) from exc
+        traces[k] = tr
+    return _summarize(cps, traces)
 
 
 def _summarize(cps: Sequence[int], traces: np.ndarray) -> EnvelopeSummary:
@@ -404,7 +396,7 @@ def _chain_envelope(config: ExperimentConfig, kernel: Callable, *args
     runs every replication at once on the config's substreams. Each run
     executes burn_in + iters chain steps and retains `iters` states, so the
     envelope axis always ends at config.iters. A `ChainFailure` is re-raised
-    naming its run as `_replicate` does. Returns the summary, the kernel's
+    naming its run as run_envelope does. Returns the summary, the kernel's
     (runs, steps) trace, and the info entries both chain figures share.
     """
     burn = config.effective_burn_in()
@@ -461,25 +453,6 @@ def _synthetic_dataset(seed: int, n: int = 20) -> np.ndarray:
     return normals(derive_substream(rng_new(seed), _DATA_STREAM), n, 0.5, 1.0)
 
 
-def _on_row(r: int, check: Callable, *args) -> None:
-    # check(*args), row r's one-row check; its error raises as ChainFailure(r)
-    try:
-        check(*args)
-    except ValueError as exc:
-        raise ChainFailure(r, exc) from exc
-
-
-def _check_rows(check: Callable[[np.ndarray], None], a: np.ndarray) -> None:
-    # check(a) on the whole (rows, T) block; if it fails, check(row) on each
-    # row, so the lowest failing row raises ChainFailure with its own index.
-    try:
-        check(a)
-    except ValueError:
-        for r, row in enumerate(a):
-            _on_row(r, check, row)
-        raise
-
-
 def _evidence_group(rngs: Sequence[RngStream], posteriors, data: np.ndarray,
                     T: int) -> list[list[list[EvidenceEstimate]]]:
     """Replications of `evidence` on the streams `rngs`, in lockstep: per
@@ -497,16 +470,17 @@ def _evidence_group(rngs: Sequence[RngStream], posteriors, data: np.ndarray,
     p > 0.5 is the negation of a strictly negative lower quantile).
 
     Per posterior, the draws, their log likelihood, the fits and the
-    bridge's log ratios are (rows, T) arrays, and each estimator runs once
-    on all rows: the harmonic mean (`estimators._harmonic_rows`), the
-    bridge (`_bridge_rows`, after bridge_log_evidence's density and ratio
-    checks, with its defaults) and Chib (`_chib_rows`, on the fit's mean
-    and variance). The fit's variance is taken once; its sd is the square
-    root, as np.std takes it, and its log sd comes from libm. The posterior
-    draws' log density is the likelihood already computed plus the log
-    prior, which is log_posterior_unnorm's sum; the fit's log density is
-    NormalDist.logpdf. The lowest row that fails a stage raises
-    ChainFailure with the message a one-row group gives.
+    bridge's log densities are (rows, T) arrays, and each estimator runs
+    once on all rows: the harmonic mean (`estimators._harmonic_rows`), the
+    bridge (`_bridge_density_rows`, with bridge_log_evidence's defaults)
+    and Chib (`_chib_rows`, on the fit's mean and variance). The fit's
+    variance is taken once; its sd is the square root, as np.std takes it,
+    and its log sd comes from libm. The posterior draws' log density is the
+    likelihood already computed plus the log prior, which is
+    log_posterior_unnorm's sum; the fit's log density is NormalDist.logpdf.
+    The lowest row that fails a stage raises ChainFailure with the message
+    a one-row group gives: the row cores check their own input, and the
+    fit gets NormalDist's checks.
     """
     n = 2 * len(posteriors) * T
     z = np.empty((len(rngs), n))
@@ -517,13 +491,16 @@ def _evidence_group(rngs: Sequence[RngStream], posteriors, data: np.ndarray,
     for (model, pm, pv), (z_post, z_prop) in zip(posteriors, z.transpose(1, 2, 0, 3)):
         post = pm + math.sqrt(pv) * z_post
         ll = model.log_likelihood(data, post)
-        _check_rows(lambda x: _finite("log_liks_at_posterior_draws", x), ll)
+        harmonic = _harmonic_rows(ll)
         fit_mean, fit_var = np.mean(post, axis=1), np.var(post, axis=1, ddof=1)
         fit_sd = np.sqrt(fit_var)
         fit_ok = (np.abs(fit_mean) < math.inf) & (fit_sd > 0.0) & (fit_sd < math.inf)
         if not fit_ok.all():  # NormalDist's checks, on the lowest failing row
             r = int(np.argmin(fit_ok))
-            _on_row(r, NormalDist, float(fit_mean[r]), float(fit_sd[r]))
+            try:
+                NormalDist(float(fit_mean[r]), float(fit_sd[r]))
+            except ValueError as exc:
+                raise ChainFailure(r, exc) from exc
         log_sd = _libm(math.log, fit_sd)[:, None]
         m_col, sd_col = fit_mean[:, None], fit_sd[:, None]
         prop = m_col + sd_col * z_prop
@@ -532,16 +509,11 @@ def _evidence_group(rngs: Sequence[RngStream], posteriors, data: np.ndarray,
             zz = (x - m_col) / sd_col
             return -0.5 * zz * zz - log_sd - _LOG_SQRT_2PI
 
+        # held until the next model's replace them: no heap trim and re-fault between
         post1, prop1 = ll + model.log_prior(post), fit_logpdf(post)
         post2, prop2 = model.log_posterior_unnorm(data, prop), fit_logpdf(prop)
-        for dens in (post1, prop1, post2, prop2):
-            _check_rows(lambda x: _every("log density", x, x != math.inf, "< +inf"), dens)
-        with np.errstate(invalid="ignore"):  # -inf - -inf: a NaN ratio, named below
-            l1, l2 = post1 - prop1, post2 - prop2
-        for name, ratio in (("post_draws", l1), ("prop_draws", l2)):
-            _check_rows(lambda x: _every(f"log density ratio at {name}", x, ~np.isnan(x),
-                                         "a number"), ratio)
-        by_model.append((_harmonic_rows(ll), _bridge_rows(l1, l2, 1e-8, 1000),
+        bridge = _bridge_density_rows(post1, prop1, post2, prop2, 1e-8, 1000)
+        by_model.append((harmonic, bridge,
                          _chib_rows(model, data, fit_mean, fit_var, fit_mean, T)))
     return [[[hm[r], bridge[r], chib[r]] for hm, bridge, chib in by_model]
             for r in range(len(rngs))]

@@ -231,17 +231,8 @@ class ConjugateNormalModel:
 
 
 def _suff_stats(data: Sequence[float]) -> tuple[int, float, float]:
-    # (n, sum, sum of squares), computed once per distinct dataset: the
-    # evidence experiment asks for the same 20 points hundreds of times.
-    arr = np.asarray(data, dtype=float)
-    return _suff_stats_of(arr.shape, arr.tobytes())
-
-
-@functools.lru_cache(maxsize=64)
-def _suff_stats_of(shape: tuple[int, ...], raw: bytes) -> tuple[int, float, float]:
-    # Keyed on the data's shape and bytes; a raising call is not cached, so
-    # every call on bad data raises.
-    arr = _finite("data", np.frombuffer(raw).reshape(shape))
+    # (n, sum, sum of squares) of the finite, nonempty data
+    arr = _finite("data", data)
     if arr.size == 0:
         raise ValueError("data must be nonempty")
     return int(arr.size), float(arr.sum()), float(np.dot(arr, arr))

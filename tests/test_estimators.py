@@ -22,7 +22,7 @@ from mcstat.estimators import (
     self_normalized_is,
 )
 from mcstat.mcmc import ChainFailure
-from mcstat.rng import NormalDist, StudentTDist, rng_new, sample_normal
+from mcstat.rng import NormalDist, StudentTDist, derive_substream, rng_new, sample_normal
 from mcstat.targets import (
     ConjugateNormalModel,
     TargetDensity,
@@ -301,6 +301,25 @@ def test_snis_unnormalized_target_invariance():
                            4000, rng_new(34))
     assert a.estimate == pytest.approx(b.estimate, rel=1e-12)
     assert a.ess == pytest.approx(b.ess, rel=1e-12)
+
+
+def test_snis_bootstrap_replays_from_its_stream():
+    # Two runs on the same (seed, stream_id) give the same SE bits, and the
+    # stream ends exactly 200 resamples of T open floats after the proposal
+    # draws: the bootstrap's indices come from the stream itself.
+    T, prop = 500, NormalDist(0.0, 1.5)
+    runs = [derive_substream(rng_new(41), 3) for _ in range(2)]
+    a, b = (self_normalized_is(GAUSS0, prop, lambda x: x * x, T, rng) for rng in runs)
+    assert np.float64(a.se).view(np.uint64) == np.float64(b.se).view(np.uint64)
+    assert a.se > 0.0
+    replay = derive_substream(rng_new(41), 3)
+    for _ in range(T):
+        prop.sample(replay)
+    replay.floats_open(200 * T)
+    assert runs[0].state_bytes() == runs[1].state_bytes() == replay.state_bytes()
+    # the largest open float, 1 - 2^-53, still gives an index below T
+    for n in (1, 3, 10**4, 2**31 - 1, 2**31 + 1):
+        assert (np.array([1.0 - 2.0**-53]) * n).astype(np.intp)[0] == n - 1
 
 
 class _BoxDist:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mcstat
-from mcstat.estimators import bridge_log_evidence, ess
+from mcstat.estimators import bridge_log_evidence, ess, harmonic_mean_log_evidence
 from mcstat.mcmc import ChainFailure, _slice_rows, _slice_step
 from mcstat.rng import norm_ppf, norm_ppf_many
 
@@ -53,6 +53,12 @@ def test_ess_names_its_first_bad_weight():
         ess([0.0, math.nan])
     with pytest.raises(ValueError, match=r"got inf at index 2$"):
         ess([0.0, -1.0, math.inf, math.nan])
+
+
+def test_the_harmonic_mean_names_its_first_non_finite_log_likelihood():
+    with pytest.raises(ValueError, match=r"^log_liks_at_posterior_draws must be finite, "
+                                         r"got nan at index 1$"):
+        harmonic_mean_log_evidence([0.0, math.nan])
 
 
 def test_the_bridge_names_its_first_nan_ratio():

@@ -437,21 +437,28 @@ def test_evidence_groups_match_replications_one_at_a_time(tmp_path, T):
             assert row["converged"] == str(est.converged)
 
 
-def test_evidence_failure_in_a_lockstep_stage_names_the_replication(tmp_path, monkeypatch):
-    # A +inf log prior at replication 3's 18th posterior draw for the first
-    # model; the group of 5 rows evaluates every row's densities at once.
+@pytest.mark.parametrize("method, value, cause", [
+    ("log_prior", math.inf, r"log density must be < \+inf, got inf"),
+    ("log_likelihood", math.nan, r"log_liks_at_posterior_draws must be finite, got nan"),
+    ("log_prior", math.nan, r"log density ratio at post_draws must be a number, got nan"),
+], ids=["inf_log_prior", "nan_log_likelihood", "nan_log_prior"])
+def test_evidence_failure_in_a_lockstep_stage_names_the_replication(tmp_path, monkeypatch,
+                                                                    method, value, cause):
+    # `value` from the model's `method` at replication 3's 18th posterior
+    # draw for the first model; the group of 5 rows evaluates every row's
+    # likelihoods and densities at once, and each row core checks its rows.
     seed, T = 0, 200
     data = _synthetic_dataset(seed)
     pm, pv = posterior_params(get_model("conj-n01"), data)
     draw = normals(derive_substream(rng_new(seed), 3), T, pm, math.sqrt(pv))[17]
-    log_prior = ConjugateNormalModel.log_prior
+    original = getattr(ConjugateNormalModel, method)
 
-    def inf_at_draw(self, theta):
-        return np.where(theta == draw, math.inf, log_prior(self, theta))
+    def bad_at_draw(self, *args):
+        theta = args[-1]
+        return np.where(theta == draw, value, original(self, *args))
 
-    monkeypatch.setattr(ConjugateNormalModel, "log_prior", inf_at_draw)
-    msg = (r"^evidence replication 3 \(substream 3\) failed: "
-           r"log density must be < \+inf, got inf at index 17$")
+    monkeypatch.setattr(ConjugateNormalModel, method, bad_at_draw)
+    msg = rf"^evidence replication 3 \(substream 3\) failed: {cause} at index 17$"
     with pytest.raises(RuntimeError, match=msg):
         evidence(ExperimentConfig("evidence", seed=seed, runs=5, iters=T,
                                   out_dir=tmp_path))

@@ -47,7 +47,7 @@ _ALLOWED = {
     ("targets.py", "example_target_cdf_many"): (
         {"@": 1},
         "item 1 debt: the oracle CDF, in hist.csv's oracle_mass"),
-    ("targets.py", "_suff_stats_of"): (
+    ("targets.py", "_suff_stats"): (
         {"np.dot": 1},
         f"item 1 debt: the data's sum of squares behind the analytic truths, in "
         f"{_EVIDENCE_CSVS}"),

@@ -1,12 +1,15 @@
 """Deterministic stream behaviour and distributional accuracy of mcstat.rng."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats as sps
 from hypothesis import given, settings, strategies as st
 
+import mcstat
 import mcstat.rng as rng_mod
 from mcstat.mcmc import slice_gibbs_step
 from mcstat.rng import (
@@ -692,3 +695,47 @@ def _ks_pass_count(draw_one, cdf, n_draws=10_000, n_seeds=100, base_seed=0):
 def test_sampler_ks_fit_across_seeds(name, draw_one, cdf):
     passed = _ks_pass_count(draw_one, cdf, base_seed=1_000)
     assert passed >= 95, f"{name}: only {passed}/100 seeds passed the 1% KS test"
+
+
+# ---------------------------------------------------------------------------
+# Guard: every random number comes from RngStream
+# ---------------------------------------------------------------------------
+
+def _numpy_random_uses(tree: ast.AST) -> list[int]:
+    """Line numbers of np.random / numpy.random attributes and of imports
+    of numpy.random or of `random` from numpy."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random" and \
+                isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and \
+                any(a.name.startswith("numpy.random") for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.startswith("numpy.random")
+                or (node.module == "numpy" and any(a.name == "random" for a in node.names))):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_generator_guard_sees_every_form_of_numpy_random():
+    tree = ast.parse("import numpy.random\n"
+                     "from numpy.random import default_rng\n"
+                     "from numpy import random\n"
+                     "x = np.random.default_rng(0)\n"
+                     "y = numpy.random.rand()\n"
+                     "z = rng.random()\n")
+    assert _numpy_random_uses(tree) == [1, 2, 3, 4, 5]
+
+
+def test_no_numpy_random_in_mcstat():
+    # numpy's generators do not promise the same stream across numpy
+    # versions (NEP 19); every draw must replay from (seed, stream_id)
+    found = {}
+    for path in sorted(Path(mcstat.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = _numpy_random_uses(ast.parse(text))
+        if lines or "np.random" in text or "numpy.random" in text:
+            found[path.name] = lines
+    assert not found, f"numpy.random in {found}; draw from RngStream"
