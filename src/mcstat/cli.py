@@ -1,8 +1,9 @@
 """Command line entry point for the experiment harness.
 
 Exit codes: 0 on success, 1 on validation problems (bad flags, bad config
-values, unreadable config file), 2 on numerical failure while running
-(calibration miss, quadrature budget, degenerate weights, I/O).
+values, unreadable config file), 2 on failure while running (calibration
+miss, quadrature budget, degenerate weights, I/O, an allocation too large
+for memory).
 
 Options may also come from a flat key=value config file via --config;
 explicit command line flags win over file values, which win over defaults.
@@ -122,8 +123,9 @@ def main(argv=None) -> int:
         return 1
     try:
         result = run_experiment(config)
-    # CalibrationError and QuadratureError are RuntimeErrors.
-    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
+    # CalibrationError and QuadratureError are RuntimeErrors. A config can
+    # pass validation and still ask for more memory than the host has.
+    except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"mcstat: {config.experiment} failed: {exc}", file=sys.stderr)
         return 2
     print(f"{config.experiment}: wrote {len(result.files)} files to {config.out_dir}")

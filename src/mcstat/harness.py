@@ -23,7 +23,12 @@ and each estimator's row core (`estimators._harmonic_rows`,
 `_bridge_density_rows`, `_chib_rows`), which checks its own input, once
 per model and group. The chain figures hand all their substreams to one
 lockstep chain kernel (`run_gibbs_chains`, `run_mh_chains`), which steps
-every run at once.
+every run at once. Their working set is the kernel's (runs, burn+iters)
+states (with figure3's boolean acceptance record of that shape) and its
+(2048, runs) draw buffer: the histogram of the retained states is counted
+over slabs of whole runs of at most 8192 states (one run if a run is
+longer), and x^3 is then cubed in place over them (`_chain_envelope`), so
+the states are held once.
 In each case a failure names its replication and substream, in the words
 of `_run_failed`. The envelope figures fill one (runs, iters) block and
 reduce it with one lockstep `running_moments`. An ExperimentConfig is
@@ -90,6 +95,10 @@ _CAL_STREAM = 10**9 + 9
 
 _HIST_BINS = 50
 _HIST_RANGE = (-4.0, 4.0)
+# The chain figures count their histogram over slabs of whole runs of at
+# most this many states, or one run if a run is longer: a slab spreads
+# numpy's per-call cost, and its copy and temporaries stay small.
+_HIST_SLAB_STATES = 8192
 
 # evidence runs its replications in groups of max(1, this // iters) rows:
 # numpy calls span a group's rows, and its arrays stay bounded.
@@ -289,9 +298,25 @@ def export_svg(summary: EnvelopeSummary, path, *, title: str = "",
                          y_label=y_label, ref_y=ref_y, ref_label=ref_label)
 
 
-def _histogram_block(states: np.ndarray, out: Path, title: str) -> tuple[dict, dict]:
-    """Histogram CSV/SVG for pooled chain states against the normalized density."""
-    counts, edges = np.histogram(states, bins=_HIST_BINS, range=_HIST_RANGE)
+def _state_histogram(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.histogram's (counts, edges) of the pooled (runs, steps) `states`,
+    counted over slabs of whole runs (`_HIST_SLAB_STATES`): there is no
+    flattened copy of the block, and numpy's temporaries are slab-sized.
+    An element falls in the same bin in a slab as in the whole block, so
+    the summed counts are the block's."""
+    counts = np.zeros(_HIST_BINS, dtype=np.intp)
+    runs = max(1, _HIST_SLAB_STATES // states.shape[1])
+    for first in range(0, len(states), runs):
+        slab_counts, edges = np.histogram(states[first:first + runs], bins=_HIST_BINS,
+                                          range=_HIST_RANGE)
+        counts += slab_counts
+    return counts, edges
+
+
+def _histogram_block(counts: np.ndarray, edges: np.ndarray, n_states: int, out: Path,
+                     title: str) -> tuple[dict, dict]:
+    """Histogram CSV/SVG for the counts of `n_states` pooled chain states
+    against the normalized density."""
     total = counts.sum()
     if total == 0:
         raise ValueError("no chain states fall inside the histogram range")
@@ -309,7 +334,7 @@ def _histogram_block(states: np.ndarray, out: Path, title: str) -> tuple[dict, d
                              title=title, x_label="x", y_label="density")
     files = {"hist.csv": hist_csv, "hist.svg": hist_svg}
     info = {"tv_distance": tv, "hist_draws": int(total),
-            "frac_in_range": float(total / states.size)}
+            "frac_in_range": float(total / n_states)}
     return files, info
 
 
@@ -323,10 +348,11 @@ def _write_info(config: ExperimentConfig, out: Path, info: dict) -> Path:
 def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSummary,
                                 info: dict, *, ref_y: float | None, ref_label: str,
                                 title: str, extra_series: Sequence[Series] = (),
-                                hist: tuple[np.ndarray, str] | None = None
+                                hist: tuple[np.ndarray, np.ndarray, str] | None = None
                                 ) -> ExperimentResult:
     """Write the envelope CSVs and figure, the optional histogram of the
-    chains' pooled retained states (`hist=(states, title)`), and info.csv."""
+    chains' runs x iters pooled retained states (`hist=(counts, edges,
+    title)`), and info.csv."""
     out = Path(config.out_dir)
     env_path, sum_path = export_csv(summary, out)
     svg_path = export_svg(summary, out / "figure.svg", title=title,
@@ -334,8 +360,9 @@ def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSumma
                           extra_series=extra_series)
     files = {"envelope.csv": env_path, "summary.csv": sum_path, "figure.svg": svg_path}
     if hist is not None:
-        states, hist_title = hist
-        hist_files, hist_info = _histogram_block(states, out, hist_title)
+        counts, edges, hist_title = hist
+        hist_files, hist_info = _histogram_block(counts, edges, config.runs * config.iters,
+                                                 out, hist_title)
         files.update(hist_files)
         info.update(hist_info)
     files["info.csv"] = _write_info(config, out, info)
@@ -388,7 +415,7 @@ def figure1(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _chain_envelope(config: ExperimentConfig, kernel: Callable, *args
-                    ) -> tuple[EnvelopeSummary, ChainTrace, dict]:
+                    ) -> tuple[EnvelopeSummary, ChainTrace, dict, tuple[np.ndarray, np.ndarray]]:
     """Envelope of running means of x^3 over retained chain states.
 
     `kernel(*args, iters, burn_in, rngs)` is a lockstep chain kernel,
@@ -397,7 +424,11 @@ def _chain_envelope(config: ExperimentConfig, kernel: Callable, *args
     executes burn_in + iters chain steps and retains `iters` states, so the
     envelope axis always ends at config.iters. A `ChainFailure` is re-raised
     naming its run as run_envelope does. Returns the summary, the kernel's
-    (runs, steps) trace, and the info entries both chain figures share.
+    (runs, steps) trace, the info entries both chain figures share, and the
+    (counts, edges) of the retained states' histogram. The retained states
+    are counted, then cubed in place for the running means, so the trace's
+    retained states hold x^3 when it is returned: the (runs, steps) block
+    is held once.
     """
     burn = config.effective_burn_in()
     cps = checkpoints(config.iters)
@@ -406,19 +437,24 @@ def _chain_envelope(config: ExperimentConfig, kernel: Callable, *args
                        list(_substreams(config.seed, config.runs)))
     except ChainFailure as exc:
         raise _run_failed("envelope run", exc.row, exc) from exc
-    summary = _summarize(cps, running_moments(trace.retained() ** 3, cps).mean)
+    states = trace.retained()
+    hist = _state_histogram(states)
+    # Nothing reads the states after this line (figure3 reads only the
+    # trace's accepted and burn_in), so the cube overwrites them.
+    np.power(states, 3, out=states)
+    summary = _summarize(cps, running_moments(states, cps).mean)
     info = {"burn_in": burn,
             "terminal_band_width": float(summary.band_hi[-1] - summary.band_lo[-1])}
-    return summary, trace, info
+    return summary, trace, info, hist
 
 
 def figure2(config: ExperimentConfig) -> ExperimentResult:
     """Slice/Gibbs envelope of running mean x^3, plus state histogram."""
-    summary, trace, info = _chain_envelope(config, run_gibbs_chains, 0.0)
+    summary, _, info, hist = _chain_envelope(config, run_gibbs_chains, 0.0)
     return _finish_envelope_experiment(
         config, summary, info, ref_y=0.0, ref_label="truth 0",
         title="Slice/Gibbs running means of x^3",
-        hist=(trace.retained(), "Slice/Gibbs draws vs target density"))
+        hist=(*hist, "Slice/Gibbs draws vs target density"))
 
 
 def figure3(config: ExperimentConfig) -> ExperimentResult:
@@ -437,7 +473,7 @@ def figure3(config: ExperimentConfig) -> ExperimentResult:
         info["scale_source"] = "fixed"
     info["scale"] = scale
 
-    summary, trace, chain_info = _chain_envelope(
+    summary, trace, chain_info, hist = _chain_envelope(
         config, run_mh_chains, EXAMPLE_TARGET, RwProposal(scale), 0.0)
     info.update(chain_info)
     rates = np.mean(trace.accepted[:, trace.burn_in:], axis=1)  # per run
@@ -445,7 +481,7 @@ def figure3(config: ExperimentConfig) -> ExperimentResult:
     return _finish_envelope_experiment(
         config, summary, info, ref_y=0.0, ref_label="truth 0",
         title=f"RW Metropolis running means of x^3 (scale {scale:.3g})",
-        hist=(trace.retained(), "RW Metropolis draws vs target density"))
+        hist=(*hist, "RW Metropolis draws vs target density"))
 
 
 def _synthetic_dataset(seed: int, n: int = 20) -> np.ndarray:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
@@ -31,11 +32,13 @@ from mcstat.harness import (
     figure3,
     run_envelope,
     run_experiment,
+    _chain_envelope,
     _evidence_group,
+    _state_histogram,
     _synthetic_dataset,
     _write_csv,
 )
-from mcstat.mcmc import CalibrationError
+from mcstat.mcmc import CalibrationError, ChainTrace
 from mcstat.rng import RngStream, derive_substream, normal_logpdf, normals, rng_new
 from mcstat.svgplot import Band, Series, svg_histogram, svg_line_plot
 from mcstat.targets import (ConjugateNormalModel, cubic_ratio,
@@ -293,6 +296,49 @@ def test_figure2_histogram_and_envelope(tmp_path):
     assert res.info["tv_distance"] <= 0.05
     assert res.summary.band_lo[-1] <= 0.0 <= res.summary.band_hi[-1]
     assert res.files["hist.svg"].exists()
+    # Counted over slabs of whole runs (here 8, 8 and 4 runs of 1020
+    # states), the counts and edges are those of the whole block, for
+    # states on interior bin edges, just below them, at +-4.0 and outside
+    # the range too.
+    edges = np.linspace(-4.0, 4.0, 51)
+    outside = [-4.5, np.nextafter(4.0, 5.0), 7.0, -1e300, math.inf, 0.0]
+    values = np.concatenate([edges, np.nextafter(edges, -math.inf), outside])
+    block = np.stack([np.resize(np.roll(values, k), 1020) for k in range(20)])
+    counts, row_edges = _state_histogram(block)
+    whole_counts, whole_edges = np.histogram(block, bins=50, range=(-4.0, 4.0))
+    assert np.array_equal(counts, whole_counts) and counts.dtype == whole_counts.dtype
+    assert np.array_equal(row_edges, whole_edges)
+
+
+def _stub_chain_envelope(states: np.ndarray, burn: int, out_dir: Path):
+    # _chain_envelope with a stub kernel that returns a trace of `states`,
+    # so no chain runs.
+    runs, steps = states.shape
+    trace = ChainTrace(states, None, burn, tuple((0, k) for k in range(runs)))
+    cfg = ExperimentConfig("figure2", runs=runs, iters=steps - burn, burn_in=burn,
+                           out_dir=out_dir)
+    return _chain_envelope(cfg, lambda n, b, rngs: trace)
+
+
+def test_chain_envelope_holds_one_block_of_states(tmp_path):
+    # Counting the histogram (one run per slab at 5000 retained states) and
+    # cubing the retained states must not copy the (32, 5500) block: the
+    # traced peak of the reduction stays below half of it. A first, small
+    # call makes np.quantile's lazy imports.
+    _stub_chain_envelope(np.ones((2, 110)), 10, tmp_path)
+    states = 5.0 * np.sin(np.arange(32 * 5500.0)).reshape(32, 5500)
+    expected_counts, _ = np.histogram(states[:, 500:], bins=50, range=(-4.0, 4.0))
+    expected_means = running_moments(states[:, 500:] ** 3, checkpoints(5000)).mean
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        summary, _, _, (counts, _) = _stub_chain_envelope(states, 500, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < states.nbytes / 2, (peak, states.nbytes)
+    assert np.array_equal(counts, expected_counts)
+    assert np.array_equal(summary.per_run_traces, expected_means)
 
 
 def test_figure3_fixed_scale_reports_acceptance(tmp_path):
@@ -756,15 +802,20 @@ def test_cli_validation_failures_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("error", [
+    CalibrationError("no luck", best_scale=0.1, measured_rate=0.9),
+    # what numpy raises for a (runs, steps) block larger than memory
+    MemoryError("Unable to allocate 8.00 TiB for an array with shape (100000, 11000000)"),
+], ids=["calibration", "memory"])
+def test_cli_numerical_failure_exits_2(tmp_path, capsys, monkeypatch, error):
     def explode(config):
-        raise CalibrationError("no luck", best_scale=0.1, measured_rate=0.9)
+        raise error
 
     monkeypatch.setattr("mcstat.cli.run_experiment", explode)
     rc = cli_main(["figure3", "--runs", "2", "--iters", "200",
                    "--out", str(tmp_path)])
     assert rc == 2
-    assert "failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"mcstat: figure3 failed: {error}\n"
 
 
 def test_cli_config_file_precedence(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Guard: no new SIMD-dispatched transcendental or BLAS product in mcstat.
 
-numpy picks its exp, log, log1p and logaddexp loops by CPU feature, and
-np.dot and `@` go to whichever BLAS kernel OpenBLAS picks, so their bits can
-differ between hosts where libm's (rng._libm) and plain + - * / cannot.
+numpy picks its exp, log, log1p, logaddexp and power loops by CPU feature,
+and np.dot and `@` go to whichever BLAS kernel OpenBLAS picks, so their bits
+can differ between hosts where libm's (rng._libm) and plain + - * / cannot.
 ROADMAP item 1 removes them from every path that feeds a CSV. Until then
 each site that exists today is allowed here, marked "item 1 debt" with the
 CSVs it reaches; any other site fails, and so does an entry whose site is
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import mcstat
 
-_WATCHED = {"exp", "log", "log1p", "logaddexp", "dot"}
+_WATCHED = {"exp", "log", "log1p", "logaddexp", "power", "dot"}
 
 _EVIDENCE_CSVS = "evidence_m0.csv, evidence_m1.csv, bayes_factors.csv and evidence's info.csv"
 
@@ -38,6 +38,10 @@ _ALLOWED = {
         {"np.dot": 2},
         "item 1 debt: the SNIS estimate and its bootstrap; no experiment writes "
         "them to a CSV"),
+    ("harness.py", "_chain_envelope"): (
+        {"np.power": 1},
+        "item 1 debt: the chain figures' x³, in figure2/figure3's envelope.csv and "
+        "summary.csv"),
     ("targets.py", "_pdf_unnorm_many"): (
         {"np.exp": 1},
         "item 1 debt: the oracle density, in hist.csv's oracle_mass (figure2, figure3)"),
@@ -88,11 +92,12 @@ def test_the_guard_sees_every_form_of_a_site():
         "from numpy import exp\n"
         "def f(a, b):\n"
         "    a @= b\n"
+        "    np.power(a, 3, out=a)\n"
         "    def g(x):\n"
         "        return np.log(x) + numpy.log1p(x) + x.dot(x)\n"
         "    return np.logaddexp(a @ b, 0.0)\n")
     assert _sites(tree) == Counter({
-        ("", "np.exp"): 1, ("f", "@"): 2, ("f", "np.logaddexp"): 1,
+        ("", "np.exp"): 1, ("f", "@"): 2, ("f", "np.logaddexp"): 1, ("f", "np.power"): 1,
         ("f.g", "np.log"): 1, ("f.g", "np.log1p"): 1, ("f.g", "np.dot"): 1})
 
 
