@@ -24,13 +24,14 @@ return one ChainTrace of (K, iters) arrays, as tfp.mcmc batches chains
 (Lao et al. 2020). Row k equals the scalar runner on stream k bit for bit
 and leaves that stream where the scalar runner would: the step is the
 same arithmetic on arrays, with every transcendental taken from the C
-library one element at a time (rng._libm). As the MH runners have one
-loop on floats and one on rows, the slice/Gibbs update has one step on
-floats (_slice_step) and one on (K,) rows (_slice_rows); the two share only
-the slice bound, rng's normal quantile and rng's failure texts. A row whose
-step fails raises ChainFailure with the row's index and the float step's
-message. Single chains (calibration, run_mh_chain, run_gibbs_chain) keep
-their scalar loops, which beat numpy's per-call overhead at K = 1.
+library (rng._libm one element at a time, or rng._libm_exp's one C loop).
+As the MH runners have one loop on floats and one on rows, the slice/Gibbs
+update has one step on floats (_slice_step) and one on (K,) rows
+(_slice_rows); the two share only the slice bound, rng's normal quantile
+and rng's failure texts. A row whose step fails raises ChainFailure with
+the row's index and the float step's message. Single chains (calibration,
+run_mh_chain, run_gibbs_chain) keep their scalar loops, which beat numpy's
+per-call overhead at K = 1.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .rng import (_BLOCK, _DEAD_INTERVAL, _HALF_0D, _MIN_TAIL_MASS, _MIN_TAIL_MASS_0D, _ONE_0D,
                   _P_RANGE, _SQRT2, _SQRT2_0D, _ZERO_0D, RngStream, _count, _finite, _libm,
-                  _norm_ppf_lower, _norm_ppf_many_unchecked, _real, norm_ppf_many)
+                  _norm_ppf_lower, _norm_ppf_many_unchecked, _real, _zero_d, norm_ppf_many)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.mcmc.sample_normal and mcstat.mcmc.sample_truncated_normal.
 from .rng import sample_normal, sample_truncated_normal  # noqa: F401
@@ -314,14 +315,20 @@ def slice_truncation_bound(u: float) -> float:
     return _slice_bound(u, math.sqrt)
 
 
-def _slice_bound(u, sqrt):
+def _slice_bound(u, sqrt, scale=2.0**56, four=4.0, three=3.0, one=1.0, two=2.0,
+                 eps=2.0**-28, unscale=2.0**14):
     # slice_truncation_bound of a float or an array u in (0, 1]. Scaling s and d
     # by powers of two keeps their bits wherever 4/u is finite, and keeps them
     # finite for u <= 2^-1022 (where b = sqrt(2/(2 sqrt(u) + u)) to rounding).
-    v = u * 2.0**56
-    s = sqrt((4.0 - 3.0 * u) / v)  # sqrt((4-3u)/u) / 2^28
-    d = 4.0 * (1.0 - u) / v  # (s^2 - 1) / 2^56 without cancellation
-    return sqrt(d / (2.0 * (s + 2.0**-28))) * 2.0**14
+    # Array callers pass _SLICE_BOUND_0D, the constants' 0-d twins.
+    v = u * scale
+    s = sqrt((four - three * u) / v)  # sqrt((4-3u)/u) / 2^28
+    d = four * (one - u) / v  # (s^2 - 1) / 2^56 without cancellation
+    return sqrt(d / (two * (s + eps))) * unscale
+
+
+# _slice_bound's float constants as 0-d float64 arrays (see rng's module docstring).
+_SLICE_BOUND_0D = _zero_d((2.0**56, 4.0, 3.0, 1.0, 2.0, 2.0**-28, 2.0**14))
 
 
 _U_RANGE = "u must be in (0, 1], got {!r}"
@@ -351,11 +358,12 @@ def _slice_step(x: float, f_aux: float, f_cdf: float) -> float:
 def _slice_rows(x: np.ndarray, f_aux: np.ndarray, f_cdf: np.ndarray) -> np.ndarray:
     # _slice_step on each element of a (K,) row of lockstep states, bit for bit.
     # A failing check raises ChainFailure for the lowest row that fails it.
-    # Its constants are rng's 0-d twins of _slice_step's floats.
+    # Its constants are the 0-d twins of _slice_step's floats: rng's, and
+    # _SLICE_BOUND_0D for the slice bound.
     x2 = x * x
     u = f_aux / (_ONE_0D + x2 + x2 * x2)
     _raise_unless_rows((u > _ZERO_0D) & (u <= _ONE_0D), _U_RANGE, u)
-    b = _slice_bound(u, np.sqrt)
+    b = _slice_bound(u, np.sqrt, *_SLICE_BOUND_0D)
     neg_b = -b
     v = b / _SQRT2_0D
     phi = _HALF_0D * _libm(math.erfc, np.concatenate((v, -v)))  # Phi(-b), then Phi(b)

@@ -26,10 +26,18 @@ rational approximations and the Halley step, written once for floats and
 arrays.  The array path runs the central approximation and the Halley step
 on every element and patches in the tail (and far-tail) elements only when
 there are any, so the common case indexes no boolean mask.  Every
-transcendental (log, erfc, exp) comes from the C library one element at a
-time through `_libm`, which takes any shape: numpy's own log and exp differ
-from libm in the last ulp on a few percent of inputs, which would break the
-bit-for-bit contract.
+transcendental comes from the C library bit for bit: numpy's own log and exp
+differ from libm in the last ulp on a few percent of inputs, which would
+break the bit-for-bit contract.  log and erfc go one element at a time
+through `_libm`, which takes any shape.  exp goes through `_libm_exp`, one
+C loop: the real part of numpy's complex exp, which is glibc's cexp and at
+a zero imaginary part returns libm's exp for every argument up to 709.  The
+Halley step's exp(x^2/2) is below exp(700), since far-tail elements are
+replaced by 0 first.  A numpy build that vectorised complex exp would fail
+test_rng's bit-for-bit test of `_libm_exp`; the pinned digests would not
+show it, as the Halley correction is too small for the last bit of
+exp(x^2/2) to reach x (numpy's float exp in its place left 2x10^6
+quantiles unchanged).
 
 Constants on array paths are 0-d float64 arrays.  With numpy 2's weak-scalar
 promotion (NEP 50), a ufunc with a Python-float operand costs about 0.2 us
@@ -403,10 +411,25 @@ def _norm_ppf_lower(p: float) -> float:
 
 
 def _libm(fn, a: np.ndarray) -> np.ndarray:
-    # fn from math applied per element: the C library's result, bit for bit.
+    # fn from math applied per element: the C library's result, bit for bit,
+    # at one Python call per element. For log, log1p and erfc numpy has no
+    # route equal to libm; exp has one C loop, _libm_exp.
     a = np.asarray(a, dtype=float)
     out = np.fromiter(map(fn, a.ravel().tolist()), dtype=float, count=a.size)
     return out.reshape(a.shape)
+
+
+def _libm_exp(a: np.ndarray) -> np.ndarray:
+    """libm's exp of every element of the float array `a`, bit for bit, in
+    one C loop. Every element must be at most 709.
+
+    numpy's complex exp is the C library's cexp, and at a zero imaginary
+    part glibc's cexp returns exp(x) * cos(0) = exp(x) * 1.0 for x <= 709,
+    so the real part is libm's exp(x). Above 709 glibc rescales and the
+    bits differ. numpy's float exp is its own SIMD loop, which differs from
+    libm in the last ulp on a few percent of inputs.
+    """
+    return np.exp(a.astype(complex)).real
 
 
 def norm_ppf_many(p) -> np.ndarray:
@@ -438,7 +461,7 @@ def _norm_ppf_lower_many(p: np.ndarray) -> np.ndarray:
     half_sq = _HALF_0D * x * x
     far = half_sq >= _FAR_0D
     # exp(half_sq) overflows in the far tail, which is replaced below.
-    growth = _libm(math.exp, np.where(far, _ZERO_0D, half_sq))
+    growth = _libm_exp(np.where(far, _ZERO_0D, half_sq))
     x = _halley(x, p, _HALF_0D * _libm(math.erfc, -x / _SQRT2_0D), growth,
                 _SQRT_2PI_0D, _ONE_0D, _TWO_0D)
     if np.count_nonzero(far):

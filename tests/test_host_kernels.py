@@ -5,8 +5,10 @@ and np.dot and `@` go to whichever BLAS kernel OpenBLAS picks, so their bits
 can differ between hosts where libm's (rng._libm) and plain + - * / cannot.
 ROADMAP item 1 removes them from every path that feeds a CSV. Until then
 each site that exists today is allowed here, marked "item 1 debt" with the
-CSVs it reaches; any other site fails, and so does an entry whose site is
-gone.
+CSVs it reaches. One site is allowed for good, marked "libm exact" with
+the test that proves its bits are libm's: rng._libm_exp's complex np.exp,
+which is glibc's cexp. Any other site fails, and so does an entry whose
+site is gone.
 """
 
 import ast
@@ -19,8 +21,13 @@ _WATCHED = {"exp", "log", "log1p", "logaddexp", "power", "dot"}
 
 _EVIDENCE_CSVS = "evidence_m0.csv, evidence_m1.csv, bayes_factors.csv and evidence's info.csv"
 
-# (file, function): ({operation: count}, the CSVs its result reaches)
+# (file, function): ({operation: count}, the CSVs its result reaches, or the
+# test that proves its bits are libm's)
 _ALLOWED = {
+    ("rng.py", "_libm_exp"): (
+        {"np.exp": 1},
+        "libm exact: test_rng.py::test_libm_exp_is_libm_exp_bit_for_bit; the real part "
+        "of complex exp, glibc's cexp, is libm's exp up to 709"),
     ("estimators.py", "_logsumexp_rows"): (
         {"np.exp": 1, "np.log": 1},
         f"item 1 debt: the bridge's log evidence, in {_EVIDENCE_CSVS}"),
@@ -109,9 +116,20 @@ def test_simd_and_blas_kernels_appear_only_at_the_allowed_sites():
             found[(path.name, scope, op)] += n
     allowed = Counter({(f, scope, op): n for (f, scope), (ops, reason) in _ALLOWED.items()
                        for op, n in ops.items()})
-    assert all(reason.startswith("item 1 debt: ") for _, reason in _ALLOWED.values())
+    assert all(reason.startswith(("item 1 debt: ", "libm exact: "))
+               for _, reason in _ALLOWED.values())
+    # only _libm_exp's one complex np.exp is exact, and the test it names exists
+    exact = {site: (ops, reason) for site, (ops, reason) in _ALLOWED.items()
+             if reason.startswith("libm exact: ")}
+    assert exact.keys() == {("rng.py", "_libm_exp")}
+    ops, reason = exact[("rng.py", "_libm_exp")]
+    assert ops == {"np.exp": 1}
+    test_file, test = reason.removeprefix("libm exact: ").split(";")[0].split("::")
+    tree = ast.parse((Path(__file__).parent / test_file).read_text(encoding="utf-8"))
+    assert test in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     new = found - allowed
-    assert not new, (f"{dict(new)}: use rng._libm for transcendentals and np.sum of "
-                     f"products for sums of squares (ROADMAP item 1)")
+    assert not new, (f"{dict(new)}: use rng._libm (or rng._libm_exp for exp) for "
+                     f"transcendentals and np.sum of products for sums of squares "
+                     f"(ROADMAP item 1)")
     gone = allowed - found
     assert not gone, f"{dict(gone)}: remove the allowlist entries of sites that are gone"

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcstat.mcmc import (
+    _SLICE_BOUND_0D,
+    _slice_bound,
     _slice_rows,
     _slice_step,
     CalibrationError,
@@ -346,6 +348,20 @@ def test_slice_bound_domain_errors():
     for u in (0.0, -0.1, 1.0001, math.nan):
         with pytest.raises(ValueError):
             slice_truncation_bound(u)
+
+
+def test_slice_bound_zero_d_constants_are_its_float_defaults_bit_for_bit():
+    # _slice_rows passes _SLICE_BOUND_0D where the float step takes the defaults
+    defaults = _slice_bound.__defaults__
+    assert len(defaults) == len(_SLICE_BOUND_0D) == 7
+    for zero_d, f in zip(_SLICE_BOUND_0D, defaults):
+        assert type(zero_d) is np.ndarray and zero_d.dtype == np.float64
+        assert zero_d.shape == ()
+        assert type(f) is float
+        assert zero_d.tobytes() == np.float64(f).tobytes()
+    us = np.array(_TINY_US + rng_new(53).floats_open(100).tolist() + [1.0])
+    rows = _slice_bound(us, np.sqrt, *_SLICE_BOUND_0D)
+    assert rows.tobytes() == np.array([slice_truncation_bound(u) for u in us.tolist()]).tobytes()
 
 
 # ---------------------------------------------------------------------------

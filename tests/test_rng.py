@@ -18,6 +18,7 @@ from mcstat.rng import (
     _PPF_SLICE,
     _halley,
     _libm,
+    _libm_exp,
     _open_floats,
     _ppf_central,
     _ppf_tail,
@@ -259,10 +260,14 @@ def test_block_draws_reject_bad_arguments():
         assert a.state_bytes() == b.state_bytes()
 
 
-# Each branch of norm_ppf and its edges, the far tail included.
+# Each branch of norm_ppf and its edges, the far tail included. The last
+# two straddle the far-tail switch: the largest p whose tail approximation
+# has 0.5 x^2 >= 700, and the next float up, whose Halley step takes
+# exp(699.999999999999).
 _PPF_EDGES = [2.0**-54, math.nextafter(_PPF_P_LOW, 0.0), _PPF_P_LOW,
               math.nextafter(_PPF_P_LOW, 1.0), 0.5, math.nextafter(0.5, 1.0),
-              1.0 - _PPF_P_LOW, 1.0 - 2.0**-53, 1e-310, 5e-324, 1e-300]
+              1.0 - _PPF_P_LOW, 1.0 - 2.0**-53, 1e-310, 5e-324, 1e-300,
+              1.0505079228081556e-306, 1.0505079228081558e-306]
 
 
 def test_norm_ppf_many_matches_scalar_at_branch_edges():
@@ -271,9 +276,9 @@ def test_norm_ppf_many_matches_scalar_at_branch_edges():
 
 def test_norm_ppf_many_matches_scalar_on_2d_input():
     # the edges put tail and far-tail elements in, so their patch path runs
-    ps = np.array(_PPF_EDGES + [0.3]).reshape(3, 4)
+    ps = np.array(_PPF_EDGES + [0.3]).reshape(2, 7)
     out = norm_ppf_many(ps)
-    assert out.shape == (3, 4)
+    assert out.shape == (2, 7)
     assert _bits(out) == _bits([norm_ppf(p) for p in ps.ravel().tolist()])
     central = np.array([[0.3, 0.6], [0.5, 0.45]])  # no tail: the common path alone
     assert _bits(norm_ppf_many(central)) == \
@@ -287,6 +292,20 @@ def test_libm_keeps_shape(shape):
     out = _libm(math.exp, a)
     assert out.shape == shape
     assert _bits(out) == _bits([math.exp(v) for v in a.ravel().tolist()])
+
+
+def test_libm_exp_is_libm_exp_bit_for_bit():
+    # 10^6 fixed-seed arguments over its domain [-745.2, 709], then -inf,
+    # the signed zeros, 709 and arguments whose exp is subnormal
+    u = rng_new(25).floats_open(10**6)
+    subnormal = [-708.5, -720.0, -740.0, -745.1]
+    a = np.concatenate((-745.2 + u * (709.0 + 745.2),
+                        [-math.inf, -0.0, 0.0, 709.0, math.nextafter(709.0, 0.0)] + subnormal))
+    want = np.array([math.exp(v) for v in a.tolist()])
+    assert all(0.0 < math.exp(v) < 2.0**-1022 for v in subnormal)
+    got = _libm_exp(a)
+    assert got.shape == a.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @given(ps=st.lists(st.floats(5e-324, 1.0, exclude_max=True), max_size=50))
