@@ -21,10 +21,9 @@ from .mcmc import (CalibrationError, CalibrationReport, ChainFailure, ChainTrace
                    run_mh_chains, slice_gibbs_step, slice_truncation_bound)
 from .quadrature import (QuadratureError, QuadratureResult,
                          gauss_legendre_integrate, quadrature_integrate)
-from .rng import (NormalDist, RngStream, StudentTDist, derive_substream,
-                  norm_cdf, norm_ppf, norm_ppf_many, norm_sf, normal_logpdf,
-                  normals, rng_new, sample_normal, sample_student_t,
-                  sample_truncated_normal, sample_uniform, student_t_logpdf)
+from .rng import (NormalDist, RngStream, derive_substream, norm_cdf, norm_ppf,
+                  norm_ppf_many, norm_sf, normal_logpdf, normals, rng_new,
+                  sample_normal, sample_truncated_normal, sample_uniform)
 from .targets import (EXAMPLE_TARGET, ConjugateNormalModel, TargetDensity,
                       analytic_log_bayes_factor, analytic_log_evidence,
                       cubic_ratio, example_target_cdf, example_target_cdf_many,

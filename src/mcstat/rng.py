@@ -54,9 +54,9 @@ made once per step use `np.count_nonzero`, which costs less than half of
 `.all()` or `.any()` at 100 elements.
 
 Counts, reals and arrays.  Every count, index and seed is checked by
-`_count`, and every real argument (mean, loc, sd, scale, df, tol, bound,
-initial state, target_accept) by `_real`, which returns the Python float it
-equals, so a float32 argument runs float64 arithmetic; a bool, a string, NaN
+`_count`, and every real argument (mean, sd, scale, tol, bound, initial
+state, target_accept) by `_real`, which returns the Python float it equals,
+so a float32 argument runs float64 arithmetic; a bool, a string, NaN
 or a value out of range raises ValueError naming the argument.  Every array
 check is `_every(name, a, ok, rule)`, raising `<name> must be <rule>, got <v>
 at index <i>` at the first element where `ok` is False: `_finite` (data,
@@ -88,15 +88,12 @@ __all__ = [
     "sample_normal",
     "normals",
     "sample_truncated_normal",
-    "sample_student_t",
     "norm_cdf",
     "norm_sf",
     "norm_ppf",
     "norm_ppf_many",
     "normal_logpdf",
-    "student_t_logpdf",
     "NormalDist",
-    "StudentTDist",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -229,16 +226,20 @@ class RngStream:
         return out
 
     def state_bytes(self) -> bytes:
-        """16-byte little-endian checkpoint (state, increment)."""
+        """16-byte little-endian checkpoint (state, increment), O'Neill's
+        PCG32 pair.  The increment is (stream_id << 1) | 1 mod 2^64, so the
+        checkpoint holds the stream_id's low 63 bits only."""
         return self._state.to_bytes(8, "little") + self._inc.to_bytes(8, "little")
 
     @classmethod
     def from_state_bytes(cls, raw: bytes, seed: int = 0) -> "RngStream":
         """Resume a stream from a checkpoint produced by state_bytes().
 
-        The original seed is not recoverable from the checkpoint; the
-        stream_id is (it lives in the increment). state_bytes() always
-        writes an odd increment, so an even one raises.
+        The original seed is not recoverable from the checkpoint, and of
+        the stream_id only its low 63 bits are: the resumed stream's
+        stream_id is the original's & (2^63 - 1), though its draws are the
+        original's.  state_bytes() always writes an odd increment, so an
+        even one raises.
         """
         if len(raw) != 16:
             raise ValueError(f"expected 16 bytes of stream state, got {len(raw)}")
@@ -474,13 +475,6 @@ def normal_logpdf(x: float, mean: float = 0.0, sd: float = 1.0) -> float:
     return -0.5 * z * z - math.log(sd) - _LOG_SQRT_2PI
 
 
-def student_t_logpdf(x: float, df: float, loc: float = 0.0, scale: float = 1.0) -> float:
-    z = (x - loc) / scale
-    return (math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
-            - 0.5 * math.log(df * math.pi) - math.log(scale)
-            - 0.5 * (df + 1.0) * math.log1p(z * z / df))
-
-
 # ---------------------------------------------------------------------------
 # Samplers
 # ---------------------------------------------------------------------------
@@ -544,34 +538,6 @@ def sample_truncated_normal(rng: RngStream, mean: float, sd: float,
     return min(max(x, lo), hi)
 
 
-def _std_gamma(rng: RngStream, shape: float) -> float:
-    # Marsaglia-Tsang squeeze; consumes a variable number of draws.
-    if shape < 1.0:
-        boost = rng.next_float_open() ** (1.0 / shape)
-        return _std_gamma(rng, shape + 1.0) * boost
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = norm_ppf(rng.next_float_open())
-        v = 1.0 + c * x
-        if v <= 0.0:
-            continue
-        v = v * v * v
-        u = rng.next_float_open()
-        if u < 1.0 - 0.0331 * x * x * x * x:
-            return d * v
-        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
-
-
-def sample_student_t(rng: RngStream, df: float, loc: float, scale: float) -> float:
-    """One draw from loc + scale * t(df), as normal over sqrt(chi2/df)."""
-    df, loc, scale = _real("df", df, 0.0), _real("loc", loc), _real("scale", scale, 0.0)
-    z = norm_ppf(rng.next_float_open())
-    chi2 = 2.0 * _std_gamma(rng, 0.5 * df)
-    return loc + scale * z / math.sqrt(chi2 / df)
-
-
 # ---------------------------------------------------------------------------
 # Small distribution objects (sampler + logpdf), used as proposals
 # ---------------------------------------------------------------------------
@@ -590,20 +556,3 @@ class NormalDist:
 
     def logpdf(self, x: float) -> float:
         return normal_logpdf(x, self.mean, self.sd)
-
-
-@dataclass(frozen=True)
-class StudentTDist:
-    df: float
-    loc: float = 0.0
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name, lo in (("df", 0.0), ("loc", -math.inf), ("scale", 0.0)):
-            object.__setattr__(self, name, _real(name, getattr(self, name), lo))
-
-    def sample(self, rng: RngStream) -> float:
-        return sample_student_t(rng, self.df, self.loc, self.scale)
-
-    def logpdf(self, x: float) -> float:
-        return student_t_logpdf(x, self.df, self.loc, self.scale)

@@ -16,11 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mcstat
 from mcstat.cli import _OPTIONS
 from mcstat.cli import main as cli_main
 from mcstat.estimators import (bridge_log_evidence, chib_log_evidence,
                                harmonic_mean_log_evidence, running_moments)
 from mcstat.harness import (
+    _CAL_STREAM,
+    _EVIDENCE_DIAGNOSTIC,
     ConfigError,
     ExperimentConfig,
     checkpoints,
@@ -33,16 +36,19 @@ from mcstat.harness import (
     run_envelope,
     run_experiment,
     _chain_envelope,
+    _csv_line,
     _evidence_group,
     _state_histogram,
     _synthetic_dataset,
     _write_csv,
 )
-from mcstat.mcmc import CalibrationError, ChainTrace
+from mcstat.mcmc import (CalibrationError, ChainTrace, RwProposal, calibrate_scale_report,
+                         run_gibbs_chain, run_mh_chain)
 from mcstat.rng import RngStream, derive_substream, normal_logpdf, normals, rng_new
 from mcstat.svgplot import Band, Series, svg_histogram, svg_line_plot
-from mcstat.targets import (ConjugateNormalModel, cubic_ratio,
-                            gaussian_functional_expectation, get_model, posterior_params)
+from mcstat.targets import (EXAMPLE_TARGET, ConjugateNormalModel, analytic_log_evidence,
+                            cubic_ratio, gaussian_functional_expectation, get_model,
+                            posterior_params)
 
 from conftest import NanStream
 
@@ -677,6 +683,79 @@ def test_export_csv_runs_equal_one(tmp_path):
         assert row["band_lo"] == row["band_hi"] == row["single_run"]
 
 
+# ---------------------------------------------------------------------------
+# Replay: one replication's CSV lines rebuilt from its substream alone
+# ---------------------------------------------------------------------------
+
+def _replay_envelope(config, k, scale):
+    """Run k's envelope.csv lines, from substream k on the scalar path:
+    per-run draws or one scalar chain, and the 1-D running_moments."""
+    rng = derive_substream(rng_new(config.seed), k)
+    if config.experiment == "figure1":
+        values = cubic_ratio(normals(rng, config.iters, config.mu, 1.0))
+    else:
+        burn = config.effective_burn_in()
+        if config.experiment == "figure2":
+            trace = run_gibbs_chain(0.0, burn + config.iters, burn, rng)
+        else:
+            trace = run_mh_chain(EXAMPLE_TARGET, RwProposal(scale), 0.0,
+                                 burn + config.iters, burn, rng)
+        values = np.power(trace.retained(), 3)  # the cube _chain_envelope takes
+    cps = checkpoints(config.iters)
+    means = running_moments(values, cps).mean.tolist()
+    return {"envelope.csv": [_csv_line([k, cp, v]) for cp, v in zip(cps, means)]}
+
+
+def _replay_evidence(config, k):
+    """Replication k's lines of the three evidence CSVs, from a one-row
+    _evidence_group on substream k."""
+    data = _synthetic_dataset(config.seed)
+    models = [get_model("conj-n01"), get_model("conj-n14")]
+    truths = [analytic_log_evidence(m, data) for m in models]
+    posteriors = [(m, *posterior_params(m, data)) for m in models]
+    (ests,) = _evidence_group([derive_substream(rng_new(config.seed), k)], posteriors,
+                              data, config.iters)
+    lines = {}
+    for mi, (model_ests, truth) in enumerate(zip(ests, truths)):
+        lines[f"evidence_m{mi}.csv"] = [
+            _csv_line([e.estimator, k, config.iters, e.log_evidence, truth,
+                       e.log_evidence - truth, e.diagnostics[_EVIDENCE_DIAGNOSTIC[e.estimator]],
+                       e.converged]) for e in model_ests]
+    analytic_bf = truths[0] - truths[1]
+    lines["bayes_factors.csv"] = [
+        _csv_line([e0.estimator, k, e0.log_evidence - e1.log_evidence, analytic_bf,
+                   (e0.log_evidence - e1.log_evidence) - analytic_bf,
+                   e0.converged and e1.converged]) for e0, e1 in zip(*ests)]
+    return lines
+
+
+# evidence at 4096 iters runs groups of 2 rows: run 3 is its group's second
+# row and run 4 a group of its own.
+@pytest.mark.parametrize("exp, extra, iters", [
+    ("figure1", {"mu": 2.5}, 400),
+    ("figure2", {}, 400),
+    ("figure3", {"scale": 0.8}, 400),
+    ("figure3", {"scale": "auto"}, 400),
+    ("evidence", {}, 4096),
+], ids=["figure1", "figure2", "figure3-fixed", "figure3-auto", "evidence"])
+def test_a_replication_replays_its_csv_lines_from_its_substream_alone(tmp_path, exp, extra,
+                                                                       iters):
+    config = ExperimentConfig(exp, seed=5, runs=5, iters=iters, out_dir=tmp_path, **extra)
+    res = run_experiment(config)
+    scale = config.scale
+    if scale == "auto":
+        scale = calibrate_scale_report(EXAMPLE_TARGET, config.target_accept, 0.0,
+                                       derive_substream(rng_new(config.seed), _CAL_STREAM)).scale
+    for k in (0, 3, 4):
+        replay = (_replay_evidence(config, k) if exp == "evidence"
+                  else _replay_envelope(config, k, scale))
+        for name, want in replay.items():
+            column = 0 if name == "envelope.csv" else 1  # run, or seed
+            lines = res.files[name].read_text(encoding="utf-8").splitlines(keepends=True)
+            got = [line for line in lines[1:] if line.split(",")[column] == str(k)]
+            assert got == want, (name, k)
+
+
 # sha256 over (file name, bytes) of every CSV an experiment writes. Any
 # change to a drawn number, a row or a formatted digit changes the digest,
 # so a refactor of the experiment layer must leave these unchanged.
@@ -766,6 +845,17 @@ def test_run_experiment_dispatch(tmp_path):
     assert res.info["experiment"] == "figure1"
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig("bogus", out_dir=tmp_path))
+
+
+@pytest.mark.parametrize("module", ["rng", "targets", "quadrature", "estimators", "mcmc",
+                                    "harness"])
+def test_every_exported_name_is_defined_and_reexported_by_the_package(module):
+    # A stale __all__ entry would break `from mcstat.<module> import *`.
+    mod = importlib.import_module(f"mcstat.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    not_reexported = [name for name in mod.__all__
+                      if getattr(mcstat, name, None) is not getattr(mod, name, None)]
+    assert not missing and not not_reexported, (missing, not_reexported)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,8 @@ from mcstat.harness import ConfigError, ExperimentConfig, figure3
 from mcstat.mcmc import (RwProposal, calibrate_scale_report, run_gibbs_chain,
                          run_gibbs_chains, run_mh_chain, run_mh_chains, slice_gibbs_step)
 from mcstat.quadrature import gauss_legendre_integrate, quadrature_integrate
-from mcstat.rng import (NormalDist, StudentTDist, derive_substream, normal_logpdf, normals,
-                        rng_new, sample_normal, sample_student_t, sample_truncated_normal,
-                        sample_uniform)
+from mcstat.rng import (NormalDist, derive_substream, normal_logpdf, normals, rng_new,
+                        sample_normal, sample_truncated_normal, sample_uniform)
 from mcstat.targets import (EXAMPLE_TARGET, ConjugateNormalModel,
                             gaussian_functional_expectation)
 
@@ -56,22 +55,10 @@ CALL_SITES = [
                  ValueError, id="sample_uniform-lo"),
     pytest.param("hi", lambda v, r: _drawn(r, sample_uniform(r, 0.0, v)), 1.2, -math.inf,
                  ValueError, id="sample_uniform-hi"),
-    pytest.param("df", lambda v, r: _drawn(r, sample_student_t(r, v, 0.0, 1.0)), 3.3, 0.0,
-                 ValueError, id="sample_student_t-df"),
-    pytest.param("loc", lambda v, r: _drawn(r, sample_student_t(r, 3.0, v, 1.0)), 0.1,
-                 -math.inf, ValueError, id="sample_student_t-loc"),
-    pytest.param("scale", lambda v, r: _drawn(r, sample_student_t(r, 3.0, 0.0, v)), 1.2, -1.0,
-                 ValueError, id="sample_student_t-scale"),
     pytest.param("mean", lambda v, r: NormalDist(v, 1.0), 0.1, -math.inf, ValueError,
                  id="NormalDist-mean"),
     pytest.param("sd", lambda v, r: NormalDist(0.0, v), 1.2, 0.0, ValueError,
                  id="NormalDist-sd"),
-    pytest.param("df", lambda v, r: StudentTDist(v), 3.3, -1.0, ValueError,
-                 id="StudentTDist-df"),
-    pytest.param("loc", lambda v, r: StudentTDist(3.0, v), 0.1, -math.inf, ValueError,
-                 id="StudentTDist-loc"),
-    pytest.param("scale", lambda v, r: StudentTDist(3.0, 0.0, v), 1.2, 0.0, ValueError,
-                 id="StudentTDist-scale"),
     pytest.param("scale", lambda v, r: RwProposal(v), 1.2, 0.0, ValueError,
                  id="RwProposal-scale"),
     pytest.param("init", lambda v, r: _drawn(r, run_mh_chain(
