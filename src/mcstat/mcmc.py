@@ -25,13 +25,20 @@ return one ChainTrace of (K, iters) arrays, as tfp.mcmc batches chains
 and leaves that stream where the scalar runner would: the step is the
 same arithmetic on arrays, with every transcendental taken from the C
 library (rng._libm one element at a time, or rng._libm_exp's one C loop).
-As the MH runners have one loop on floats and one on rows, the slice/Gibbs
-update has one step on floats (_slice_step) and one on (K,) rows
-(_slice_rows); the two share only the slice bound, rng's normal quantile
-and rng's failure texts. A row whose step fails raises ChainFailure with
-the row's index and the float step's message. Single chains (calibration,
-run_mh_chain, run_gibbs_chain) keep their scalar loops, which beat numpy's
-per-call overhead at K = 1.
+Each sampler has one transition on floats and one on (K,) rows. The float
+transitions are loops over one block of draws, _mh_steps and _slice_steps,
+which return the block's states (and acceptances) as lists that the single
+chain runners (run_mh_chain, also under calibration, and run_gibbs_chain)
+store with one slice per block; at K = 1 they beat numpy's per-call
+overhead. _slice_step and slice_gibbs_step are one-pair calls of
+_slice_steps. _mh_steps takes libm's log of a uniform only when
+log_alpha < 0 leaves the step to it, and evaluates the target through
+TargetDensity._float_logpdf: log_unnorm itself on a whole-line support,
+where no proposal can fail the support test, and logpdf otherwise. The row
+steps (run_mh_chains' loop, _slice_rows) share with the float loops only
+the slice bound, rng's normal quantile and rng's failure texts. A row
+whose step fails raises ChainFailure with the row's index and the float
+step's message.
 """
 
 from __future__ import annotations
@@ -124,8 +131,30 @@ class ChainFailure(ValueError):
 
 def _mh_draws(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # One stream's block of 2n open floats as n MH steps' draws: proposal
-    # normals from the even floats, log uniforms from the odd ones.
-    return norm_ppf_many(block[0::2]), _libm(math.log, block[1::2])
+    # normals from the even floats, uniforms from the odd ones.
+    return norm_ppf_many(block[0::2]), block[1::2]
+
+
+def _mh_steps(logpdf, scale: float, x: float, lfx: float, zs: list[float],
+              us: list[float]) -> tuple[float, float, list[float], list[bool]]:
+    # MH steps from (x, log f(x)) on one block of proposal normals zs and open
+    # uniforms us: the last (x, log f(x)), then the block's states and
+    # acceptances. log u is libm's log, taken only where log_alpha >= 0 does
+    # not decide the step, so each decision has the bits of comparing a log
+    # uniform drawn every step.
+    states: list[float] = []
+    accepted: list[bool] = []
+    for z, u in zip(zs, us):
+        y = x + scale * z  # sample_normal(rng, x, scale), bit for bit
+        lfy = logpdf(y)
+        log_alpha = lfy - lfx
+        if log_alpha >= 0.0 or math.log(u) < log_alpha:
+            x, lfx = y, lfy
+            accepted.append(True)
+        else:
+            accepted.append(False)
+        states.append(x)
+    return x, lfx, states, accepted
 
 
 def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
@@ -147,21 +176,12 @@ def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
     states = np.empty(iters)
     accepted = np.empty(iters, dtype=bool)
     x, lfx = _mh_start(target, init)
-    logpdf = target.logpdf
-    scale = prop.scale
+    logpdf = target._float_logpdf()
     for start in range(0, iters, _BLOCK):
         stop = min(start + _BLOCK, iters)
-        zs, log_us = _mh_draws(rng.floats_open(2 * (stop - start)))
-        for t, z, log_u in zip(range(start, stop), zs.tolist(), log_us.tolist()):
-            y = x + scale * z  # sample_normal(rng, x, scale), bit for bit
-            lfy = logpdf(y)
-            log_alpha = lfy - lfx
-            if log_alpha >= 0.0 or log_u < log_alpha:
-                x, lfx = y, lfy
-                accepted[t] = True
-            else:
-                accepted[t] = False
-            states[t] = x
+        zs, us = _mh_draws(rng.floats_open(2 * (stop - start)))
+        x, lfx, states[start:stop], accepted[start:stop] = _mh_steps(
+            logpdf, prop.scale, x, lfx, zs.tolist(), us.tolist())
     return ChainTrace(states, accepted, burn_in, (rng.seed, rng.stream_id))
 
 
@@ -194,7 +214,8 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
             n = stop - start
             for row, rng in enumerate(rngs):
                 try:
-                    zs[:n, row], log_us[:n, row] = _mh_draws(rng.floats_open(2 * n))
+                    zs[:n, row], us = _mh_draws(rng.floats_open(2 * n))
+                    log_us[:n, row] = _libm(math.log, us)
                 except ValueError as exc:
                     raise ChainFailure(row, exc) from exc
             for t, z, log_u in zip(range(start, stop), zs, log_us):
@@ -334,25 +355,36 @@ _SLICE_BOUND_0D = _zero_d((2.0**56, 4.0, 3.0, 1.0, 2.0, 2.0**-28, 2.0**14))
 _U_RANGE = "u must be in (0, 1], got {!r}"
 
 
-def _slice_step(x: float, f_aux: float, f_cdf: float) -> float:
-    # One slice/Gibbs update of the float state x from two open floats. Each
+def _slice_steps(x: float, floats: Sequence[float]) -> tuple[float, list[float]]:
+    # Slice/Gibbs updates of the float state x, one per pair (f_aux, f_cdf) of
+    # open floats in `floats`: the last state and the list of states. Each
     # check raises before the arithmetic that needs its value.
-    x2 = x * x
-    u = f_aux / (1.0 + x2 + x2 * x2)
-    if not 0.0 < u <= 1.0:
-        raise ValueError(_U_RANGE.format(u))
-    b = _slice_bound(u, math.sqrt)
-    v = b / _SQRT2
-    pa = 0.5 * math.erfc(v)  # Phi(-b)
-    mass = 0.5 * math.erfc(-v) - pa  # Phi(b) - Phi(-b)
-    if not mass > _MIN_TAIL_MASS:
-        raise ValueError(_DEAD_INTERVAL.format(-b, b, mass))
-    p = pa + f_cdf * mass
-    if not 0.0 < p < 1.0:
-        raise ValueError(_P_RANGE.format(p))
-    # sample_truncated_normal(rng, 0, 1, -b, b) bit for bit; its 2nd clamp is a no-op
-    z = -_norm_ppf_lower(1.0 - p) if p > 0.5 else _norm_ppf_lower(p)
-    return 0.0 + min(max(z, -b), b)
+    states: list[float] = []
+    pairs = iter(floats)
+    for f_aux, f_cdf in zip(pairs, pairs):
+        x2 = x * x
+        u = f_aux / (1.0 + x2 + x2 * x2)
+        if not 0.0 < u <= 1.0:
+            raise ValueError(_U_RANGE.format(u))
+        b = _slice_bound(u, math.sqrt)
+        v = b / _SQRT2
+        pa = 0.5 * math.erfc(v)  # Phi(-b)
+        mass = 0.5 * math.erfc(-v) - pa  # Phi(b) - Phi(-b)
+        if not mass > _MIN_TAIL_MASS:
+            raise ValueError(_DEAD_INTERVAL.format(-b, b, mass))
+        p = pa + f_cdf * mass
+        if not 0.0 < p < 1.0:
+            raise ValueError(_P_RANGE.format(p))
+        # sample_truncated_normal(rng, 0, 1, -b, b) bit for bit; its 2nd clamp is a no-op
+        z = -_norm_ppf_lower(1.0 - p) if p > 0.5 else _norm_ppf_lower(p)
+        x = 0.0 + min(max(z, -b), b)
+        states.append(x)
+    return x, states
+
+
+def _slice_step(x: float, f_aux: float, f_cdf: float) -> float:
+    # One slice/Gibbs update of the float state x from two open floats.
+    return _slice_steps(x, (f_aux, f_cdf))[0]
 
 
 def _slice_rows(x: np.ndarray, f_aux: np.ndarray, f_cdf: np.ndarray) -> np.ndarray:
@@ -404,10 +436,7 @@ def run_gibbs_chain(init: float, iters: int, burn_in: int,
     x = _real("init", init)
     for start in range(0, iters, _BLOCK):
         stop = min(start + _BLOCK, iters)
-        floats = rng.floats_open(2 * (stop - start)).tolist()
-        for t, f_aux, f_cdf in zip(range(start, stop), floats[0::2], floats[1::2]):
-            x = _slice_step(x, f_aux, f_cdf)
-            states[t] = x
+        x, states[start:stop] = _slice_steps(x, rng.floats_open(2 * (stop - start)).tolist())
     return ChainTrace(states, None, burn_in, (rng.seed, rng.stream_id))
 
 

@@ -76,6 +76,14 @@ class TargetDensity:
             out[inside] = self.log_unnorm(xs[inside])
         return out
 
+    def _float_logpdf(self) -> Callable[[float], float]:
+        # logpdf for float arguments that are never NaN, such as MH
+        # proposals from a finite state. On the whole line the support test
+        # passes for every such float, so the function is log_unnorm itself.
+        if self.support_lo == -math.inf and self.support_hi == math.inf:
+            return self.log_unnorm
+        return self.logpdf
+
     def in_support(self, x: float) -> bool:
         return self.support_lo <= x <= self.support_hi and math.isfinite(self.logpdf(x))
 

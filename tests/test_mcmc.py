@@ -31,6 +31,7 @@ from mcstat.mcmc import (
 from mcstat.rng import (_BLOCK, _PPF_P_LOW, RngStream, derive_substream, norm_cdf,
                         rng_new, sample_normal)
 from mcstat.targets import (
+    EXAMPLE_TARGET,
     TargetDensity,
     example_target_cdf_many,
     example_target_logpdf,
@@ -167,6 +168,21 @@ def test_chain_matches_stepwise_execution_across_blocks():
     rng, ref_rng = rng_new(46), rng_new(46)
     tr = run_mh_chain(EXAMPLE, RwProposal(2.0), -0.4, n, 0, rng)
     ref = _mh_reference_steps(EXAMPLE, 2.0, -0.4, n, ref_rng)
+    assert tr.states.tolist() == [x for x, _ in ref]
+    assert tr.accepted.tolist() == [a for _, a in ref]
+    assert rng.state_bytes() == ref_rng.state_bytes()
+
+
+@pytest.mark.parametrize("target", [EXAMPLE_TARGET, TargetDensity(example_target_logpdf,
+                                                                   support_hi=0.0)],
+                         ids=["whole-line", "half-line"])
+def test_chain_matches_stepwise_execution_off_the_bounded_support(target):
+    # The whole line takes _float_logpdf's log_unnorm route, which the
+    # [-10, 10] tests above never reach; the half line keeps the support test.
+    n = 3 * _BLOCK + 7
+    rng, ref_rng = rng_new(47), rng_new(47)
+    tr = run_mh_chain(target, RwProposal(2.0), -0.4, n, 0, rng)
+    ref = _mh_reference_steps(target, 2.0, -0.4, n, ref_rng)
     assert tr.states.tolist() == [x for x, _ in ref]
     assert tr.accepted.tolist() == [a for _, a in ref]
     assert rng.state_bytes() == ref_rng.state_bytes()

@@ -213,6 +213,27 @@ def test_logpdf_many_matches_scalar_bitwise(target):
     assert many[np.isnan(xs)].tolist() == [-math.inf]
 
 
+_NON_NAN_POINTS = [x for x in _LOGPDF_POINTS if not math.isnan(x)]
+
+
+def test_float_logpdf_is_log_unnorm_on_the_whole_line():
+    f = EXAMPLE_TARGET._float_logpdf()
+    assert f is EXAMPLE_TARGET.log_unnorm
+    # the support test it drops passes on every float but NaN
+    assert (np.array([f(x) for x in _NON_NAN_POINTS]).tobytes()
+            == np.array([EXAMPLE_TARGET.logpdf(x) for x in _NON_NAN_POINTS]).tobytes())
+
+
+@pytest.mark.parametrize("lo, hi", [(-10.0, 10.0), (0.0, math.inf), (-math.inf, 0.0)],
+                         ids=["bounded", "lower-bound", "upper-bound"])
+def test_float_logpdf_keeps_the_support_test_off_the_whole_line(lo, hi):
+    target = TargetDensity(example_target_logpdf, lo, hi)
+    f = target._float_logpdf()
+    assert f == target.logpdf
+    outside = lo - 1.0 if lo > -math.inf else hi + 1.0
+    assert f(outside) == -math.inf
+
+
 def test_registries():
     with pytest.raises(KeyError):
         get_model("nope")
