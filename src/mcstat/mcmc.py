@@ -38,7 +38,12 @@ where no proposal can fail the support test, and logpdf otherwise. The row
 steps (run_mh_chains' loop, _slice_rows) share with the float loops only
 the slice bound, rng's normal quantile and rng's failure texts. A row
 whose step fails raises ChainFailure with the row's index and the float
-step's message.
+step's message. The lockstep kernels hold one draw buffer: each row's first
+draws of a block (the MH proposal normals, the Gibbs auxiliary floats) go
+straight into its own columns of the (K, iters) states, which step t reads
+and then overwrites with the new state, and only the second draws (the MH
+log uniforms, the Gibbs CDF floats) wait in a (K, min(block, iters))
+buffer.
 """
 
 from __future__ import annotations
@@ -203,8 +208,9 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
     x, lfx = (np.full(len(rngs), v) for v in _mh_start(target, init))
     states = np.empty((len(rngs), iters))
     accepted = np.empty((len(rngs), iters), dtype=bool)
-    zs = np.empty((_BLOCK, len(rngs)))  # (step, row): one contiguous row per step
-    log_us = np.empty((_BLOCK, len(rngs)))
+    # A block's proposal normals are staged in its own columns of states,
+    # which step t reads and then overwrites; the log uniforms in (row, step).
+    log_us = np.empty((len(rngs), min(_BLOCK, iters)))
     scale = np.array(prop.scale)  # 0-d: see rng's module docstring
     logpdf_many = target.logpdf_many
     # A proposal that overflows is inf, silently, as in run_mh_chain's floats.
@@ -214,15 +220,15 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
             n = stop - start
             for row, rng in enumerate(rngs):
                 try:
-                    zs[:n, row], us = _mh_draws(rng.floats_open(2 * n))
-                    log_us[:n, row] = _libm(math.log, us)
+                    states[row, start:stop], us = _mh_draws(rng.floats_open(2 * n))
+                    log_us[row, :n] = _libm(math.log, us)
                 except ValueError as exc:
                     raise ChainFailure(row, exc) from exc
-            for t, z, log_u in zip(range(start, stop), zs, log_us):
-                y = x + z * scale
+            for t in range(start, stop):
+                y = x + states[:, t] * scale
                 lfy = logpdf_many(y)
                 log_alpha = lfy - lfx
-                acc = (log_alpha >= _ZERO_0D) | (log_u < log_alpha)
+                acc = (log_alpha >= _ZERO_0D) | (log_us[:, t - start] < log_alpha)
                 x = np.where(acc, y, x)
                 lfx = np.where(acc, lfy, lfx)
                 states[:, t] = x
@@ -454,16 +460,20 @@ def run_gibbs_chains(init: float, iters: int, burn_in: int,
     iters, burn_in = _check_lengths(iters, burn_in)
     x = np.full(len(rngs), _real("init", init))
     states = np.empty((len(rngs), iters))
-    floats = np.empty((2 * _BLOCK, len(rngs)))  # (draw, row): one contiguous row per draw
+    # A block's auxiliary floats are staged in its own columns of states,
+    # which step t reads and then overwrites; the CDF floats in (row, step).
+    f_cdfs = np.empty((len(rngs), min(_BLOCK, iters)))
     # x^4 of a large state is inf, silently, as in run_gibbs_chain's floats.
     with np.errstate(over="ignore"):
         for start in range(0, iters, _BLOCK):
-            n = min(_BLOCK, iters - start)
+            stop = min(start + _BLOCK, iters)
+            n = stop - start
             for row, rng in enumerate(rngs):
-                floats[:2 * n, row] = rng.floats_open(2 * n)
-            for t, f_aux, f_cdf in zip(range(start, start + n),
-                                       floats[0:2 * n:2], floats[1:2 * n:2]):
-                x = _slice_rows(x, f_aux, f_cdf)
+                floats = rng.floats_open(2 * n)
+                states[row, start:stop] = floats[0::2]
+                f_cdfs[row, :n] = floats[1::2]
+            for t in range(start, stop):
+                x = _slice_rows(x, states[:, t], f_cdfs[:, t - start])
                 states[:, t] = x
     return ChainTrace(states, None, burn_in, tuple((r.seed, r.stream_id) for r in rngs))
 

@@ -4,7 +4,10 @@ Two built-in families:
 
 * the bimodal-free ratio density f(x) proportional to exp(-x^2/2)/(1+x^2+x^4),
   known only up to its normalizing constant; its constant, CDF and pdf read
-  one cached Gauss-Legendre knot table, its moments adaptive quadrature;
+  one cached Gauss-Legendre knot table, its moments adaptive quadrature.
+  The table's 20-point rule is a constant, equal bit for bit to
+  np.polynomial.legendre.leggauss(20), so the oracle imports no
+  numpy.polynomial and makes no LAPACK call;
 * a conjugate normal likelihood/prior pair whose marginal likelihood has a
   closed form, used as ground truth for evidence estimators.
 
@@ -129,22 +132,41 @@ def _pdf_unnorm_many(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x2) / (1.0 + x2 + x2 * x2)
 
 
+# The 20-point Gauss-Legendre rule on [-1, 1], as the (node, weight) pairs of
+# its positive nodes: bit for bit the upper half of
+# np.polynomial.legendre.leggauss(20), whose rule is exactly symmetric. As a
+# constant it keeps numpy.polynomial and LAPACK's eigvalsh out of the oracle.
+_GL20_UPPER = (
+    (0.07652652113349734, 0.15275338713072628),
+    (0.22778585114164507, 0.14917298647260424),
+    (0.37370608871541955, 0.1420961093183824),
+    (0.5108670019508271, 0.1316886384491769),
+    (0.636053680726515, 0.1181945319615186),
+    (0.7463319064601508, 0.1019301198172407),
+    (0.8391169718222188, 0.08327674157670471),
+    (0.912234428251326, 0.06267204833410879),
+    (0.9639719272779138, 0.040601429800386446),
+    (0.993128599185095, 0.017614007139150893),
+)
+_GL20_NODES = np.array([-x for x, _ in reversed(_GL20_UPPER)] + [x for x, _ in _GL20_UPPER])
+_GL20_WEIGHTS = np.array([w for _, w in reversed(_GL20_UPPER)] + [w for _, w in _GL20_UPPER])
+
+
 @functools.cache
-def _oracle_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(knots, cum, nodes, weights): cum[i] is the unnormalized mass below
-    knots[i] (spacing 0.025) by 20-point Gauss-Legendre panels, so cum[-1]
-    is the normalizing constant. A CDF value adds one on-the-fly panel from
-    the nearest knot: machine-level accuracy at bulk-evaluation cost."""
+def _oracle_table() -> tuple[np.ndarray, np.ndarray]:
+    """(knots, cum): cum[i] is the unnormalized mass below knots[i] (spacing
+    0.025) by 20-point Gauss-Legendre panels, so cum[-1] is the normalizing
+    constant. A CDF value adds one on-the-fly panel from the nearest knot:
+    machine-level accuracy at bulk-evaluation cost."""
     knots = np.linspace(*_DOMAIN, 801)
-    nodes, weights = np.polynomial.legendre.leggauss(20)
     a = knots[:-1]
     b = knots[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    panel = (_pdf_unnorm_many(pts) @ weights) * half
+    pts = mid[:, None] + half[:, None] * _GL20_NODES[None, :]
+    panel = (_pdf_unnorm_many(pts) @ _GL20_WEIGHTS) * half
     cum = np.concatenate([[0.0], np.cumsum(panel)])
-    return knots, cum, nodes, weights
+    return knots, cum
 
 
 def example_target_norm_const() -> float:
@@ -163,7 +185,7 @@ def example_target_cdf_many(xs) -> np.ndarray:
     Raises unless every element is finite, naming the first bad one by its
     index.
     """
-    knots, cum, nodes, weights = _oracle_table()
+    knots, cum = _oracle_table()
     xs = _finite("xs", xs)
     lo, hi = _DOMAIN
     clipped = np.clip(xs, lo, hi)
@@ -171,16 +193,21 @@ def example_target_cdf_many(xs) -> np.ndarray:
     a = knots[idx]
     half = 0.5 * (clipped - a)
     mid = a + half
-    pts = mid[..., None] + half[..., None] * nodes
-    partial = (_pdf_unnorm_many(pts) @ weights) * half
+    pts = mid[..., None] + half[..., None] * _GL20_NODES
+    partial = (_pdf_unnorm_many(pts) @ _GL20_WEIGHTS) * half
     out = np.clip((cum[idx] + partial) / cum[-1], 0.0, 1.0)
     out = np.where(xs <= lo, 0.0, out)
     return np.where(xs >= hi, 1.0, out)
 
 
 def example_target_pdf_many(xs) -> np.ndarray:
-    """Vectorized normalized density of the example target."""
-    return _pdf_unnorm_many(np.asarray(xs, dtype=float)) / _oracle_table()[1][-1]
+    """Vectorized normalized density of the example target.
+
+    Where x^2 overflows (|x| above about 1.3e154, and at +-inf) the density
+    is 0.0, silently, as in cubic_ratio and logpdf_many.
+    """
+    with np.errstate(over="ignore"):
+        return _pdf_unnorm_many(np.asarray(xs, dtype=float)) / _oracle_table()[1][-1]
 
 
 def example_target_moment(p: int, tol: float = 1e-12) -> float:

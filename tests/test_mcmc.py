@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,9 +460,9 @@ def _substreams(seed, k):
     return [derive_substream(root, j) for j in range(k)]
 
 
-def _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs):
+def _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs, iters):
     # uint64 views: -0.0 == 0.0 as floats, and the signs must match too
-    assert lockstep.states.shape == (len(scalar), _LOCKSTEP_ITERS)
+    assert lockstep.states.shape == (len(scalar), iters)
     assert len(lockstep.seed_info) == len(scalar)
     for k, b in enumerate(scalar):
         assert np.array_equal(lockstep.states[k].view(np.uint64), b.states.view(np.uint64))
@@ -474,13 +475,18 @@ def _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs):
     assert [r.state_bytes() for r in rngs] == [r.state_bytes() for r in ref_rngs]
 
 
+# A run that crosses the kernels' block edges, and one shorter than a block.
+_ITERS = pytest.mark.parametrize("iters", [_LOCKSTEP_ITERS, 300], ids=["blocks", "short"])
+
+
+@_ITERS
 @pytest.mark.parametrize("k", [1, 3, 100])
 @pytest.mark.parametrize("init", [0.0, 1.3, 1e-200, 40.0, 1e77])
-def test_gibbs_chains_match_scalar_runner_bitwise(k, init):
+def test_gibbs_chains_match_scalar_runner_bitwise(k, init, iters):
     rngs, ref_rngs = _substreams(61, k), _substreams(61, k)
-    lockstep = run_gibbs_chains(init, _LOCKSTEP_ITERS, 100, rngs)
-    scalar = [run_gibbs_chain(init, _LOCKSTEP_ITERS, 100, r) for r in ref_rngs]
-    _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs)
+    lockstep = run_gibbs_chains(init, iters, 100, rngs)
+    scalar = [run_gibbs_chain(init, iters, 100, r) for r in ref_rngs]
+    _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs, iters)
 
 
 # The float step checks u, then the slice's mass, then the quantile's p.
@@ -546,19 +552,41 @@ def test_row_step_matches_float_step_property(triples):
     _assert_row_step_matches_float_step(triples)
 
 
+@_ITERS
 @pytest.mark.parametrize("k", [1, 3, 100])
 @pytest.mark.parametrize("scale", [0.05, 1.2, 25.0])
 @pytest.mark.parametrize("target", [EXAMPLE, NARROW], ids=["example", "narrow"])
-def test_mh_chains_match_scalar_runner_bitwise(k, scale, target):
+def test_mh_chains_match_scalar_runner_bitwise(k, scale, target, iters):
     init = 1.3 if scale == 1.2 else 0.0
     rngs, ref_rngs = _substreams(62, k), _substreams(62, k)
     prop = RwProposal(scale)
-    lockstep = run_mh_chains(target, prop, init, _LOCKSTEP_ITERS, 100, rngs)
-    scalar = [run_mh_chain(target, prop, init, _LOCKSTEP_ITERS, 100, r)
-              for r in ref_rngs]
-    _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs)
+    lockstep = run_mh_chains(target, prop, init, iters, 100, rngs)
+    scalar = [run_mh_chain(target, prop, init, iters, 100, r) for r in ref_rngs]
+    _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs, iters)
     if target is NARROW and scale > 1.0:
         assert not lockstep.accepted.all(axis=1).all()
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda rngs, iters: run_gibbs_chains(0.0, iters, 0, rngs),
+    lambda rngs, iters: run_mh_chains(EXAMPLE, RwProposal(1.2), 0.0, iters, 0, rngs)],
+    ids=["gibbs", "mh"])
+def test_lockstep_kernels_stage_one_draw_buffer(kernel):
+    # Two blocks, the second partial: the traced peak is the trace's arrays,
+    # one (K, block) buffer of floats and per-row temporaries, which the
+    # slack bounds at a quarter of a megabyte. A second buffer of that size
+    # is 512 KiB at K = 64.
+    k, iters = 64, _BLOCK + 300
+    kernel(_substreams(64, 2), 20)  # warm caches and lazy imports first
+    rngs = _substreams(64, k)
+    tracemalloc.start()
+    try:
+        trace = kernel(rngs, iters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = trace.states.nbytes + (0 if trace.accepted is None else trace.accepted.nbytes)
+    assert peak < held + k * min(_BLOCK, iters) * 8 + 256 * 1024
 
 
 @pytest.mark.parametrize("shape", [(10,), (3, 10)], ids=["1d", "2d"])

@@ -1,13 +1,18 @@
 """Example target oracles and the conjugate normal evidence model."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcstat.quadrature import gauss_legendre_integrate, quadrature_integrate
+from mcstat import targets
 from mcstat.targets import (
     EXAMPLE_TARGET,
     ConjugateNormalModel,
@@ -113,6 +118,41 @@ def test_pdf_many_matches_logpdf():
     z = example_target_norm_const()
     expect = np.exp([example_target_logpdf(x) for x in xs]) / z
     assert np.allclose(example_target_pdf_many(xs), expect, rtol=1e-12)
+
+
+def test_pdf_many_past_overflow_is_zero_and_warns_nowhere():
+    xs = np.array([-math.inf, -1e200, 0.0, 1e200, math.inf])
+    before = xs.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = example_target_pdf_many(xs)
+        at_zero = example_target_pdf_many(0.0)
+    assert got.tolist() == [0.0, 0.0, 1.0 / example_target_norm_const(), 0.0, 0.0]
+    assert type(at_zero) is np.float64 and at_zero == got[2]
+    assert np.array_equal(xs, before)  # the caller's array is left as it was
+
+
+def test_oracle_needs_neither_numpy_polynomial_nor_lapack():
+    # The oracle's 20-point rule is a constant: in a fresh interpreter the
+    # constant, the CDF and the pdf never import numpy.polynomial (whose
+    # leggauss calls LAPACK's eigvalsh).
+    code = ("import sys\n"
+            "import mcstat\n"
+            "from mcstat.targets import (example_target_cdf_many, example_target_norm_const,\n"
+            "                            example_target_pdf_many)\n"
+            "example_target_norm_const()\n"
+            "example_target_cdf_many([0.0])\n"
+            "example_target_pdf_many([0.0])\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    assert np.array_equal(targets._GL20_NODES.view(np.uint64), nodes.view(np.uint64))
+    assert np.array_equal(targets._GL20_WEIGHTS.view(np.uint64), weights.view(np.uint64))
 
 
 def test_odd_moments_vanish():
