@@ -27,10 +27,9 @@ every run at once. Their working set is the kernel's (runs, burn+iters)
 states (with figure3's boolean acceptance record of that shape) and its
 one (runs, 1024) buffer of second draws (the kernel stages each block's
 first draws in the states themselves): the histogram of the retained
-states is counted
-over slabs of whole runs of at most 8192 states (one run if a run is
-longer), and x^3 is then cubed in place over them (`_chain_envelope`), so
-the states are held once.
+states is counted over slabs of whole runs of at most 8192 states (one run
+if a run is longer), and x^3 is then cubed in place over them
+(`_chain_envelope`), so the states are held once.
 In each case a failure names its replication and substream, in the words
 of `_run_failed`. The envelope figures fill one (runs, iters) block and
 reduce it with one lockstep `running_moments`. An ExperimentConfig is

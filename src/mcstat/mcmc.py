@@ -208,8 +208,8 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
     x, lfx = (np.full(len(rngs), v) for v in _mh_start(target, init))
     states = np.empty((len(rngs), iters))
     accepted = np.empty((len(rngs), iters), dtype=bool)
-    # A block's proposal normals are staged in its own columns of states,
-    # which step t reads and then overwrites; the log uniforms in (row, step).
+    # A block's proposal normals wait in the block's columns of states, which
+    # step t reads and then overwrites; its log uniforms wait in log_us.
     log_us = np.empty((len(rngs), min(_BLOCK, iters)))
     scale = np.array(prop.scale)  # 0-d: see rng's module docstring
     logpdf_many = target.logpdf_many
@@ -460,8 +460,8 @@ def run_gibbs_chains(init: float, iters: int, burn_in: int,
     iters, burn_in = _check_lengths(iters, burn_in)
     x = np.full(len(rngs), _real("init", init))
     states = np.empty((len(rngs), iters))
-    # A block's auxiliary floats are staged in its own columns of states,
-    # which step t reads and then overwrites; the CDF floats in (row, step).
+    # A block's auxiliary floats wait in the block's columns of states, which
+    # step t reads and then overwrites; its CDF floats wait in f_cdfs.
     f_cdfs = np.empty((len(rngs), min(_BLOCK, iters)))
     # x^4 of a large state is inf, silently, as in run_gibbs_chain's floats.
     with np.errstate(over="ignore"):
