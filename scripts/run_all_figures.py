@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run the full experiment set into out/<experiment>/ directories.
 
-Defaults match the headline experiment sizes (100 runs of 10^4
-iterations); pass --quick for a fast smoke pass.
+Each experiment runs through the `mcstat` command line (mcstat.cli.main),
+which prints its report and its errors. Defaults match the headline
+experiment sizes (100 runs of 10^4 iterations); pass --quick for a fast
+smoke pass. Exits with the first non-zero exit code of the five runs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mcstat.harness import ExperimentConfig, run_experiment
+from mcstat.cli import main as mcstat_main
+
+# (output directory, experiment and its own flags)
+_RUNS = [
+    ("figure1_mu0", ["figure1", "--mu", "0.0"]),
+    ("figure1_mu2.5", ["figure1", "--mu", "2.5"]),
+    ("figure2", ["figure2"]),
+    ("figure3", ["figure3", "--scale", "auto"]),
+    ("evidence", ["evidence"]),
+]
 
 
 def main() -> int:
@@ -27,27 +38,14 @@ def main() -> int:
     args = parser.parse_args()
 
     runs, iters = (10, 1000) if args.quick else (100, 10_000)
-    configs = [
-        ExperimentConfig("figure1", seed=args.seed, runs=runs, iters=iters,
-                         mu=0.0, out_dir=args.out / "figure1_mu0"),
-        ExperimentConfig("figure1", seed=args.seed, runs=runs, iters=iters,
-                         mu=2.5, out_dir=args.out / "figure1_mu2.5"),
-        ExperimentConfig("figure2", seed=args.seed, runs=runs, iters=iters,
-                         out_dir=args.out / "figure2"),
-        ExperimentConfig("figure3", seed=args.seed, runs=runs, iters=iters,
-                         scale="auto", out_dir=args.out / "figure3"),
-        ExperimentConfig("evidence", seed=args.seed, runs=runs, iters=iters,
-                         out_dir=args.out / "evidence"),
-    ]
-    for config in configs:
+    first_failure = 0
+    for name, argv in _RUNS:
         t0 = time.time()
-        result = run_experiment(config)
-        keys = ("mu", "reference_value", "scale", "measured_acceptance",
-                "tv_distance", "terminal_band_width", "analytic_log_bf")
-        report = ", ".join(f"{k}={result.info[k]:.5g}" for k in keys
-                           if k in result.info and isinstance(result.info[k], float))
-        print(f"{config.experiment} -> {config.out_dir}  [{time.time() - t0:.1f}s]  {report}")
-    return 0
+        code = mcstat_main(argv + ["--seed", str(args.seed), "--runs", str(runs),
+                                   "--iters", str(iters), "--out", str(args.out / name)])
+        print(f"{name}: exit {code}  [{time.time() - t0:.1f}s]")
+        first_failure = first_failure or code
+    return first_failure
 
 
 if __name__ == "__main__":

@@ -22,14 +22,13 @@ from .mcmc import (CalibrationError, CalibrationReport, ChainFailure, ChainTrace
 from .quadrature import (QuadratureError, QuadratureResult,
                          gauss_legendre_integrate, quadrature_integrate)
 from .rng import (NormalDist, RngStream, derive_substream, norm_cdf, norm_ppf,
-                  norm_ppf_many, norm_sf, normal_logpdf, normals, rng_new,
-                  sample_normal, sample_truncated_normal, sample_uniform)
+                  norm_ppf_many, normal_logpdf, normals, rng_new, sample_normal,
+                  sample_truncated_normal)
 from .targets import (EXAMPLE_TARGET, ConjugateNormalModel, TargetDensity,
-                      analytic_log_bayes_factor, analytic_log_evidence,
-                      cubic_ratio, example_target_cdf, example_target_cdf_many,
-                      example_target_logpdf, example_target_moment,
-                      example_target_norm_const, example_target_pdf_many,
-                      gaussian_functional_expectation, get_model,
-                      posterior_params)
+                      analytic_log_evidence, cubic_ratio, example_target_cdf,
+                      example_target_cdf_many, example_target_logpdf,
+                      example_target_moment, example_target_norm_const,
+                      example_target_pdf_many, gaussian_functional_expectation,
+                      get_model, posterior_params)
 
 __version__ = "0.1.0"

@@ -75,7 +75,7 @@ def _load_config_file(path: Path) -> dict:
     """Parse a flat key=value file; '#' starts a comment, blank lines skipped."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -15,9 +15,9 @@ variance-stabilizing truncation on purpose: its instability is a quantity
 the experiment harness measures, not a defect to hide. Each is written
 once, over rows: `_harmonic_rows` on rows of log likelihoods,
 `_bridge_rows` (the Meng-Wong fixed point, each row stopping at its own
-iteration) on rows of log ratios, and `_chib_rows` on rows of fitted
+iteration) on rows of log densities, and `_chib_rows` on rows of fitted
 means and variances. Each core checks its input through `_check_rows`
-(the bridge's log densities and ratios in `_bridge_density_rows`), so its
+(the bridge checks both its log densities and their ratios), so its
 lowest failing row raises ChainFailure; the public estimators run their
 core on one row, raising its failure as a plain ValueError, and the
 evidence experiment runs each core once on a group of replications.
@@ -345,16 +345,22 @@ def bridge_log_evidence(post_draws: Sequence[float],
     dens = [_eval_log_fn(fn, theta).reshape(1, -1)
             for theta in (theta1, theta2) for fn in (log_post_unnorm, log_prop)]
     try:
-        return _bridge_density_rows(*dens, tol, max_iter)[0]
+        return _bridge_rows(*dens, tol, max_iter)[0]
     except ChainFailure as exc:
         raise ValueError(str(exc)) from None
 
 
-def _bridge_density_rows(post1: np.ndarray, prop1: np.ndarray, post2: np.ndarray,
-                         prop2: np.ndarray, tol: float, max_iter: int) -> list[EvidenceEstimate]:
-    """bridge_log_evidence on rows: the posterior's (post) and proposal's
-    (prop) log densities at the (R, n1) posterior draws (1) and the (R, n2)
-    proposal draws (2). A +inf density, then a NaN ratio, fails `_check_rows`."""
+def _bridge_rows(post1: np.ndarray, prop1: np.ndarray, post2: np.ndarray, prop2: np.ndarray,
+                 tol: float, max_iter: int) -> list[EvidenceEstimate]:
+    """The Meng-Wong loop of bridge_log_evidence on each row: the posterior's
+    (post) and proposal's (prop) log densities at the (R, n1) posterior
+    draws (1) and the (R, n2) proposal draws (2). A +inf density, then a
+    NaN ratio, fails `_check_rows`.
+
+    The rows iterate in lockstep; each stops at its own iteration with its
+    own convergence flag, and equals the loop on that row alone bit for bit.
+    The lowest row that fails a step raises ChainFailure.
+    """
     for dens in (post1, prop1, post2, prop2):  # -inf is allowed
         _check_rows(lambda x: _every("log density", x, x != math.inf, "< +inf"), dens)
     with np.errstate(invalid="ignore"):  # -inf - -inf: a NaN ratio, named below
@@ -362,18 +368,6 @@ def _bridge_density_rows(post1: np.ndarray, prop1: np.ndarray, post2: np.ndarray
     for name, ratio in (("post_draws", l1), ("prop_draws", l2)):
         _check_rows(lambda x: _every(f"log density ratio at {name}", x, ~np.isnan(x),
                                      "a number"), ratio)
-    return _bridge_rows(l1, l2, tol, max_iter)
-
-
-def _bridge_rows(l1: np.ndarray, l2: np.ndarray, tol: float,
-                 max_iter: int) -> list[EvidenceEstimate]:
-    """The Meng-Wong loop of bridge_log_evidence on each row of the (R, n1)
-    and (R, n2) log ratios l1 and l2, which hold no NaN.
-
-    The rows iterate in lockstep; each stops at its own iteration with its
-    own convergence flag, and equals the loop on that row alone bit for bit.
-    The lowest row that fails a step raises ChainFailure.
-    """
     n1, n2 = l1.shape[1], l2.shape[1]
     log_s1 = math.log(n1 / (n1 + n2))
     log_s2 = math.log(n2 / (n1 + n2))

@@ -20,7 +20,7 @@ reads every run's uniforms into one block and inverts the block in shared
 slices (`rng._invert_open`). evidence runs its replications in groups of
 max(1, 8192 // iters) rows (`_evidence_group`): one draw block per group,
 and each estimator's row core (`estimators._harmonic_rows`,
-`_bridge_density_rows`, `_chib_rows`), which checks its own input, once
+`_bridge_rows`, `_chib_rows`), which checks its own input, once
 per model and group. The chain figures hand all their substreams to one
 lockstep chain kernel (`run_gibbs_chains`, `run_mh_chains`), which steps
 every run at once. Their working set is the kernel's (runs, burn+iters)
@@ -50,7 +50,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .estimators import (EvidenceEstimate, _bridge_density_rows, _chib_rows,
+from .estimators import (EvidenceEstimate, _bridge_rows, _chib_rows,
                          _harmonic_rows, running_moments)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.bridge_log_evidence, harmonic_mean_log_evidence and
@@ -509,7 +509,7 @@ def _evidence_group(rngs: Sequence[RngStream], posteriors, data: np.ndarray,
     Per posterior, the draws, their log likelihood, the fits and the
     bridge's log densities are (rows, T) arrays, and each estimator runs
     once on all rows: the harmonic mean (`estimators._harmonic_rows`), the
-    bridge (`_bridge_density_rows`, with bridge_log_evidence's defaults)
+    bridge (`_bridge_rows`, with bridge_log_evidence's defaults)
     and Chib (`_chib_rows`, on the fit's mean and variance). The fit's
     variance is taken once; its sd is the square root, as np.std takes it,
     and its log sd comes from libm. The posterior draws' log density is the
@@ -549,7 +549,7 @@ def _evidence_group(rngs: Sequence[RngStream], posteriors, data: np.ndarray,
         # held until the next model's replace them: no heap trim and re-fault between
         post1, prop1 = ll + model.log_prior(post), fit_logpdf(post)
         post2, prop2 = model.log_posterior_unnorm(data, prop), fit_logpdf(prop)
-        bridge = _bridge_density_rows(post1, prop1, post2, prop2, 1e-8, 1000)
+        bridge = _bridge_rows(post1, prop1, post2, prop2, 1e-8, 1000)
         by_model.append((harmonic, bridge,
                          _chib_rows(model, data, fit_mean, fit_var, fit_mean, T)))
     return [[[hm[r], bridge[r], chib[r]] for hm, bridge, chib in by_model]

@@ -30,11 +30,11 @@ transitions are loops over one block of draws, _mh_steps and _slice_steps,
 which return the block's states (and acceptances) as lists that the single
 chain runners (run_mh_chain, also under calibration, and run_gibbs_chain)
 store with one slice per block; at K = 1 they beat numpy's per-call
-overhead. _slice_step and slice_gibbs_step are one-pair calls of
-_slice_steps. _mh_steps takes libm's log of a uniform only when
-log_alpha < 0 leaves the step to it, and evaluates the target through
-TargetDensity._float_logpdf: log_unnorm itself on a whole-line support,
-where no proposal can fail the support test, and logpdf otherwise. The row
+overhead. slice_gibbs_step is a one-pair call of _slice_steps. _mh_steps
+takes libm's log of a uniform only when log_alpha < 0 leaves the step to
+it, and evaluates the target through TargetDensity._float_logpdf:
+log_unnorm itself on a whole-line support, where no proposal can fail the
+support test, and logpdf otherwise. The row
 steps (run_mh_chains' loop, _slice_rows) share with the float loops only
 the slice bound, rng's normal quantile and rng's failure texts. A row
 whose step fails raises ChainFailure with the row's index and the float
@@ -127,7 +127,11 @@ class RwProposal:
 
 
 class ChainFailure(ValueError):
-    """A lockstep kernel's step failed in one row; `row` indexes its stream."""
+    """A row of a batched computation failed; `row` indexes its stream.
+
+    Raised for the lowest failing row by the lockstep kernels' steps, the
+    evidence row cores (`estimators._harmonic_rows`, `_bridge_rows`) and
+    evidence's proposal fit (`harness._evidence_group`)."""
 
     def __init__(self, row: int, cause: Exception):
         super().__init__(str(cause))
@@ -388,16 +392,11 @@ def _slice_steps(x: float, floats: Sequence[float]) -> tuple[float, list[float]]
     return x, states
 
 
-def _slice_step(x: float, f_aux: float, f_cdf: float) -> float:
-    # One slice/Gibbs update of the float state x from two open floats.
-    return _slice_steps(x, (f_aux, f_cdf))[0]
-
-
 def _slice_rows(x: np.ndarray, f_aux: np.ndarray, f_cdf: np.ndarray) -> np.ndarray:
-    # _slice_step on each element of a (K,) row of lockstep states, bit for bit.
-    # A failing check raises ChainFailure for the lowest row that fails it.
-    # Its constants are the 0-d twins of _slice_step's floats: rng's, and
-    # _SLICE_BOUND_0D for the slice bound.
+    # One _slice_steps pair on each element of a (K,) row of lockstep states,
+    # bit for bit. A failing check raises ChainFailure for the lowest row that
+    # fails it. Its constants are the 0-d twins of _slice_steps' floats: rng's,
+    # and _SLICE_BOUND_0D for the slice bound.
     x2 = x * x
     u = f_aux / (_ONE_0D + x2 + x2 * x2)
     _raise_unless_rows((u > _ZERO_0D) & (u <= _ONE_0D), _U_RANGE, u)
@@ -428,7 +427,7 @@ def slice_gibbs_step(x: float, rng: RngStream) -> float:
     [-b, b] by inversion. Reads two floats through rng.next_float_open().
     """
     x = _real("x", x)
-    return _slice_step(x, rng.next_float_open(), rng.next_float_open())
+    return _slice_steps(x, (rng.next_float_open(), rng.next_float_open()))[0]
 
 
 def run_gibbs_chain(init: float, iters: int, burn_in: int,

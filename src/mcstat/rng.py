@@ -61,13 +61,14 @@ or a value out of range raises ValueError naming the argument.  Every array
 check is `_every(name, a, ok, rule)`, raising `<name> must be <rule>, got <v>
 at index <i>` at the first element where `ok` is False: `_finite` (data,
 draws, log likelihoods, running values, CDF points), `norm_ppf_many`, the
-importance weights, and the bridge's log densities and their ratios.  Checks
-made per draw or per evaluation stay inline, where a helper call would cost
-as much as the draw: `sample_normal`, `sample_truncated_normal`, `norm_ppf`,
-`slice_truncation_bound`, mcmc's slice steps and quadrature's integrand;
-the two samplers still take float() of their mean, sd and bounds, so a
-float32 argument runs float64 arithmetic there too.  Their dead-interval
-and quantile-domain texts are written once, here.
+importance weights, the bridge's log densities and their ratios, and the
+values svgplot draws.  Checks made per draw or per evaluation stay inline,
+where a helper call would cost as much as the draw: `sample_normal`,
+`sample_truncated_normal`, `norm_ppf`, `slice_truncation_bound`, mcmc's
+slice steps and quadrature's integrand; the two samplers still take
+float() of their mean, sd and bounds, so a float32 argument runs float64
+arithmetic there too.  Their dead-interval and quantile-domain texts are
+written once, here.
 """
 
 from __future__ import annotations
@@ -84,12 +85,10 @@ __all__ = [
     "RngStream",
     "rng_new",
     "derive_substream",
-    "sample_uniform",
     "sample_normal",
     "normals",
     "sample_truncated_normal",
     "norm_cdf",
-    "norm_sf",
     "norm_ppf",
     "norm_ppf_many",
     "normal_logpdf",
@@ -302,19 +301,6 @@ def derive_substream(parent: RngStream, k: int) -> RngStream:
     return RngStream(parent.seed, stream_id=mixed)
 
 
-def sample_uniform(rng: RngStream, lo: float, hi: float) -> float:
-    """One draw from U[lo, hi)."""
-    lo, hi = _real("lo", lo), _real("hi", hi)
-    if not math.isfinite(hi - lo):
-        raise ValueError(f"uniform width must be finite, got [{lo}, {hi})")
-    if not lo < hi:
-        raise ValueError(f"uniform interval must satisfy lo < hi, got [{lo}, {hi})")
-    v = lo + rng.next_float() * (hi - lo)
-    if v >= hi:  # guard the rounding edge so the half-open contract holds
-        v = math.nextafter(hi, lo)
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Normal CDF / inverse CDF
 # ---------------------------------------------------------------------------
@@ -322,11 +308,6 @@ def sample_uniform(rng: RngStream, lo: float, hi: float) -> float:
 def norm_cdf(x: float) -> float:
     """Standard normal CDF via erfc; accurate into the far lower tail."""
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def norm_sf(x: float) -> float:
-    """Standard normal survival function 1 - Phi(x), without cancellation."""
-    return 0.5 * math.erfc(x / _SQRT2)
 
 
 # Rational approximation coefficients (Acklam); refined below to double

@@ -7,15 +7,25 @@ band polygons, series polylines, and one dashed reference line.
 
 Coordinates are rounded to 0.01 px, which keeps files small and makes the
 bytes a pure function of the data. Titles, axis labels and legend labels
-are XML-escaped, so any text gives a well-formed file.
+are XML-escaped, so any text gives a well-formed file, except text holding
+a character that XML 1.0 forbids (a C0 control other than tab, newline
+and carriage return, a surrogate, U+FFFE or U+FFFF): no escape can carry
+one, so it raises ValueError. So does a NaN, an infinity or a value beyond
+1e300 in magnitude in any data, edges that do not increase, or a bin whose
+density exceeds 1e300. Every check is made before the file is written.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
+
+from .rng import _every, _finite
 
 __all__ = ["Series", "Band", "svg_line_plot", "svg_histogram"]
 
@@ -26,6 +36,11 @@ _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 _BAND_COLORS = ("#d7e3f4", "#aec7e8")
 _SERIES_COLORS = ("#1f4e8c", "#2e8b57", "#8c564b", "#7f7f7f")
 _REF_COLOR = "#b03a2e"
+
+# Largest plotted magnitude: the padded axis ranges and their ticks stay finite.
+_LIMIT = 1e300
+# The characters outside XML 1.0's Char production.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -45,6 +60,9 @@ class Band:
 def _escape(text: str) -> str:
     # XML character data, escaped as xml.sax.saxutils.escape does. Importing
     # that module loads urllib.request and ssl: tens of ms and several MB.
+    bad = _NOT_XML_CHAR.search(text)
+    if bad:
+        raise ValueError(f"text {text!r} holds {bad.group()!r}, which XML 1.0 forbids")
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
@@ -75,6 +93,8 @@ def _ticks_125(lo: float, hi: float, n_target: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # a step below half an ulp of t would never reach hi
+            break
         t += step
     return ticks
 
@@ -114,6 +134,14 @@ class _Frame:
     def y(self, v: float) -> float:
         f = (v - self.y_lo) / (self.y_hi - self.y_lo)
         return _H - _MB - f * (_H - _MT - _MB)
+
+
+def _plottable(name: str, values) -> np.ndarray:
+    # `values` as a float array; its first NaN or +-inf, then its first value
+    # beyond _LIMIT in magnitude, raises in rng._every's words.
+    a = _finite(name, values)
+    _every(name, a, np.abs(a) <= _LIMIT, f"at most {_LIMIT:g} in magnitude")
+    return a
 
 
 def _polyline_points(fr: _Frame, xs, ys) -> str:
@@ -179,6 +207,10 @@ def svg_line_plot(xs: Sequence[float], series: Sequence[Series], path,
                             + [("band", b.label, e) for b in bands for e in (b.lo, b.hi)]):
         if len(ys) != len(xs):
             raise ValueError(f"{kind} {label!r} has {len(ys)} values for {len(xs)} x values")
+        _plottable(f"{kind} {label!r}", ys)
+    _plottable("xs", xs)
+    if ref_y is not None:
+        _plottable("ref_y", [ref_y])
     ys_all: list[float] = [v for b in bands for v in list(b.lo) + list(b.hi)]
     for s in series:
         ys_all.extend(s.ys)
@@ -231,6 +263,13 @@ def svg_histogram(bin_edges: Sequence[float], masses: Sequence[float], path, *,
     if len(overlay_y) != len(overlay_x):
         raise ValueError(f"overlay {overlay_label!r} has {len(overlay_y)} values for "
                          f"{len(overlay_x)} x values")
+    e, m = _plottable("bin_edges", edges), _plottable("masses", masses)
+    _every("bin_edges", e, np.diff(e, prepend=-math.inf) > 0, "increasing")
+    with np.errstate(over="ignore"):
+        _every("masses", m, np.abs(m / np.diff(e)) <= _LIMIT,
+               f"at most {_LIMIT:g} times the bin width")
+    _plottable("overlay_x", overlay_x)
+    _plottable("overlay_y", overlay_y)
     widths = [b - a for a, b in zip(edges, edges[1:])]
     dens = [m / w for m, w in zip(masses, widths)]
     y_hi = max(list(dens) + list(overlay_y) + [1e-12]) * 1.08

@@ -39,7 +39,6 @@ __all__ = [
     "example_target_moment",
     "gaussian_functional_expectation",
     "analytic_log_evidence",
-    "analytic_log_bayes_factor",
     "posterior_params",
     "get_model",
     "EXAMPLE_TARGET",
@@ -87,9 +86,6 @@ class TargetDensity:
             return self.log_unnorm
         return self.logpdf
 
-    def in_support(self, x: float) -> bool:
-        return self.support_lo <= x <= self.support_hi and math.isfinite(self.logpdf(x))
-
 
 def example_target_logpdf(x):
     """log of exp(-x^2/2) / (1 + x^2 + x^4), unnormalized; x a float or
@@ -98,10 +94,6 @@ def example_target_logpdf(x):
     if isinstance(x, np.ndarray):
         return _NEG_HALF_0D * x2 - _libm(math.log1p, x2 + x2 * x2)
     return -0.5 * x2 - math.log1p(x2 + x2 * x2)
-
-
-def _example_pdf_unnorm(x: float) -> float:
-    return math.exp(example_target_logpdf(x))
 
 
 EXAMPLE_TARGET = TargetDensity(example_target_logpdf, name="example")
@@ -214,7 +206,8 @@ def example_target_moment(p: int, tol: float = 1e-12) -> float:
     """E[X^p] under the normalized example target, by adaptive quadrature."""
     p = _count("p", p)
     lo, hi = _DOMAIN
-    num = quadrature_integrate(lambda x: x**p * _example_pdf_unnorm(x), lo, hi, tol=tol)
+    num = quadrature_integrate(lambda x: x**p * math.exp(example_target_logpdf(x)), lo, hi,
+                               tol=tol)
     return num.value / example_target_norm_const()
 
 
@@ -290,15 +283,6 @@ def analytic_log_evidence(model: ConjugateNormalModel, data: Sequence[float]) ->
             + 0.5 * (post_mean**2 / post_var
                      - model.prior_mean**2 / model.prior_var
                      - ssq / model.obs_var))
-
-
-def analytic_log_bayes_factor(m0: ConjugateNormalModel, m1: ConjugateNormalModel,
-                              data: Sequence[float]) -> float:
-    """Exact log Bayes factor of m0 over m1 (same likelihood, different priors)."""
-    if m0.obs_var != m1.obs_var:
-        raise ValueError(
-            f"models must share the observation variance, got {m0.obs_var} vs {m1.obs_var}")
-    return analytic_log_evidence(m0, data) - analytic_log_evidence(m1, data)
 
 
 def numeric_log_evidence(model: ConjugateNormalModel, data: Sequence[float],

@@ -563,6 +563,8 @@ def _meng_wong_one_row(l1, l2, tol, max_iter):
 def _bridge_ratio_rows(n1=300, n2=200):
     # Log ratios log N(x; 0, 1) + c - log N(x; mu, s) for proposals from a
     # perfect fit to a poor one, so rows converge at different iterations.
+    # _bridge_rows takes them as posterior log densities over zero proposal
+    # log densities: l - 0.0 is l bit for bit, -inf included.
     gen = np.random.default_rng(21)
     l1, l2 = [], []
     for c, mu, s in [(0.0, 0.0, 1.0), (1.5, 0.0, 1.001), (-2.0, 0.5, 0.8),
@@ -580,7 +582,7 @@ def _bridge_ratio_rows(n1=300, n2=200):
 @pytest.mark.parametrize("max_iter", [2, 1000])
 def test_bridge_rows_match_the_loop_on_each_row(max_iter):
     l1, l2 = _bridge_ratio_rows()
-    got = _bridge_rows(l1, l2, 1e-8, max_iter)
+    got = _bridge_rows(l1, np.zeros_like(l1), l2, np.zeros_like(l2), 1e-8, max_iter)
     want = [_meng_wong_one_row(a, b, 1e-8, max_iter) for a, b in zip(l1, l2)]
     assert len(got) == len(want) == len(l1)
     for g, (lam, iterations, converged) in zip(got, want):
@@ -597,7 +599,7 @@ def test_bridge_rows_name_the_lowest_failing_row():
     l1, l2 = _bridge_ratio_rows()
     l2[[4, 2]] = -math.inf  # rows 2 and 4: no proposal draw has posterior mass
     with pytest.raises(ChainFailure, match="^no effective support overlap") as err:
-        _bridge_rows(l1, l2, 1e-8, 1000)
+        _bridge_rows(l1, np.zeros_like(l1), l2, np.zeros_like(l2), 1e-8, 1000)
     assert err.value.row == 2
 
 

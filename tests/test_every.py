@@ -15,7 +15,7 @@ import pytest
 
 import mcstat
 from mcstat.estimators import bridge_log_evidence, ess, harmonic_mean_log_evidence
-from mcstat.mcmc import ChainFailure, _slice_rows, _slice_step
+from mcstat.mcmc import ChainFailure, _slice_rows, _slice_steps
 from mcstat.rng import norm_ppf, norm_ppf_many
 
 _P_TEXT = r"^p must be in \(0, 1\), got "
@@ -32,7 +32,7 @@ def test_the_quantile_reads_one_domain_text_on_every_path():
     with pytest.raises(ValueError, match=_P_TEXT + r"1\.5$"):
         norm_ppf(1.5)
     with pytest.raises(ValueError, match=_P_TEXT + r"nan$"):
-        _slice_step(0.0, 0.5, math.nan)
+        _slice_steps(0.0, (0.5, math.nan))
     with pytest.raises(ChainFailure, match=_P_TEXT + r"nan$") as err:
         _slice_rows(np.zeros(3), np.full(3, 0.5), np.array([0.5, math.nan, math.nan]))
     assert err.value.row == 1

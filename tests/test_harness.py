@@ -647,6 +647,100 @@ def test_svg_histogram_rejects_an_overlay_of_the_wrong_length(tmp_path):
     assert not path.exists()
 
 
+# Every label argument of the two plots, each with a value that is written.
+_LINE_LABELS = {
+    "title": lambda t: {"title": t},
+    "x_label": lambda t: {"x_label": t},
+    "y_label": lambda t: {"y_label": t},
+    "ref_label": lambda t: {"ref_y": 1.5, "ref_label": t},
+    "series": lambda t: {"series": [Series(t, [1.0, 2.0])]},
+    "band": lambda t: {"bands": [Band(t, [0.0, 1.0], [2.0, 3.0])]},
+}
+_HIST_LABELS = ["title", "x_label", "y_label", "overlay_label"]
+
+
+def _line_plot(path, series=(Series("s", [1.0, 2.0]),), **kwargs):
+    return svg_line_plot([1.0, 10.0], series, path, **kwargs)
+
+
+def _histogram(path, **kwargs):
+    kwargs = {"overlay_x": [0.0, 2.0], "overlay_y": [0.5, 0.5], **kwargs}
+    return svg_histogram([0.0, 1.0, 2.0], [0.5, 0.5], path, **kwargs)
+
+
+@pytest.mark.parametrize("label", [*(f"line-{k}" for k in _LINE_LABELS),
+                                   *(f"hist-{k}" for k in _HIST_LABELS)])
+def test_svg_labels_reject_what_xml_forbids_and_keep_tab_and_newline(tmp_path, label):
+    # "x\x0cy" or "a\x01b" was written as it is, and XML parsers rejected the file
+    kind, arg = label.split("-", 1)
+    path = tmp_path / "plot.svg"
+
+    def draw(text):
+        if kind == "line":
+            return _line_plot(path, **_LINE_LABELS[arg](text))
+        return _histogram(path, **{arg: text})
+
+    for bad in ("x\x0cy", "a\x01b", "\x00", "\x0b", "\x1f", "\ud800", "\ufffe", "\uffff"):
+        with pytest.raises(ValueError, match=f"^text {re.escape(repr(bad))} holds "):
+            draw(bad)
+        assert not path.exists()
+    texts = {t.text for t in ET.parse(draw("a\tb\nc & <d>")).getroot().iter(
+        "{http://www.w3.org/2000/svg}text")}
+    assert "a\tb\nc & <d>" in texts
+
+
+@pytest.mark.parametrize("draw, message", [
+    (lambda p: _line_plot(p, series=[Series("a", [1.0, math.nan])]),
+     "series 'a' must be finite, got nan at index 1"),
+    (lambda p: _line_plot(p, series=[Series("a", [-math.inf, 1.0])]),
+     "series 'a' must be finite, got -inf at index 0"),
+    (lambda p: _line_plot(p, series=[Series("a", [-1e308, 1e308])]),
+     "series 'a' must be at most 1e+300 in magnitude, got -1e+308 at index 0"),
+    (lambda p: _line_plot(p, bands=[Band("b", [0.0, 1.0], [2.0, math.inf])]),
+     "band 'b' must be finite, got inf at index 1"),
+    (lambda p: _line_plot(p, ref_y=math.nan), "ref_y must be finite, got nan at index 0"),
+    (lambda p: _line_plot(p, ref_y=1e301),
+     "ref_y must be at most 1e+300 in magnitude, got 1e+301 at index 0"),
+    (lambda p: svg_line_plot([1.0, math.inf], [Series("a", [1.0, 2.0])], p),
+     "xs must be finite, got inf at index 1"),
+    (lambda p: svg_line_plot([-1e308, 1e308], [Series("a", [1.0, 2.0])], p, log_x=False),
+     "xs must be at most 1e+300 in magnitude, got -1e+308 at index 0"),
+    (lambda p: svg_histogram([0.0, 1.0, 1.0], [0.5, 0.5], p),
+     "bin_edges must be increasing, got 1.0 at index 2"),
+    (lambda p: svg_histogram([0.0, 2.0, 1.0], [0.5, 0.5], p),
+     "bin_edges must be increasing, got 1.0 at index 2"),
+    (lambda p: svg_histogram([math.nan, 1.0, 2.0], [0.5, 0.5], p),
+     "bin_edges must be finite, got nan at index 0"),
+    (lambda p: svg_histogram([-1e308, 0.0, 1e308], [0.5, 0.5], p),
+     "bin_edges must be at most 1e+300 in magnitude, got -1e+308 at index 0"),
+    (lambda p: svg_histogram([0.0, 1.0, 2.0], [0.5, math.nan], p),
+     "masses must be finite, got nan at index 1"),
+    (lambda p: svg_histogram([0.0, 5e-324, 2.0], [0.5, 0.5], p),
+     "masses must be at most 1e+300 times the bin width, got 0.5 at index 0"),
+    (lambda p: _histogram(p, overlay_y=[0.5, math.nan]),
+     "overlay_y must be finite, got nan at index 1"),
+    (lambda p: _histogram(p, overlay_x=[math.inf, 2.0]),
+     "overlay_x must be finite, got inf at index 0"),
+], ids=["series-nan", "series-inf", "series-span", "band-inf", "ref_y-nan", "ref_y-huge",
+        "xs-inf", "xs-span", "edges-zero-width", "edges-decreasing", "edges-nan",
+        "edges-span", "mass-nan", "mass-density", "overlay_y-nan", "overlay_x-inf"])
+def test_svg_plots_reject_data_they_cannot_draw(tmp_path, draw, message):
+    # NaN was written as "nan" silently; an infinity or a span past the float
+    # range raised OverflowError, and a zero-width bin ZeroDivisionError
+    path = tmp_path / "plot.svg"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        draw(path)
+    assert not path.exists()
+
+
+def test_svg_line_plot_draws_a_range_narrower_than_its_tick_step(tmp_path):
+    # Two values 1 ulp apart at 1e5 give a tick step below half an ulp of
+    # the ticks: adding it never advanced the tick, and the plot hung.
+    path = _line_plot(tmp_path / "plot.svg",
+                      series=[Series("a", [1e5, math.nextafter(1e5, 2e5)])])
+    assert ET.parse(path).getroot().tag.endswith("svg")
+
+
 def test_write_csv_matches_csv_writer(tmp_path):
     # _write_csv formats its lines itself; they must be the bytes that
     # csv.writer gives for the same cells once floats are formatted.
@@ -937,6 +1031,16 @@ def test_cli_rejects_bad_config_file_value(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 1\n\xff\n")
+    assert cli_main(["figure1", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"mcstat: error: cannot read config file {cfg}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("walks = 4\n")
@@ -953,3 +1057,20 @@ def test_cli_output_is_byte_deterministic(tmp_path):
                  "figure.svg", "hist.svg"):
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_run_all_figures_goes_through_the_cli(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "run_all_figures.py"
+
+    def run(*args):
+        return subprocess.run([sys.executable, str(script), *args], capture_output=True,
+                              text=True, timeout=300)
+
+    done = run("--quick", "--out", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    for name in ("figure1_mu0", "figure1_mu2.5", "figure2", "figure3", "evidence"):
+        assert (tmp_path / "out" / name / "info.csv").exists(), name
+    bad = run("--seed", "-1", "--quick", "--out", str(tmp_path / "bad"))
+    assert bad.returncode == 1
+    assert "mcstat: error:" in bad.stderr
+    assert "Traceback" not in bad.stderr

@@ -13,7 +13,7 @@ from mcstat.mcmc import (
     _SLICE_BOUND_0D,
     _slice_bound,
     _slice_rows,
-    _slice_step,
+    _slice_steps,
     CalibrationError,
     ChainFailure,
     ChainTrace,
@@ -494,12 +494,12 @@ _SLICE_CHECKS = ("u must", "truncation interval", "p must")
 
 
 def _assert_row_step_matches_float_step(triples):
-    # _slice_rows on one row of (x, f_aux, f_cdf) triples against _slice_step on
+    # _slice_rows on one row of (x, f_aux, f_cdf) triples against _slice_steps on
     # each: equal bits, or the error of the lowest row failing the first check.
     expected = []
-    for t in triples:
+    for x, f_aux, f_cdf in triples:
         try:
-            expected.append(_slice_step(*t))
+            expected.append(_slice_steps(x, (f_aux, f_cdf))[0])
         except ValueError as exc:
             expected.append(exc)
     rows = [np.array(column, dtype=float) for column in zip(*triples)]

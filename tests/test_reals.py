@@ -24,7 +24,7 @@ from mcstat.mcmc import (RwProposal, calibrate_scale_report, run_gibbs_chain,
                          run_gibbs_chains, run_mh_chain, run_mh_chains, slice_gibbs_step)
 from mcstat.quadrature import gauss_legendre_integrate, quadrature_integrate
 from mcstat.rng import (NormalDist, derive_substream, normal_logpdf, normals, rng_new,
-                        sample_normal, sample_truncated_normal, sample_uniform)
+                        sample_normal, sample_truncated_normal)
 from mcstat.targets import (EXAMPLE_TARGET, ConjugateNormalModel,
                             gaussian_functional_expectation)
 
@@ -51,10 +51,6 @@ CALL_SITES = [
                  ValueError, id="normals-mean"),
     pytest.param("sd", lambda v, r: _drawn(r, normals(r, 5, 0.0, v)), 1.2, 0.0, ValueError,
                  id="normals-sd"),
-    pytest.param("lo", lambda v, r: _drawn(r, sample_uniform(r, v, 2.0)), 0.1, -math.inf,
-                 ValueError, id="sample_uniform-lo"),
-    pytest.param("hi", lambda v, r: _drawn(r, sample_uniform(r, 0.0, v)), 1.2, -math.inf,
-                 ValueError, id="sample_uniform-hi"),
     pytest.param("mean", lambda v, r: NormalDist(v, 1.0), 0.1, -math.inf, ValueError,
                  id="NormalDist-mean"),
     pytest.param("sd", lambda v, r: NormalDist(0.0, v), 1.2, 0.0, ValueError,

@@ -28,13 +28,11 @@ from mcstat.rng import (
     norm_cdf,
     norm_ppf,
     norm_ppf_many,
-    norm_sf,
     normal_logpdf,
     normals,
     rng_new,
     sample_normal,
     sample_truncated_normal,
-    sample_uniform,
 )
 from mcstat.targets import EXAMPLE_TARGET, example_target_logpdf
 
@@ -369,48 +367,6 @@ def test_float_paths_return_python_floats():
 
 
 # ---------------------------------------------------------------------------
-# Uniform sampler
-# ---------------------------------------------------------------------------
-
-def test_uniform_mean_on_unit_interval():
-    r = rng_new(11)
-    xs = np.array([sample_uniform(r, 0.0, 1.0) for _ in range(100_000)])
-    assert abs(xs.mean() - 0.5) <= 0.005
-
-
-def test_uniform_respects_bounds():
-    r = rng_new(12)
-    xs = [sample_uniform(r, 0.0, 1.0 / 3.0) for _ in range(10_000)]
-    assert all(0.0 <= x < 1.0 / 3.0 for x in xs)
-
-
-def test_uniform_rejects_bad_bounds():
-    r = rng_new(0)
-    with pytest.raises(ValueError):
-        sample_uniform(r, 2.0, 2.0)
-    with pytest.raises(ValueError):
-        sample_uniform(r, 3.0, 2.0)
-    with pytest.raises(ValueError):
-        sample_uniform(r, 0.0, math.inf)
-
-
-def test_uniform_rejects_overflowing_width():
-    # hi - lo overflows to inf although both bounds are finite
-    r = rng_new(0)
-    with pytest.raises(ValueError, match="width must be finite"):
-        sample_uniform(r, -1e308, 1e308)
-    assert r.state_bytes() == rng_new(0).state_bytes()  # no draw consumed
-
-
-@given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32))
-@settings(max_examples=50, deadline=None)
-def test_uniform_containment_property(lo, width, seed):
-    r = rng_new(seed)
-    x = sample_uniform(r, lo, lo + width)
-    assert lo <= x < lo + width
-
-
-# ---------------------------------------------------------------------------
 # Normal sampler and Phi / Phi^-1
 # ---------------------------------------------------------------------------
 
@@ -448,7 +404,7 @@ def test_norm_cdf_ppf_match_scipy():
 
     xs = np.linspace(-8.0, 8.0, 161)
     assert np.allclose([norm_cdf(x) for x in xs], sps.norm.cdf(xs), rtol=1e-13)
-    assert np.allclose([norm_sf(x) for x in xs], sps.norm.sf(xs), rtol=1e-13)
+    assert np.allclose([norm_cdf(-x) for x in xs], sps.norm.sf(xs), rtol=1e-13)
 
 
 def test_norm_ppf_cdf_roundtrip_far_tail():
@@ -541,7 +497,7 @@ def _three_branch_truncated_normal(rng, mean, sd, lo, hi):
     # on the survival scale, a lower-half one as its mirror image, and a
     # straddling one on the CDF scale, each branch with its own mass check.
     def upper(a, b):
-        qa, qb = norm_sf(a), norm_sf(b)
+        qa, qb = norm_cdf(-a), norm_cdf(-b)
         mass = qa - qb
         if not mass > 1e-300:
             raise ValueError("dead interval")
@@ -652,7 +608,6 @@ def test_dist_objects_are_valid_when_built(build, field):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("draw, words", [
-    (lambda r, i: sample_uniform(r, -1.0 - i, 2.0 + i), 2),
     (lambda r, i: sample_normal(r, 0.1 * i, 1.0 + i), 2),
     (lambda r, i: NormalDist(-0.1 * i, 0.5 + i).sample(r), 2),
     (lambda r, i: sample_truncated_normal(r, 0.0, 1.0, -1.0 - 0.1 * i, 0.5), 2),
@@ -660,7 +615,7 @@ def test_dist_objects_are_valid_when_built(build, field):
     (lambda r, i: sample_truncated_normal(r, 1.0, 2.0, -math.inf, 0.1 * i), 2),
     (lambda r, i: normals(r, i, 0.0, 1.0), lambda i: 2 * i),
     (lambda r, i: slice_gibbs_step(0.3 * i - 5.0, r), 4),
-], ids=["sample_uniform", "sample_normal", "NormalDist", "truncnorm-central",
+], ids=["sample_normal", "NormalDist", "truncnorm-central",
         "truncnorm-far-tail", "truncnorm-half-line", "normals", "slice_gibbs_step"])
 def test_every_sampler_reads_a_fixed_number_of_words_per_draw(draw, words):
     r, ref = rng_new(41), rng_new(41)
@@ -687,7 +642,7 @@ def _ks_pass_count(draw_one, cdf, n_draws=10_000, n_seeds=100, base_seed=0):
 
 
 @pytest.mark.parametrize("name,draw_one,cdf", [
-    ("uniform", lambda r: sample_uniform(r, 0.0, 1.0),
+    ("uniform", lambda r: r.next_float_open(),
      lambda x: np.clip(x, 0.0, 1.0)),
     ("normal", lambda r: sample_normal(r, 0.0, 1.0), sps.norm.cdf),
     ("truncnorm", lambda r: sample_truncated_normal(r, 0.0, 1.0, -1.0, 1.0),

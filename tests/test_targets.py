@@ -17,7 +17,6 @@ from mcstat.targets import (
     EXAMPLE_TARGET,
     ConjugateNormalModel,
     TargetDensity,
-    analytic_log_bayes_factor,
     analytic_log_evidence,
     cubic_ratio,
     example_target_cdf,
@@ -219,8 +218,6 @@ def test_gaussian_functional_expectation(goldens):
 
 def test_target_density_support():
     t = TargetDensity(lambda x: 0.0, -1.0, 1.0, "flat")
-    assert t.in_support(0.5)
-    assert not t.in_support(1.5)
     assert t.logpdf(0.5) == 0.0
     assert t.logpdf(2.0) == -math.inf
 
@@ -372,22 +369,3 @@ def test_log_posterior_unnorm_is_prior_plus_likelihood():
     total = m.log_posterior_unnorm(data, th)
     assert np.allclose(total, m.log_prior(th) + m.log_likelihood(data, th),
                        rtol=1e-14)
-
-
-def test_bayes_factor_properties():
-    m0 = ConjugateNormalModel(0.0, 1.0, 1.0, "m0")
-    m1 = ConjugateNormalModel(1.0, 4.0, 1.0, "m1")
-    data = [0.3, 0.8, -0.2]
-    assert analytic_log_bayes_factor(m0, m0, data) == 0.0
-    fwd = analytic_log_bayes_factor(m0, m1, data)
-    assert fwd == pytest.approx(-analytic_log_bayes_factor(m1, m0, data),
-                                rel=1e-13)
-    assert fwd == pytest.approx(analytic_log_evidence(m0, data)
-                                - analytic_log_evidence(m1, data), rel=1e-13)
-
-
-def test_bayes_factor_rejects_mismatched_likelihoods():
-    m0 = ConjugateNormalModel(0.0, 1.0, 1.0, "m0")
-    m1 = ConjugateNormalModel(0.0, 1.0, 2.0, "m1")
-    with pytest.raises(ValueError):
-        analytic_log_bayes_factor(m0, m1, [0.1])
