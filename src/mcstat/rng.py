@@ -12,10 +12,11 @@ return numpy arrays equal bit for bit to n calls of `next_float_open()` and
 after t steps is a^t s + inc S_t (mod 2^64) with S_t = a^0 + ... + a^(t-1);
 one table of (a^t, S_t), a cumulative product and sum computed on first use,
 gives a whole block of states from the current one (O'Neill 2014, "PCG";
-Brown 1994, "Random Number Generation with Arbitrary Strides").  Blocks hold
-at most `_BLOCK` floats, so transient memory does not grow with n; the chain
-runners and the lockstep chain kernels in mcmc read their streams in blocks
-of the same size.  `normals` draws its n floats at once and inverts them in
+Brown 1994, "Random Number Generation with Arbitrary Strides").  The table
+is pair-swapped, so the block's uint32 outputs, viewed as little-endian
+uint64, are next_u64's words.  Blocks hold at most `_BLOCK` floats, so
+transient memory does not grow with n; the chain runners and the lockstep
+chain kernels in mcmc read their streams in blocks of the same size.  `normals` draws its n floats at once and inverts them in
 slices of at most `_PPF_SLICE`, through `_invert_open`; the evidence
 experiment draws its whole replication with one call.  figure1 reads every
 run's floats into one (runs, iters) block and inverts the whole block with
@@ -209,7 +210,11 @@ class RngStream:
 
     def floats_open(self, n: int) -> np.ndarray:
         """n open uniforms as a float64 array, equal bit for bit to n calls
-        of next_float_open(); the stream advances by the same 2n words."""
+        of next_float_open(); the stream advances by the same 2n words.
+
+        Each block's states come from the pair-swapped jump table as
+        s1, s0, s3, s2, ..., so each uint32 output pair (lo, hi), viewed as
+        a little-endian uint64, is next_u64's hi << 32 | lo."""
         n = _count("n", n)
         out = np.empty(n)
         powers, sums = _jump_table()
@@ -217,11 +222,10 @@ class RngStream:
         for start in range(0, n, _BLOCK):
             words = 2 * min(_BLOCK, n - start)
             states = powers[:words] * np.uint64(self._state) + shifts[:words]
-            self._state = (int(states[-1]) * _PCG_MULT + self._inc) & _MASK64
-            out32 = _pcg_output(states)
-            # next_u64 is the high word then the low word
-            out[start:start + words // 2] = _open_floats(
-                out32[0::2] << np.uint64(32) | out32[1::2])
+            # states[-2] is the block's last state in stream order
+            self._state = (int(states[-2]) * _PCG_MULT + self._inc) & _MASK64
+            # the view assumes a little-endian host, as every supported x86-64 host is
+            out[start:start + words // 2] = _open_floats(_pcg_output(states).view(np.uint64))
         return out
 
     def state_bytes(self) -> bytes:
@@ -258,24 +262,29 @@ class RngStream:
 
 @functools.cache
 def _jump_table() -> tuple[np.ndarray, np.ndarray]:
-    """(a^t, S_t) mod 2^64 for t < 2 * _BLOCK, S_t = a^0 + ... + a^(t-1).
+    """(a^t, S_t) mod 2^64 for t < 2 * _BLOCK, S_t = a^0 + ... + a^(t-1),
+    in pair-swapped order: index i holds t = i ^ 1.
 
     The state t steps after s is a^t s + inc S_t: a^t is the running
     product of [1, a, a, ...] and S_t the running sum of the powers before
     t. The uint64 products and sums wrap mod 2^64, as the generator does.
+    The swap puts each next_u64's low word (t odd) before its high word
+    (t even), the order of a little-endian uint64 (see floats_open).
     """
     steps = np.full(2 * _BLOCK, _PCG_MULT, dtype=np.uint64)
     steps[0] = 1
     powers = np.cumprod(steps)
-    return powers, np.cumsum(powers) - powers
+    swap = np.arange(2 * _BLOCK) ^ 1
+    return powers[swap], (np.cumsum(powers) - powers)[swap]
 
 
 def _pcg_output(states: np.ndarray) -> np.ndarray:
-    # next_u32's XSH-RR output of each state, as uint64 words below 2^32.
-    low32 = np.uint64(0xFFFFFFFF)
-    xorshifted = (((states >> np.uint64(18)) ^ states) >> np.uint64(27)) & low32
-    rot = states >> np.uint64(59)
-    return (xorshifted >> rot | xorshifted << (np.uint64(32) - rot)) & low32
+    # next_u32's XSH-RR output of each uint64 state, as a uint32 array. The
+    # casts keep the low 32 bits; (32 - rot) & 31 keeps the left shift below
+    # 32, and at rot = 0 both shifts return x.
+    x = (((states >> np.uint64(18)) ^ states) >> np.uint64(27)).astype(np.uint32)
+    rot = (states >> np.uint64(59)).astype(np.uint32)
+    return x >> rot | x << ((np.uint32(32) - rot) & np.uint32(31))
 
 
 def _open_floats(words: np.ndarray) -> np.ndarray:
@@ -397,7 +406,7 @@ def _libm(fn, a: np.ndarray) -> np.ndarray:
     # at one Python call per element. For log, log1p and erfc numpy has no
     # route equal to libm; exp has one C loop, _libm_exp.
     a = np.asarray(a, dtype=float)
-    out = np.fromiter(map(fn, a.ravel().tolist()), dtype=float, count=a.size)
+    out = np.fromiter(map(fn, memoryview(a.ravel())), dtype=float, count=a.size)
     return out.reshape(a.shape)
 
 

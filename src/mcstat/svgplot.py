@@ -11,8 +11,10 @@ are XML-escaped, so any text gives a well-formed file, except text holding
 a character that XML 1.0 forbids (a C0 control other than tab, newline
 and carriage return, a surrogate, U+FFFE or U+FFFF): no escape can carry
 one, so it raises ValueError. So does a NaN, an infinity or a value beyond
-1e300 in magnitude in any data, edges that do not increase, or a bin whose
-density exceeds 1e300. Every check is made before the file is written.
+1e300 in magnitude in any data, an x at most 0 on a log-x axis, edges that
+do not increase, a negative mass, a bin whose density exceeds 1e300, or a
+line plot with no series, no bands and no reference line. Every check is
+made before the file is written.
 """
 
 from __future__ import annotations
@@ -201,14 +203,16 @@ def svg_line_plot(xs: Sequence[float], series: Sequence[Series], path,
     xs = list(xs)
     if not xs:
         raise ValueError("xs must be nonempty")
-    if log_x and xs[0] <= 0:
-        raise ValueError("log-x plot needs positive x values")
+    if not series and not bands and ref_y is None:
+        raise ValueError("nothing to plot: no series, no bands and no ref_y")
     for kind, label, ys in ([("series", s.label, s.ys) for s in series]
                             + [("band", b.label, e) for b in bands for e in (b.lo, b.hi)]):
         if len(ys) != len(xs):
             raise ValueError(f"{kind} {label!r} has {len(ys)} values for {len(xs)} x values")
         _plottable(f"{kind} {label!r}", ys)
-    _plottable("xs", xs)
+    xa = _plottable("xs", xs)
+    if log_x:
+        _every("xs", xa, xa > 0, "positive on a log-x axis")
     if ref_y is not None:
         _plottable("ref_y", [ref_y])
     ys_all: list[float] = [v for b in bands for v in list(b.lo) + list(b.hi)]
@@ -265,6 +269,7 @@ def svg_histogram(bin_edges: Sequence[float], masses: Sequence[float], path, *,
                          f"{len(overlay_x)} x values")
     e, m = _plottable("bin_edges", edges), _plottable("masses", masses)
     _every("bin_edges", e, np.diff(e, prepend=-math.inf) > 0, "increasing")
+    _every("masses", m, m >= 0, "at least 0")
     with np.errstate(over="ignore"):
         _every("masses", m, np.abs(m / np.diff(e)) <= _LIMIT,
                f"at most {_LIMIT:g} times the bin width")

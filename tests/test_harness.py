@@ -705,6 +705,8 @@ def test_svg_labels_reject_what_xml_forbids_and_keep_tab_and_newline(tmp_path, l
      "xs must be finite, got inf at index 1"),
     (lambda p: svg_line_plot([-1e308, 1e308], [Series("a", [1.0, 2.0])], p, log_x=False),
      "xs must be at most 1e+300 in magnitude, got -1e+308 at index 0"),
+    (lambda p: svg_line_plot([1.0, -2.0, 3.0], [Series("a", [1.0, 2.0, 3.0])], p),
+     "xs must be positive on a log-x axis, got -2.0 at index 1"),
     (lambda p: svg_histogram([0.0, 1.0, 1.0], [0.5, 0.5], p),
      "bin_edges must be increasing, got 1.0 at index 2"),
     (lambda p: svg_histogram([0.0, 2.0, 1.0], [0.5, 0.5], p),
@@ -717,20 +719,35 @@ def test_svg_labels_reject_what_xml_forbids_and_keep_tab_and_newline(tmp_path, l
      "masses must be finite, got nan at index 1"),
     (lambda p: svg_histogram([0.0, 5e-324, 2.0], [0.5, 0.5], p),
      "masses must be at most 1e+300 times the bin width, got 0.5 at index 0"),
+    (lambda p: svg_histogram([0.0, 1.0, 2.0], [-0.5, 0.5], p),
+     "masses must be at least 0, got -0.5 at index 0"),
     (lambda p: _histogram(p, overlay_y=[0.5, math.nan]),
      "overlay_y must be finite, got nan at index 1"),
     (lambda p: _histogram(p, overlay_x=[math.inf, 2.0]),
      "overlay_x must be finite, got inf at index 0"),
 ], ids=["series-nan", "series-inf", "series-span", "band-inf", "ref_y-nan", "ref_y-huge",
-        "xs-inf", "xs-span", "edges-zero-width", "edges-decreasing", "edges-nan",
-        "edges-span", "mass-nan", "mass-density", "overlay_y-nan", "overlay_x-inf"])
+        "xs-inf", "xs-span", "xs-log-negative", "edges-zero-width", "edges-decreasing",
+        "edges-nan", "edges-span", "mass-nan", "mass-density", "mass-negative",
+        "overlay_y-nan", "overlay_x-inf"])
 def test_svg_plots_reject_data_they_cannot_draw(tmp_path, draw, message):
     # NaN was written as "nan" silently; an infinity or a span past the float
-    # range raised OverflowError, and a zero-width bin ZeroDivisionError
+    # range raised OverflowError, and a zero-width bin ZeroDivisionError; a
+    # later x <= 0 on a log-x axis raised an unnamed math domain error, and a
+    # negative mass was drawn as a rect of negative height
     path = tmp_path / "plot.svg"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         draw(path)
     assert not path.exists()
+
+
+def test_svg_line_plot_rejects_a_plot_with_nothing_to_draw(tmp_path):
+    # no series, no bands and no ref_y raised "min() arg is an empty sequence"
+    path = tmp_path / "plot.svg"
+    with pytest.raises(ValueError,
+                       match="^nothing to plot: no series, no bands and no ref_y$"):
+        svg_line_plot([1.0, 10.0], [], path)
+    assert not path.exists()
+    assert _line_plot(path, series=[], ref_y=1.5).exists()  # a reference line alone draws
 
 
 def test_svg_line_plot_draws_a_range_narrower_than_its_tick_step(tmp_path):

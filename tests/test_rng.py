@@ -17,9 +17,11 @@ from mcstat.rng import (
     _PPF_P_LOW,
     _PPF_SLICE,
     _halley,
+    _jump_table,
     _libm,
     _libm_exp,
     _open_floats,
+    _pcg_output,
     _ppf_central,
     _ppf_tail,
     NormalDist,
@@ -118,6 +120,30 @@ def test_pcg32_matches_the_reference_demo_output():
     assert r.stream_id == 54
     assert [r.next_u32() for _ in range(6)] == [
         0xA15C02B7, 0x7B47F409, 0xBA1D3330, 0x83D2F293, 0xBFA4784B, 0xCBED606E]
+
+
+def _stream_at(state, inc=0x6D):
+    return RngStream.from_state_bytes(state.to_bytes(8, "little") + inc.to_bytes(8, "little"))
+
+
+def test_block_output_matches_next_u32_at_every_rotation():
+    # The top 5 bits of a state are XSH-RR's rotation; rot = 0 is the edge
+    # of the uint32 left shift by (32 - rot) & 31.
+    states = [rot << 59 | (0x0123456789ABCDEF * (rot + 1)) & (2**59 - 1) for rot in range(32)]
+    out = _pcg_output(np.array(states, dtype=np.uint64))
+    assert out.dtype == np.uint32
+    assert out.tolist() == [_stream_at(s).next_u32() for s in states]
+
+
+def test_a_pair_swapped_block_reads_as_next_u64():
+    # The jump table gives a two-state block as (s1, s0); its outputs viewed
+    # as a uint64 are next_u64's high word then low word.
+    powers, sums = _jump_table()
+    for s in (0x185706B82C2E03F8, 0, 2**64 - 1, 7 << 59):
+        states = powers[:2] * np.uint64(s) + sums[:2] * np.uint64(0x6D)
+        r = _stream_at(s)
+        assert states.tolist() == [(s * 6364136223846793005 + 0x6D) % 2**64, s]
+        assert _pcg_output(states).view(np.uint64).tolist() == [r.next_u64()]
 
 
 def test_a_resumed_stream_keeps_the_low_63_bits_of_its_stream_id():
@@ -293,12 +319,27 @@ def test_norm_ppf_many_matches_scalar_on_2d_input():
     assert norm_ppf_many(0.3).shape == ()
 
 
-@pytest.mark.parametrize("shape", [(), (0,), (5,), (2, 3, 4)])
-def test_libm_keeps_shape(shape):
-    a = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
-    out = _libm(math.exp, a)
-    assert out.shape == shape
-    assert _bits(out) == _bits([math.exp(v) for v in a.ravel().tolist()])
+def _libm_inputs():
+    # positive, so that every fn's domain holds them
+    grid = 0.01 + 8.0 * rng_new(26).floats_open(60).reshape(6, 10)
+    return {"0-d": np.array(1.5), "empty": np.empty((0, 3)), "1-D": grid[0],
+            "C 2-D": grid, "F 2-D": np.asfortranarray(grid), "transposed": grid.T,
+            "strided": grid[:, ::3], "3-D": grid.reshape(2, 3, 10)}
+
+
+@pytest.mark.parametrize("fn", [math.erfc, math.log, math.log1p, math.exp],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kind", list(_libm_inputs()))
+def test_libm_is_fn_per_element_bit_for_bit(fn, kind):
+    # _libm reads a memoryview of the raveled array: every memory layout
+    # must give fn of each element at that element's index
+    a = _libm_inputs()[kind]
+    out = _libm(fn, a)
+    assert out.shape == a.shape
+    want = np.empty(a.shape)
+    for i in np.ndindex(a.shape):
+        want[i] = fn(float(a[i]))
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
 
 
 def test_libm_exp_is_libm_exp_bit_for_bit():
