@@ -404,7 +404,8 @@ def _norm_ppf_lower(p: float) -> float:
 def _libm(fn, a: np.ndarray) -> np.ndarray:
     # fn from math applied per element: the C library's result, bit for bit,
     # at one Python call per element. For log, log1p and erfc numpy has no
-    # route equal to libm; exp has one C loop, _libm_exp.
+    # route equal to libm; exp has one C loop, _libm_exp. A memoryview of
+    # the raveled array yields its Python floats without .tolist()'s list.
     a = np.asarray(a, dtype=float)
     out = np.fromiter(map(fn, memoryview(a.ravel())), dtype=float, count=a.size)
     return out.reshape(a.shape)
