@@ -31,8 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mcmc import ChainFailure, _raise_unless_rows
-from .rng import RngStream, _count, _every, _finite, _real
+from .rng import ChainFailure, RngStream, _count, _every, _finite, _raise_unless_rows, _real
 from .targets import ConjugateNormalModel, TargetDensity
 
 __all__ = [

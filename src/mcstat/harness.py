@@ -24,9 +24,8 @@ and each estimator's row core (`estimators._harmonic_rows`,
 per model and group. The chain figures hand all their substreams to one
 lockstep chain kernel (`run_gibbs_chains`, `run_mh_chains`), which steps
 every run at once. Their working set is the kernel's (runs, burn+iters)
-states (with figure3's boolean acceptance record of that shape) and its
-one (runs, 1024) buffer of second draws (the kernel stages each block's
-first draws in the states themselves): the histogram of the retained
+states (with figure3's boolean acceptance record of that shape) and the
+one draw buffer of `mcmc._staged_blocks`: the histogram of the retained
 states is counted over slabs of whole runs of at most 8192 states (one run
 if a run is longer), and x^3 is then cubed in place over them
 (`_chain_envelope`), so the states are held once.

@@ -38,25 +38,23 @@ support test, and logpdf otherwise. The row
 steps (run_mh_chains' loop, _slice_rows) share with the float loops only
 the slice bound, rng's normal quantile and rng's failure texts. A row
 whose step fails raises ChainFailure with the row's index and the float
-step's message. The lockstep kernels hold one draw buffer: each row's first
-draws of a block (the MH proposal normals, the Gibbs auxiliary floats) go
-straight into its own columns of the (K, iters) states, which step t reads
-and then overwrites with the new state, and only the second draws (the MH
-log uniforms, the Gibbs CDF floats) wait in a (K, min(block, iters))
-buffer.
+step's message. Both lockstep kernels read and stage their draws through
+one block loop, _staged_blocks, which holds the only draw buffer, and
+keep only their per-step arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .rng import (_BLOCK, _DEAD_INTERVAL, _HALF_0D, _MIN_TAIL_MASS, _MIN_TAIL_MASS_0D, _ONE_0D,
-                  _P_RANGE, _SQRT2, _SQRT2_0D, _ZERO_0D, RngStream, _count, _finite, _libm,
-                  _norm_ppf_lower, _norm_ppf_many_unchecked, _real, _zero_d, norm_ppf_many)
+                  _P_RANGE, _SQRT2, _SQRT2_0D, _ZERO_0D, ChainFailure, RngStream, _count,
+                  _finite, _libm, _norm_ppf_lower, _norm_ppf_many_unchecked,
+                  _raise_unless_rows, _real, _zero_d, norm_ppf_many)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.mcmc.sample_normal and mcstat.mcmc.sample_truncated_normal.
 from .rng import sample_normal, sample_truncated_normal  # noqa: F401
@@ -88,7 +86,8 @@ class ChainTrace:
     `accepted` is a boolean array of the states' shape for MH chains and
     None for Gibbs chains (every Gibbs move is accepted by construction).
     `seed_info` is the (seed, stream_id) of the fresh stream the chain
-    consumed, so the trace can be replayed; row k's is seed_info[k].
+    consumed, so the trace can be replayed: one pair for a 1-D trace, and
+    for a 2-D trace one pair per row, row k's being seed_info[k].
     `burn_in` counts states along the last axis.
     """
 
@@ -101,6 +100,9 @@ class ChainTrace:
         if self.accepted is not None and self.accepted.shape != self.states.shape:
             raise ValueError(f"accepted has shape {self.accepted.shape}, "
                              f"states {self.states.shape}")
+        if np.shape(self.seed_info) != self.states.shape[:-1] + (2,):
+            raise ValueError(f"seed_info must hold one (seed, stream_id) pair per row of "
+                             f"states of shape {self.states.shape}, got {self.seed_info!r}")
         object.__setattr__(self, "burn_in", _count("burn_in", self.burn_in, 0,
                                                    self.states.shape[-1] + 1))
 
@@ -126,22 +128,16 @@ class RwProposal:
         object.__setattr__(self, "scale", _real("scale", self.scale, 0.0))
 
 
-class ChainFailure(ValueError):
-    """A row of a batched computation failed; `row` indexes its stream.
-
-    Raised for the lowest failing row by the lockstep kernels' steps, the
-    evidence row cores (`estimators._harmonic_rows`, `_bridge_rows`) and
-    evidence's proposal fit (`harness._evidence_group`)."""
-
-    def __init__(self, row: int, cause: Exception):
-        super().__init__(str(cause))
-        self.row = row
-
-
 def _mh_draws(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # One stream's block of 2n open floats as n MH steps' draws: proposal
     # normals from the even floats, uniforms from the odd ones.
     return norm_ppf_many(block[0::2]), block[1::2]
+
+
+def _mh_row_draws(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _mh_draws with libm's log of the uniforms, for the lockstep MH kernel.
+    zs, us = _mh_draws(block)
+    return zs, _libm(math.log, us)
 
 
 def _mh_steps(logpdf, scale: float, x: float, lfx: float, zs: list[float],
@@ -212,22 +208,12 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
     x, lfx = (np.full(len(rngs), v) for v in _mh_start(target, init))
     states = np.empty((len(rngs), iters))
     accepted = np.empty((len(rngs), iters), dtype=bool)
-    # A block's proposal normals wait in the block's columns of states, which
-    # step t reads and then overwrites; its log uniforms wait in log_us.
-    log_us = np.empty((len(rngs), min(_BLOCK, iters)))
     scale = np.array(prop.scale)  # 0-d: see rng's module docstring
     logpdf_many = target.logpdf_many
-    # A proposal that overflows is inf, silently, as in run_mh_chain's floats.
-    with np.errstate(over="ignore"):
-        for start in range(0, iters, _BLOCK):
-            stop = min(start + _BLOCK, iters)
-            n = stop - start
-            for row, rng in enumerate(rngs):
-                try:
-                    states[row, start:stop], us = _mh_draws(rng.floats_open(2 * n))
-                    log_us[row, :n] = _libm(math.log, us)
-                except ValueError as exc:
-                    raise ChainFailure(row, exc) from exc
+    # States hold the proposal normals until step t overwrites its column.
+    for start, stop, log_us in _staged_blocks(rngs, states, _mh_row_draws):
+        # A proposal that overflows is inf, silently, as in run_mh_chain's floats.
+        with np.errstate(over="ignore"):
             for t in range(start, stop):
                 y = x + states[:, t] * scale
                 lfy = logpdf_many(y)
@@ -238,6 +224,35 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
                 states[:, t] = x
                 accepted[:, t] = acc
     return ChainTrace(states, accepted, burn_in, tuple((r.seed, r.stream_id) for r in rngs))
+
+
+def _staged_blocks(rngs: Sequence[RngStream], states: np.ndarray,
+                   split: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                   ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The lockstep kernels' one block loop over their (K, iters) `states`.
+
+    Per block of n <= rng's block size steps, reads 2n open floats from each
+    row's own stream, row by row, and `split`s them into n first draws (the
+    MH proposal normals, the Gibbs auxiliary floats) and n second draws (the
+    MH log uniforms, the Gibbs CDF floats). A row's first draws go straight
+    into its own columns of the block, states[row, start:stop]: step t reads
+    column t and then overwrites it with the new state. The second draws
+    wait in the one draw buffer, `seconds`, of shape (K, min(block, iters)),
+    step t's at column t - start. So a kernel holds its trace and one
+    buffer. A row whose draws fail raises ChainFailure with its index.
+    Yields (start, stop, seconds) once per block, after staging the block.
+    """
+    k, iters = states.shape
+    seconds = np.empty((k, min(_BLOCK, iters)))
+    for start in range(0, iters, _BLOCK):
+        stop = min(start + _BLOCK, iters)
+        for row, rng in enumerate(rngs):
+            try:
+                states[row, start:stop], seconds[row, :stop - start] = split(
+                    rng.floats_open(2 * (stop - start)))
+            except ValueError as exc:
+                raise ChainFailure(row, exc) from exc
+        yield start, stop, seconds
 
 
 def _mh_start(target: TargetDensity, init: float) -> tuple[float, float]:
@@ -412,13 +427,6 @@ def _slice_rows(x: np.ndarray, f_aux: np.ndarray, f_cdf: np.ndarray) -> np.ndarr
     return _ZERO_0D + np.minimum(np.maximum(_norm_ppf_many_unchecked(p), neg_b), b)
 
 
-def _raise_unless_rows(ok, message, *values):
-    # Raise the float step's error for the lowest row of `ok` that is False.
-    if np.count_nonzero(ok) < ok.size:
-        row = int(np.argmin(ok))
-        raise ChainFailure(row, ValueError(message.format(*(float(v[row]) for v in values))))
-
-
 def slice_gibbs_step(x: float, rng: RngStream) -> float:
     """One slice/Gibbs update: u | x uniform on the slice, then x | u.
 
@@ -459,18 +467,10 @@ def run_gibbs_chains(init: float, iters: int, burn_in: int,
     iters, burn_in = _check_lengths(iters, burn_in)
     x = np.full(len(rngs), _real("init", init))
     states = np.empty((len(rngs), iters))
-    # A block's auxiliary floats wait in the block's columns of states, which
-    # step t reads and then overwrites; its CDF floats wait in f_cdfs.
-    f_cdfs = np.empty((len(rngs), min(_BLOCK, iters)))
-    # x^4 of a large state is inf, silently, as in run_gibbs_chain's floats.
-    with np.errstate(over="ignore"):
-        for start in range(0, iters, _BLOCK):
-            stop = min(start + _BLOCK, iters)
-            n = stop - start
-            for row, rng in enumerate(rngs):
-                floats = rng.floats_open(2 * n)
-                states[row, start:stop] = floats[0::2]
-                f_cdfs[row, :n] = floats[1::2]
+    # States hold the auxiliary floats until step t overwrites its column.
+    for start, stop, f_cdfs in _staged_blocks(rngs, states, lambda b: (b[0::2], b[1::2])):
+        # x^4 of a large state is inf, silently, as in run_gibbs_chain's floats.
+        with np.errstate(over="ignore"):
             for t in range(start, stop):
                 x = _slice_rows(x, states[:, t], f_cdfs[:, t - start])
                 states[:, t] = x

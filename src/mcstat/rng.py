@@ -63,8 +63,11 @@ check is `_every(name, a, ok, rule)`, raising `<name> must be <rule>, got <v>
 at index <i>` at the first element where `ok` is False: `_finite` (data,
 draws, log likelihoods, running values, CDF points), `norm_ppf_many`, the
 importance weights, the bridge's log densities and their ratios, and the
-values svgplot draws.  Checks made per draw or per evaluation stay inline,
-where a helper call would cost as much as the draw: `sample_normal`,
+values svgplot draws.  A check over the rows of a batch (lockstep chains,
+evidence groups) raises `ChainFailure` naming the lowest failing row,
+through `_raise_unless_rows` where the rows share one format string.
+Checks made per draw or per evaluation stay inline, where a helper call
+would cost as much as the draw: `sample_normal`,
 `sample_truncated_normal`, `norm_ppf`, `slice_truncation_bound`, mcmc's
 slice steps and quadrature's integrand; the two samplers still take
 float() of their mean, sd and bounds, so a float32 argument runs float64
@@ -162,6 +165,27 @@ def _finite(name: str, a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     _every(name, a, np.isfinite(a), "finite")
     return a
+
+
+class ChainFailure(ValueError):
+    """A row of a batched computation failed; `row` indexes its stream.
+
+    Raised for the lowest failing row by the lockstep kernels' draws and
+    steps, the evidence row cores (`estimators._harmonic_rows`,
+    `_bridge_rows`) and evidence's proposal fit (`harness._evidence_group`).
+    mcmc re-exports it."""
+
+    def __init__(self, row: int, cause: Exception):
+        super().__init__(str(cause))
+        self.row = row
+
+
+def _raise_unless_rows(ok, message, *values):
+    # Raise ChainFailure with message.format(*values at the row) for the
+    # lowest row of the 1-D mask `ok` that is False.
+    if np.count_nonzero(ok) < ok.size:
+        row = int(np.argmin(ok))
+        raise ChainFailure(row, ValueError(message.format(*(float(v[row]) for v in values))))
 
 
 class RngStream:

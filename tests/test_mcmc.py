@@ -475,12 +475,18 @@ def _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs, iters):
     assert [r.state_bytes() for r in rngs] == [r.state_bytes() for r in ref_rngs]
 
 
-# A run that crosses the kernels' block edges, and one shorter than a block.
-_ITERS = pytest.mark.parametrize("iters", [_LOCKSTEP_ITERS, 300], ids=["blocks", "short"])
+# (k, iters): at each K, a run that crosses the kernels' block edges and one
+# shorter than a block; at K = 1 and 3, a run whose last block is full (at
+# K = 100 too, it would add about 5 s to the suite).
+_K_ITERS = pytest.mark.parametrize(
+    "k, iters",
+    [(k, iters) for k in (1, 3, 100) for iters in (_LOCKSTEP_ITERS, 300)]
+    + [(1, 2 * _BLOCK), (3, 2 * _BLOCK)],
+    ids=[f"{k}-{name}" for k in (1, 3, 100) for name in ("blocks", "short")]
+    + ["1-full", "3-full"])
 
 
-@_ITERS
-@pytest.mark.parametrize("k", [1, 3, 100])
+@_K_ITERS
 @pytest.mark.parametrize("init", [0.0, 1.3, 1e-200, 40.0, 1e77])
 def test_gibbs_chains_match_scalar_runner_bitwise(k, init, iters):
     rngs, ref_rngs = _substreams(61, k), _substreams(61, k)
@@ -552,9 +558,9 @@ def test_row_step_matches_float_step_property(triples):
     _assert_row_step_matches_float_step(triples)
 
 
-@_ITERS
-@pytest.mark.parametrize("k", [1, 3, 100])
-@pytest.mark.parametrize("scale", [0.05, 1.2, 25.0])
+@_K_ITERS
+# At 1e308 a proposal x + z * scale overflows to +-inf whenever |z| > ~1.8.
+@pytest.mark.parametrize("scale", [0.05, 1.2, 25.0, 1e308])
 @pytest.mark.parametrize("target", [EXAMPLE, NARROW], ids=["example", "narrow"])
 def test_mh_chains_match_scalar_runner_bitwise(k, scale, target, iters):
     init = 1.3 if scale == 1.2 else 0.0
@@ -565,6 +571,8 @@ def test_mh_chains_match_scalar_runner_bitwise(k, scale, target, iters):
     _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs, iters)
     if target is NARROW and scale > 1.0:
         assert not lockstep.accepted.all(axis=1).all()
+    if scale == 1e308:
+        assert not lockstep.accepted.any()
 
 
 @pytest.mark.parametrize("kernel", [
@@ -604,24 +612,30 @@ def test_chain_trace_checks_shapes_and_burn_in_on_the_last_axis(shape):
     for burn_in in (-1, 11):
         with pytest.raises(ValueError, match="burn_in"):
             ChainTrace(states, None, burn_in, info)
+    # one (seed, stream_id) pair per row of a 2-D trace, one pair for a 1-D trace
+    for bad in ((5, 0, 1), ((5, 0),), ((5, 0), (5, 1)), ((5, 0),) * 4):
+        with pytest.raises(ValueError, match="seed_info"):
+            ChainTrace(states, None, 0, bad)
 
 
 def test_lockstep_failure_names_the_row_with_the_scalar_error():
-    def streams():
+    # NaN streams at the rows in `bad`: the lowest of them is named
+    def streams(bad):
         rngs = _substreams(63, 4)
-        rngs[2] = NanStream(rngs[2].seed, rngs[2].stream_id)
+        for row in bad:
+            rngs[row] = NanStream(rngs[row].seed, rngs[row].stream_id)
         return rngs
 
-    for lockstep, scalar in [
+    for bad, (lockstep, scalar) in itertools.product([(2,), (1, 3)], [
             (lambda r: run_gibbs_chains(0.0, 300, 0, r),
              lambda r: run_gibbs_chain(0.0, 300, 0, r)),
             (lambda r: run_mh_chains(EXAMPLE, RwProposal(1.2), 0.0, 300, 0, r),
-             lambda r: run_mh_chain(EXAMPLE, RwProposal(1.2), 0.0, 300, 0, r))]:
+             lambda r: run_mh_chain(EXAMPLE, RwProposal(1.2), 0.0, 300, 0, r))]):
         with pytest.raises(ValueError) as scalar_err:
-            scalar(streams()[2])
+            scalar(streams(bad)[bad[0]])
         with pytest.raises(ChainFailure) as err:
-            lockstep(streams())
-        assert err.value.row == 2
+            lockstep(streams(bad))
+        assert err.value.row == bad[0]
         assert str(err.value) == str(scalar_err.value)
 
 
