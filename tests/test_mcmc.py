@@ -478,12 +478,10 @@ def _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs, iters):
 # (k, iters): at each K, a run that crosses the kernels' block edges and one
 # shorter than a block; at K = 1 and 3, a run whose last block is full (at
 # K = 100 too, it would add about 5 s to the suite).
-_K_ITERS = pytest.mark.parametrize(
-    "k, iters",
-    [(k, iters) for k in (1, 3, 100) for iters in (_LOCKSTEP_ITERS, 300)]
-    + [(1, 2 * _BLOCK), (3, 2 * _BLOCK)],
-    ids=[f"{k}-{name}" for k in (1, 3, 100) for name in ("blocks", "short")]
-    + ["1-full", "3-full"])
+_K_ITERS = pytest.mark.parametrize("k, iters", [
+    pytest.param(k, iters, id=f"{k}-{name}") for k in (1, 3, 100)
+    for name, iters in (("blocks", _LOCKSTEP_ITERS), ("full", 2 * _BLOCK), ("short", 300))
+    if (k, name) != (100, "full")])
 
 
 @_K_ITERS
