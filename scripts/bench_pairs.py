@@ -24,6 +24,11 @@ per metric:
   than the bound;
 * regression: anything else.
 
+Before the pairs it notes each tree's bytecode state: whether
+`src/mcstat/__pycache__` exists, and the runs' PYTHONDONTWRITEBYTECODE. It
+prints a warning if the two trees differ, since a tree that holds a bytecode
+cache reads setup_s about 20 ms lower.
+
 With --tier1, after the pairs it runs the tier-1 suite once in each tree,
 parent first (`python -m pytest -q --continue-on-collection-errors` with
 `src` on PYTHONPATH), and prints and records each run's wall seconds and
@@ -151,11 +156,13 @@ def verdicts(parent: list[dict | None], change: list[dict | None],
 
 def record(workload: str, trees: dict[str, Path], parent: list[dict | None],
            change: list[dict | None], end_to_end: list[dict],
-           size: str = "bench", tier1: dict | None = None) -> dict:
+           size: str = "bench", tier1: dict | None = None,
+           bytecode: dict | None = None) -> dict:
     """The JSON record of one workload's pairs at perfbench size `size`
     (schema in the README): the host, each tree's commit and failures, and
     every end-to-end metric's quartiles, wins and verdict; with `tier1`,
-    each side's tier-1 run (see _tier1) under "tier1"."""
+    each side's tier-1 run (see _tier1) under "tier1", and with `bytecode`,
+    each side's bytecode state (see _bytecode) under "bytecode"."""
     rec = {
         "workload": workload,
         "size": size,
@@ -167,7 +174,16 @@ def record(workload: str, trees: dict[str, Path], parent: list[dict | None],
     }
     if tier1 is not None:
         rec["tier1"] = tier1
+    if bytecode is not None:
+        rec["bytecode"] = bytecode
     return rec
+
+
+def _bytecode(tree: Path) -> dict:
+    # Whether the tree holds a bytecode cache of the package, and the
+    # PYTHONDONTWRITEBYTECODE its runs inherit (None when unset).
+    return {"pycache": (tree / "src" / "mcstat" / "__pycache__").is_dir(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def _host() -> dict:
@@ -239,23 +255,28 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
+    trees = {"parent": args.parent, "change": args.change}
+    bytecode = {side: _bytecode(tree) for side, tree in trees.items()}
     results: dict[str, list[dict | None]] = {"parent": [], "change": []}
     for seed in range(1, args.pairs + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
-            results[side].append(_run(getattr(args, side), args.workload, seed, args.size))
+            results[side].append(_run(trees[side], args.workload, seed, args.size))
         print(f"# pair {seed}/{args.pairs} done", file=sys.stderr)
     lines, correct = summarize(results["parent"], results["change"], end_to_end)
     print(f"{args.workload}: {args.pairs} pairs at seeds 1-{args.pairs}, size {args.size}")
+    if bytecode["parent"] != bytecode["change"]:
+        print(f"warning: the trees' bytecode states differ (parent {bytecode['parent']}, "
+              f"change {bytecode['change']}); a tree with a bytecode cache reads setup_s "
+              f"about 20 ms lower")
     for line in lines + verdicts(results["parent"], results["change"], end_to_end):
         print(line)
-    trees = {"parent": args.parent, "change": args.change}
     tier1 = {side: _tier1(trees[side]) for side in ("parent", "change")} if args.tier1 else None
     for side, run in (tier1 or {}).items():
         print(f"tier1 {side}: {run['passed']} passed, {run['failed']} failed, "
               f"{run['xfailed']} xfailed in {run['seconds']:.1f} s")
     print(json.dumps(record(args.workload, trees, results["parent"], results["change"],
-                            end_to_end, args.size, tier1)))
+                            end_to_end, args.size, tier1, bytecode)))
     return 0 if correct else 1
 
 

@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import ChainFailure, RngStream, _count, _every, _finite, _raise_unless_rows, _real
+from .rng import (ChainFailure, RngStream, _count, _every, _finite, _one_dim,
+                  _raise_unless_rows, _real)
 from .targets import ConjugateNormalModel, TargetDensity
 
 __all__ = [
@@ -59,14 +60,8 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     if not finite.all():
         m[finite] = _logsumexp_rows(a[finite])
         return m
-    return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
-
-
-def _one_dim(name: str, a: np.ndarray) -> np.ndarray:
-    # `a` itself, unless it has more than one dimension
-    if a.ndim > 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {a.shape}")
-    return a
+    with np.errstate(over="ignore"):  # a difference below -max float is -inf: weight 0
+        return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
 
 
 def _check_rows(check: Callable[[np.ndarray], None], a: np.ndarray) -> None:
@@ -165,7 +160,8 @@ def _shifted_rows(lw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, l
     finite max m: w = exp(lw - m), exponentiated once, s its row sums, and
     each row's ESS s^2 / (w . w) from its own dot product."""
     m = lw.max(axis=1)
-    w = np.exp(lw - m[:, None])
+    with np.errstate(over="ignore"):  # a difference below -max float is -inf: weight 0
+        w = np.exp(lw - m[:, None])
     s = w.sum(axis=1)
     return m, w, s, [a * a / float(np.dot(row, row)) for a, row in zip(s.tolist(), w)]
 
@@ -293,7 +289,8 @@ def _harmonic_rows(ll: np.ndarray) -> list[EvidenceEstimate]:
     _check_rows(lambda x: _finite("log_liks_at_posterior_draws", x), ll)
     m, w, s, eff = _shifted_rows(-ll)
     log_ev = -((m + np.log(s)) - math.log(ll.shape[1]))
-    spread = ll.max(axis=1) - ll.min(axis=1)
+    with np.errstate(over="ignore"):  # a spread beyond the float range is inf
+        spread = ll.max(axis=1) - ll.min(axis=1)
     return [EvidenceEstimate(v, "harmonic_mean",
                              {"n_draws": ll.shape[1], "log_lik_spread": d,
                               "ess": e,  # weight concentration of the reciprocal likelihoods
@@ -381,8 +378,9 @@ def _bridge_rows(post1: np.ndarray, prop1: np.ndarray, post2: np.ndarray, prop2:
     rows = np.arange(len(lam))  # the rows still iterating, and their ratios below
     for it in range(1, max_iter + 1):
         s2_lam = log_s2 + lam[rows, None]
-        log_num = _logsumexp_rows(l2 - np.logaddexp(s1_l2, s2_lam)) - math.log(n2)
-        log_den = _logsumexp_rows(-np.logaddexp(s1_l1, s2_lam)) - math.log(n1)
+        with np.errstate(over="ignore"):  # a term beyond the float range is +-inf
+            log_num = _logsumexp_rows(l2 - np.logaddexp(s1_l2, s2_lam)) - math.log(n2)
+            log_den = _logsumexp_rows(-np.logaddexp(s1_l1, s2_lam)) - math.log(n1)
         ok[rows] = (np.abs(log_num) < math.inf) & (np.abs(log_den) < math.inf)
         _raise_unless_rows(ok, "bridge iteration left the shared support")
         lam_new = log_num - log_den

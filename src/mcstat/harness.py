@@ -31,12 +31,14 @@ if a run is longer), and x^3 is then cubed in place over them
 (`_chain_envelope`), so the states are held once.
 In each case a failure names its replication and substream, in the words
 of `_run_failed`. The envelope figures fill one (runs, iters) block and
-reduce it with one lockstep `running_moments`. An ExperimentConfig is
-checked when built. `_write_csv` writes every CSV float cell with 17
-significant digits, so outputs are byte-stable and the files round-trip to
-full precision; it formats each line itself, with csv.writer's minimal
-quoting, and writes the file in one pass. The keys every info.csv shares
-(experiment, seed, runs, iters) are written in one place, `_write_info`.
+reduce it with one lockstep `running_moments`; the 5%-95% bands are
+`_column_quantile`, np.quantile's linear method bit for bit, which never
+imports numpy.ma. An ExperimentConfig is checked when built. `_write_csv`
+writes every CSV float cell with 17 significant digits, so outputs are
+byte-stable and the files round-trip to full precision; it formats each
+line itself, with csv.writer's minimal quoting, and writes the file in one
+pass. The keys every info.csv shares (experiment, seed, runs, iters) are
+written in one place, `_write_info`.
 """
 
 from __future__ import annotations
@@ -195,9 +197,10 @@ def run_envelope(make_trace: Callable[[RngStream, Sequence[int]], Sequence[float
                  runs: int, iters: int, seed: int) -> EnvelopeSummary:
     """Run `runs` independent replications and collect their envelope.
 
-    `make_trace(rng, cps)` must return the running-mean value at each
-    checkpoint in cps; replication k receives substream k of `seed`. Its
-    failure or a wrong shape raises, naming the replication and substream.
+    `make_trace(rng, cps)` must return the finite running-mean value at
+    each checkpoint in cps; replication k receives substream k of `seed`.
+    Its failure, a wrong shape or a value that is not finite raises, naming
+    the replication and substream.
     """
     runs = _count("runs", runs, 1)
     cps = checkpoints(iters)
@@ -207,6 +210,7 @@ def run_envelope(make_trace: Callable[[RngStream, Sequence[int]], Sequence[float
             tr = np.asarray(make_trace(rng, cps), dtype=float)
             if tr.shape != (len(cps),):
                 raise ValueError(f"returned {tr.shape}, expected ({len(cps)},)")
+            _finite("trace", tr)
         except Exception as exc:
             raise _run_failed("envelope run", k, exc) from exc
         traces[k] = tr
@@ -220,10 +224,31 @@ def _summarize(cps: Sequence[int], traces: np.ndarray) -> EnvelopeSummary:
         per_run_traces=traces,
         band_lo=traces.min(axis=0),
         band_hi=traces.max(axis=0),
-        q05=np.quantile(traces, 0.05, axis=0),
-        q95=np.quantile(traces, 0.95, axis=0),
+        q05=_column_quantile(traces, 0.05),
+        q95=_column_quantile(traces, 0.95),
         single_run=traces[0].copy(),
     )
+
+
+def _column_quantile(traces: np.ndarray, q: float) -> np.ndarray:
+    """np.quantile(traces, q, axis=0) bit for bit, for finite traces (as
+    every envelope's are) and a float q in [0, 1].
+
+    numpy 2.x's "linear" method (Hyndman & Fan's definition 7) by its own
+    steps, without the np.unique call whose first use imports numpy.ma. A
+    copy is partitioned at numpy's kth, {-1, 0, prev, next}, so a tie of
+    -0.0 and 0.0 leaves the zero numpy leaves at each order statistic; the
+    neighbours are interpolated from the nearer one, as numpy's _lerp does.
+    numpy's step that gives NaN for a column holding NaN is left out.
+    """
+    n = traces.shape[0]
+    virtual = (n - 1) * q
+    prev = math.floor(virtual) if virtual < n - 1 else -1
+    nxt = prev + 1 if prev >= 0 else -1
+    arr = traces.copy()
+    arr.partition(sorted({-1, 0, prev, nxt}), axis=0)
+    a, b, g = arr[prev], arr[nxt], virtual - prev
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
 @dataclass(frozen=True)

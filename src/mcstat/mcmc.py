@@ -97,6 +97,9 @@ class ChainTrace:
     seed_info: tuple[int, int] | tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if self.states.ndim not in (1, 2) or self.states.shape[-1] < 1:
+            raise ValueError(f"states must have shape (iters,) or (K, iters) with "
+                             f"iters >= 1, got shape {self.states.shape}")
         if self.accepted is not None and self.accepted.shape != self.states.shape:
             raise ValueError(f"accepted has shape {self.accepted.shape}, "
                              f"states {self.states.shape}")

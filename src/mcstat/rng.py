@@ -63,9 +63,11 @@ check is `_every(name, a, ok, rule)`, raising `<name> must be <rule>, got <v>
 at index <i>` at the first element where `ok` is False: `_finite` (data,
 draws, log likelihoods, running values, CDF points), `norm_ppf_many`, the
 importance weights, the bridge's log densities and their ratios, and the
-values svgplot draws.  A check over the rows of a batch (lockstep chains,
-evidence groups) raises `ChainFailure` naming the lowest failing row,
-through `_raise_unless_rows` where the rows share one format string.
+values svgplot draws.  An array that must not have more than one dimension
+(samples, weights, data) is checked by `_one_dim`.  A check over the rows
+of a batch (lockstep chains, evidence groups) raises `ChainFailure` naming
+the lowest failing row, through `_raise_unless_rows` where the rows share
+one format string.
 Checks made per draw or per evaluation stay inline, where a helper call
 would cost as much as the draw: `sample_normal`,
 `sample_truncated_normal`, `norm_ppf`, `slice_truncation_bound`, mcmc's
@@ -164,6 +166,13 @@ def _finite(name: str, a) -> np.ndarray:
     """`a` as a float array; its first NaN or +-inf raises (see _every)."""
     a = np.asarray(a, dtype=float)
     _every(name, a, np.isfinite(a), "finite")
+    return a
+
+
+def _one_dim(name: str, a: np.ndarray) -> np.ndarray:
+    """`a` itself, unless it has more than one dimension."""
+    if a.ndim > 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {a.shape}")
     return a
 
 

@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quadrature import QuadratureResult, quadrature_integrate
-from .rng import _LOG_SQRT_2PI, _NEG_HALF_0D, _SQRT_2PI, _count, _finite, _libm, _real
+from .rng import (_LOG_SQRT_2PI, _NEG_HALF_0D, _SQRT_2PI, _count, _finite, _libm, _one_dim,
+                  _real)
 
 __all__ = [
     "TargetDensity",
@@ -259,8 +260,9 @@ class ConjugateNormalModel:
 
 
 def _suff_stats(data: Sequence[float]) -> tuple[int, float, float]:
-    # (n, sum, sum of squares) of the finite, nonempty data
-    arr = _finite("data", data)
+    # (n, sum, sum of squares) of the finite, nonempty data of at most one
+    # dimension
+    arr = _one_dim("data", _finite("data", data))
     if arr.size == 0:
         raise ValueError("data must be nonempty")
     return int(arr.size), float(arr.sum()), float(np.dot(arr, arr))

@@ -110,9 +110,10 @@ VERDICTS = {"gain", "unresolved", "no regression", "regression"}
 def _check_record(rec, metric_names):
     # The JSON record's schema, as the README's scripts paragraph states it.
     # Records written before --size existed have no "size"; they are bench.
-    # "tier1" is there only for a run with --tier1.
-    assert set(rec) - {"size", "tier1"} == {"workload", "pairs", "host", "parent", "change",
-                                            "metrics"}
+    # "tier1" is there only for a run with --tier1; records written before
+    # "bytecode" existed have none.
+    assert set(rec) - {"size", "tier1", "bytecode"} == {"workload", "pairs", "host", "parent",
+                                                        "change", "metrics"}
     assert rec.get("size", "bench") in bench_pairs.SIZES
     if "tier1" in rec:
         assert set(rec["tier1"]) == {"parent", "change"}
@@ -121,6 +122,13 @@ def _check_record(rec, metric_names):
             assert run["seconds"] > 0.0
             assert all(type(run[k]) is int and run[k] >= 0
                        for k in ("passed", "failed", "xfailed"))
+    if "bytecode" in rec:
+        assert set(rec["bytecode"]) == {"parent", "change"}
+        for state in rec["bytecode"].values():
+            assert set(state) == {"pycache", "PYTHONDONTWRITEBYTECODE"}
+            assert type(state["pycache"]) is bool
+            assert state["PYTHONDONTWRITEBYTECODE"] is None or \
+                type(state["PYTHONDONTWRITEBYTECODE"]) is str
     assert set(rec["host"]) == {"cpu", "nproc", "python", "numpy", "glibc"}
     for side in ("parent", "change"):
         assert set(rec[side]) == {"commit", "dirty", "failed", "attempted",
@@ -224,3 +232,44 @@ def test_tier1_runs_once_per_side_parent_first_and_is_recorded(monkeypatch, tmp_
                       "--workload", "evidence", "--pairs", "1"])
     assert not any("pytest" in cmd for cmd, _, _ in calls)
     assert "tier1" not in json.loads(lines[-1])
+
+
+def test_each_tree_s_bytecode_state_is_recorded_and_a_difference_warned(monkeypatch,
+                                                                        tmp_path):
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    (trees["parent"] / "src" / "mcstat" / "__pycache__").mkdir(parents=True)
+    trees["change"].mkdir()
+
+    def fake_run(cmd, cwd, **kwargs):
+        # a run with bytecode writing on leaves a cache in its tree
+        (Path(cwd) / "src" / "mcstat" / "__pycache__").mkdir(parents=True, exist_ok=True)
+        return type("Done", (), {"returncode": 0, "stdout": _line(0.2) + "\n",
+                                 "stderr": ""})()
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "_commit", lambda tree: {"commit": None, "dirty": None})
+    monkeypatch.setattr(bench_pairs, "_host", lambda: dict.fromkeys(
+        ("cpu", "nproc", "python", "numpy", "glibc")))
+    lines = []
+    monkeypatch.setattr("builtins.print", lambda *a, **k: lines.append(" ".join(map(str, a))))
+    argv = ["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+            "--workload", "evidence", "--pairs", "1"]
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.main(argv) == 0
+    rec = json.loads(lines[-1])
+    one = [json.loads(_line(0.2))]
+    _check_record(bench_pairs.record("demo", trees, one, one, END_TO_END,
+                                     bytecode=rec["bytecode"]), ["wall_s", "accept"])
+    # the state before the first run is recorded
+    assert rec["bytecode"] == {
+        "parent": {"pycache": True, "PYTHONDONTWRITEBYTECODE": "1"},
+        "change": {"pycache": False, "PYTHONDONTWRITEBYTECODE": "1"}}
+    assert sum(line.startswith("warning: the trees' bytecode states differ")
+               for line in lines) == 1
+    # both trees hold a cache now: no warning
+    lines.clear()
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    bench_pairs.main(argv)
+    assert json.loads(lines[-1])["bytecode"] == {
+        side: {"pycache": True, "PYTHONDONTWRITEBYTECODE": None} for side in trees}
+    assert not any(line.startswith("warning") for line in lines)

@@ -247,6 +247,13 @@ def test_ess_bounds_property(lw):
     assert 1.0 - 1e-9 <= e <= len(lw) + 1e-9
 
 
+def test_ess_gives_a_log_weight_beyond_the_float_range_below_the_max_zero_weight():
+    # 1e308 - -1e308 overflows to -inf: weight 0, without a warning, as
+    # for a log weight merely far below the max
+    assert ess([1e308, -1e308]) == ess([1e308, -1e300]) == 1.0
+    assert ess([1e308, 1e308, -1e308]) == 2.0
+
+
 def test_ess_rejects_bad_input():
     with pytest.raises(ValueError):
         ess([])
@@ -366,6 +373,17 @@ def test_snis_low_ess_warning():
     assert res.ess < 10.0
 
 
+def test_snis_gives_a_log_weight_beyond_the_float_range_below_the_max_zero_weight():
+    # target log density +-1e308: the negative draws' shifted log weights
+    # overflow to -inf, so only the positive draws carry (equal) weight
+    target = TargetDensity(lambda x: 1e308 if x > 0.0 else -1e308)
+    res = self_normalized_is(target, NormalDist(0.0, 1.0), lambda x: x, 400, rng_new(37))
+    replay = rng_new(37)
+    xs = np.array([NormalDist(0.0, 1.0).sample(replay) for _ in range(400)])
+    assert res.ess == np.count_nonzero(xs > 0.0)
+    assert res.estimate == pytest.approx(np.mean(xs[xs > 0.0]), rel=1e-12)
+
+
 def test_snis_rejects_empty():
     with pytest.raises(ValueError):
         self_normalized_is(GAUSS0, NormalDist(0.0, 1.0),
@@ -399,6 +417,16 @@ def test_harmonic_mean_on_conjugate_model():
     est = harmonic_mean_log_evidence(ll)
     assert abs(est.log_evidence - analytic_log_evidence(model, data)) <= 0.5
     assert est.diagnostics["ess"] <= 10_000.0
+
+
+def test_harmonic_mean_gives_a_spread_beyond_the_float_range_zero_weight():
+    # -1e308 - 1e308 overflows to -inf: the draw at 1e308 weighs 0, and the
+    # spread overflows to inf, without a warning
+    est = harmonic_mean_log_evidence([1e308, -1e308])
+    near = harmonic_mean_log_evidence([1e300, -1e308])
+    assert est.log_evidence == near.log_evidence == -1e308
+    assert est.diagnostics["ess"] == near.diagnostics["ess"] == 1.0
+    assert est.diagnostics["log_lik_spread"] == math.inf
 
 
 def test_harmonic_mean_rejects_bad_input():
@@ -514,6 +542,23 @@ def test_bridge_rejects_a_positive_infinite_log_density():
 
     with pytest.raises(ValueError, match=r"^log density must be < \+inf, got inf at index 10$"):
         bridge_log_evidence(post, prop, log_post, lambda th: -th * th / 2.88)
+
+
+def test_bridge_gives_terms_beyond_the_float_range_zero_weight():
+    # log densities of +-1e308: the max shifts and the logaddexp terms
+    # overflow to +-inf without a warning, and the draws at -1e308 weigh 0
+    # exactly as draws at -1e300 do
+    post = np.linspace(-1.0, 1.0, 50)
+    prop = np.linspace(-1.2, 1.2, 40)
+
+    def run(low):
+        return bridge_log_evidence(post, prop, lambda th: np.where(th > 0.0, 1e308, low),
+                                   lambda th: -0.5 * th * th)
+
+    est, near = run(-1e308), run(-1e300)
+    assert est.log_evidence == near.log_evidence == 1e308
+    assert est.diagnostics == near.diagnostics
+    assert est.converged
 
 
 def test_bridge_reports_non_convergence():

@@ -36,6 +36,7 @@ from mcstat.harness import (
     run_envelope,
     run_experiment,
     _chain_envelope,
+    _column_quantile,
     _csv_line,
     _evidence_group,
     _state_histogram,
@@ -158,6 +159,45 @@ def test_envelope_band_ordering():
     assert np.all(s.q95 <= s.band_hi + 1e-15)
 
 
+@pytest.mark.parametrize("q", [0.0, 0.05, 0.5, 0.95, 1.0])
+def test_column_quantile_is_np_quantile_bit_for_bit(q):
+    # For every run count from 1 to 130, on values rounded to one decimal
+    # (many ties) with columns of planted -0.0/0.0 ties: equal bits, so each
+    # band's sign of zero is numpy's too.
+    gen = np.random.default_rng(9)
+    for runs in range(1, 131):
+        traces = np.round(gen.normal(size=(runs, 16)), 1)
+        traces[:, :6] = gen.choice([-0.0, 0.0], size=(runs, 6))
+        traces[:, 6:12] = gen.choice([-0.0, 0.0, 0.1, -0.1], size=(runs, 6))
+        before = traces.copy()
+        got = _column_quantile(traces, q)
+        want = np.quantile(traces, q, axis=0)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (runs, got, want)
+        assert np.array_equal(traces.view(np.int64), before.view(np.int64))  # not reordered
+
+
+def test_envelope_experiments_never_import_numpy_ma(tmp_path):
+    # np.quantile's first call imports numpy.ma (through np.unique); the
+    # bands come from _column_quantile, so a fresh interpreter that runs
+    # every envelope experiment never loads it.
+    code = ("import sys\n"
+            "from mcstat.harness import ExperimentConfig, figure1, figure2, figure3, "
+            "run_envelope\n"
+            f"out = {str(tmp_path)!r}\n"
+            "for name, run, extra in [('figure1', figure1, {}), ('figure2', figure2, {}),\n"
+            "                         ('figure3', figure3, {'scale': 'auto'})]:\n"
+            "    run(ExperimentConfig(name, runs=3, iters=400, out_dir=f'{out}/{name}',\n"
+            "                         **extra))\n"
+            "run_envelope(lambda rng, cps: [rng.next_float()] * len(cps), 3, 400, 0)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_envelope_failure_names_the_run():
     def flaky(rng, cps):
         if rng.next_float() > -1:  # every run draws once
@@ -170,6 +210,23 @@ def test_envelope_failure_names_the_run():
 def test_envelope_rejects_wrong_trace_length():
     with pytest.raises(RuntimeError, match="expected"):
         run_envelope(lambda rng, cps: [0.0], 2, 1000, seed=5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_envelope_rejects_a_trace_value_that_is_not_finite(bad):
+    calls = []
+
+    def trace(rng, cps):  # replication k is the k-th call
+        out = [rng.next_float()] * len(cps)
+        if len(calls) == 2:
+            out[3] = bad
+        calls.append(rng)
+        return out
+
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"envelope run 2 (substream 2) failed: trace must be finite, "
+            f"got {bad!r} at index 3")):
+        run_envelope(trace, 4, 1000, seed=5)
 
 
 def test_envelope_width_halves_when_iters_quadruple():
@@ -330,7 +387,7 @@ def test_chain_envelope_holds_one_block_of_states(tmp_path):
     # Counting the histogram (one run per slab at 5000 retained states) and
     # cubing the retained states must not copy the (32, 5500) block: the
     # traced peak of the reduction stays below half of it. A first, small
-    # call makes np.quantile's lazy imports.
+    # call makes any first-call allocation outside the traced window.
     _stub_chain_envelope(np.ones((2, 110)), 10, tmp_path)
     states = 5.0 * np.sin(np.arange(32 * 5500.0)).reshape(32, 5500)
     expected_counts, _ = np.histogram(states[:, 500:], bins=50, range=(-4.0, 4.0))

@@ -614,6 +614,15 @@ def test_chain_trace_checks_shapes_and_burn_in_on_the_last_axis(shape):
     for bad in ((5, 0, 1), ((5, 0),), ((5, 0), (5, 1)), ((5, 0),) * 4):
         with pytest.raises(ValueError, match="seed_info"):
             ChainTrace(states, None, 0, bad)
+    # states of no steps, no axis or a third axis are named by their shape,
+    # even when seed_info and accepted match them
+    for bad, seed_info in [(shape[:-1] + (0,), info), ((), (5, 0)),
+                           ((1, 3, 10), (((5, 0), (5, 1), (5, 2)),))]:
+        for accepted in (None, np.zeros(bad, dtype=bool)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"states must have shape (iters,) or (K, iters) with iters >= 1, "
+                    f"got shape {bad}")):
+                ChainTrace(np.zeros(bad), accepted, 0, seed_info)
 
 
 def test_lockstep_failure_names_the_row_with_the_scalar_error():

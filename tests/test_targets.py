@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -333,6 +334,18 @@ def test_sufficient_statistics_are_checked_per_dataset():
             m.log_likelihood(np.array([0.3, -1.2, math.inf]), theta)
         with pytest.raises(ValueError, match="data must be nonempty"):
             m.log_likelihood(np.array([]), theta)
+    # data of more than one dimension is named by its shape; a 0-d scalar is
+    # one observation
+    for shape, call in [((2, 2), lambda d: m.log_likelihood(d, 0.0)),
+                        ((1, 1), lambda d: m.log_likelihood(d, 0.0)),
+                        ((1, 2), lambda d: posterior_params(m, d)),
+                        ((1, 2), lambda d: analytic_log_evidence(m, d))]:
+        text = f"data must be one-dimensional, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            call(np.zeros(shape))
+    assert m.log_likelihood(np.float64(0.3), theta).tobytes() == \
+        m.log_likelihood([0.3], theta).tobytes()
+    assert analytic_log_evidence(m, 0.3) == analytic_log_evidence(m, [0.3])
 
 
 def test_single_observation_evidence_closed_form():
