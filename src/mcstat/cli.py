@@ -72,12 +72,14 @@ def _build_parser() -> _Parser:
 
 
 def _load_config_file(path: Path) -> dict:
-    """Parse a flat key=value file; '#' starts a comment, blank lines skipped."""
+    """Parse a flat key=value file; '#' starts a comment, blank lines skipped.
+    A key set twice is a ConfigError naming both lines."""
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict = {}
+    set_on: dict = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,6 +91,10 @@ def _load_config_file(path: Path) -> dict:
         if key not in _FILE_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
                               f"(known: {', '.join(_FILE_KEYS)})")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is set twice, on lines "
+                              f"{set_on[key]} and {lineno}")
+        set_on[key] = lineno
         name = _FILE_KEYS[key]
         try:
             values[name] = _OPTIONS[name][1](val)

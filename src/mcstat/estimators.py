@@ -50,6 +50,11 @@ __all__ = [
 
 _BOOTSTRAP_RESAMPLES = 200
 
+# bridge_log_evidence's defaults: stop when successive log evidences differ by
+# less than this tolerance, or after this many iterations.
+_BRIDGE_TOL = 1e-8
+_BRIDGE_MAX_ITER = 1000
+
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     # m + log(sum(exp(row - m))) for each row of the 2-D `a`, m the row's
@@ -311,8 +316,8 @@ def bridge_log_evidence(post_draws: Sequence[float],
                         prop_draws: Sequence[float],
                         log_post_unnorm: Callable[[np.ndarray], np.ndarray],
                         log_prop: Callable[[np.ndarray], np.ndarray],
-                        tol: float = 1e-8,
-                        max_iter: int = 1000) -> EvidenceEstimate:
+                        tol: float = _BRIDGE_TOL,
+                        max_iter: int = _BRIDGE_MAX_ITER) -> EvidenceEstimate:
     """Iterative optimal-bridge estimate of log integral exp(log_post_unnorm).
 
     Both densities must be vectorized log densities: called once with the

@@ -21,14 +21,15 @@ slices (`rng._invert_open`). evidence runs its replications in groups of
 max(1, 8192 // iters) rows (`_evidence_group`): one draw block per group,
 and each estimator's row core (`estimators._harmonic_rows`,
 `_bridge_rows`, `_chib_rows`), which checks its own input, once
-per model and group. The chain figures hand all their substreams to one
-lockstep chain kernel (`run_gibbs_chains`, `run_mh_chains`), which steps
-every run at once. Their working set is the kernel's (runs, burn+iters)
+per model and group. The chain figures are one pass, `_chain_figure`: it
+hands all their substreams to one lockstep chain kernel
+(`run_gibbs_chains`, `run_mh_chains`), which steps every run at once;
+takes the retained states in slabs of whole runs of at most 8192 states
+(one run if a run is longer), adding each slab's histogram counts and
+then cubing the slab in place; summarises the running means of x^3; and
+writes every file. Its working set is the kernel's (runs, burn+iters)
 states (with figure3's boolean acceptance record of that shape) and the
-one draw buffer of `mcmc._staged_blocks`: the histogram of the retained
-states is counted over slabs of whole runs of at most 8192 states (one run
-if a run is longer), and x^3 is then cubed in place over them
-(`_chain_envelope`), so the states are held once.
+one draw buffer of `mcmc._staged_blocks`: the states are held once.
 In each case a failure names its replication and substream, in the words
 of `_run_failed`. The envelope figures fill one (runs, iters) block and
 reduce it with one lockstep `running_moments`; the 5%-95% bands are
@@ -51,15 +52,15 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .estimators import (EvidenceEstimate, _bridge_rows, _chib_rows,
-                         _harmonic_rows, running_moments)
+from .estimators import (_BRIDGE_MAX_ITER, _BRIDGE_TOL, EvidenceEstimate, _bridge_rows,
+                         _chib_rows, _harmonic_rows, running_moments)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.bridge_log_evidence, harmonic_mean_log_evidence and
 # chib_log_evidence.
 from .estimators import (bridge_log_evidence, chib_log_evidence,  # noqa: F401
                          harmonic_mean_log_evidence)
-from .mcmc import (ChainFailure, ChainTrace, RwProposal, calibrate_scale_report,
-                   run_gibbs_chains, run_mh_chains)
+from .mcmc import (ChainFailure, RwProposal, calibrate_scale_report, run_gibbs_chains,
+                   run_mh_chains)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.run_gibbs_chain and mcstat.harness.run_mh_chain.
 from .mcmc import run_gibbs_chain, run_mh_chain  # noqa: F401
@@ -97,8 +98,8 @@ _CAL_STREAM = 10**9 + 9
 
 _HIST_BINS = 50
 _HIST_RANGE = (-4.0, 4.0)
-# The chain figures count their histogram over slabs of whole runs of at
-# most this many states, or one run if a run is longer: a slab spreads
+# `_chain_figure` counts and cubes the retained states in slabs of whole runs
+# of at most this many states, or one run if a run is longer: a slab spreads
 # numpy's per-call cost, and its copy and temporaries stay small.
 _HIST_SLAB_STATES = 8192
 
@@ -323,46 +324,6 @@ def export_svg(summary: EnvelopeSummary, path, *, title: str = "",
                          y_label=y_label, ref_y=ref_y, ref_label=ref_label)
 
 
-def _state_histogram(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.histogram's (counts, edges) of the pooled (runs, steps) `states`,
-    counted over slabs of whole runs (`_HIST_SLAB_STATES`): there is no
-    flattened copy of the block, and numpy's temporaries are slab-sized.
-    An element falls in the same bin in a slab as in the whole block, so
-    the summed counts are the block's."""
-    counts = np.zeros(_HIST_BINS, dtype=np.intp)
-    runs = max(1, _HIST_SLAB_STATES // states.shape[1])
-    for first in range(0, len(states), runs):
-        slab_counts, edges = np.histogram(states[first:first + runs], bins=_HIST_BINS,
-                                          range=_HIST_RANGE)
-        counts += slab_counts
-    return counts, edges
-
-
-def _histogram_block(counts: np.ndarray, edges: np.ndarray, n_states: int, out: Path,
-                     title: str) -> tuple[dict, dict]:
-    """Histogram CSV/SVG for the counts of `n_states` pooled chain states
-    against the normalized density."""
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("no chain states fall inside the histogram range")
-    masses = counts / total
-    oracle_cdf = example_target_cdf_many(edges)
-    oracle_masses = np.diff(oracle_cdf)
-    oracle_masses = oracle_masses / oracle_masses.sum()
-    tv = 0.5 * float(np.abs(masses - oracle_masses).sum())
-
-    hist_csv = _write_csv(out / "hist.csv", ["bin_lo", "bin_hi", "mass", "oracle_mass"],
-                          zip(edges, edges[1:], masses, oracle_masses))
-    grid = np.linspace(*_HIST_RANGE, 401)
-    hist_svg = svg_histogram(edges, masses, out / "hist.svg",
-                             overlay_x=grid, overlay_y=example_target_pdf_many(grid),
-                             title=title, x_label="x", y_label="density")
-    files = {"hist.csv": hist_csv, "hist.svg": hist_svg}
-    info = {"tv_distance": tv, "hist_draws": int(total),
-            "frac_in_range": float(total / n_states)}
-    return files, info
-
-
 def _write_info(config: ExperimentConfig, out: Path, info: dict) -> Path:
     """Add the keys every experiment shares to `info`; write it as info.csv."""
     info.update({"experiment": config.experiment, "seed": config.seed,
@@ -372,25 +333,16 @@ def _write_info(config: ExperimentConfig, out: Path, info: dict) -> Path:
 
 def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSummary,
                                 info: dict, *, ref_y: float | None, ref_label: str,
-                                title: str, extra_series: Sequence[Series] = (),
-                                hist: tuple[np.ndarray, np.ndarray, str] | None = None
+                                title: str, extra_series: Sequence[Series] = ()
                                 ) -> ExperimentResult:
-    """Write the envelope CSVs and figure, the optional histogram of the
-    chains' runs x iters pooled retained states (`hist=(counts, edges,
-    title)`), and info.csv."""
+    """Write the envelope CSVs and figure, and info.csv."""
     out = Path(config.out_dir)
     env_path, sum_path = export_csv(summary, out)
     svg_path = export_svg(summary, out / "figure.svg", title=title,
                           y_label="running mean", ref_y=ref_y, ref_label=ref_label,
                           extra_series=extra_series)
-    files = {"envelope.csv": env_path, "summary.csv": sum_path, "figure.svg": svg_path}
-    if hist is not None:
-        counts, edges, hist_title = hist
-        hist_files, hist_info = _histogram_block(counts, edges, config.runs * config.iters,
-                                                 out, hist_title)
-        files.update(hist_files)
-        info.update(hist_info)
-    files["info.csv"] = _write_info(config, out, info)
+    files = {"envelope.csv": env_path, "summary.csv": sum_path, "figure.svg": svg_path,
+             "info.csv": _write_info(config, out, info)}
     return ExperimentResult(summary, files, info)
 
 
@@ -439,21 +391,28 @@ def figure1(config: ExperimentConfig) -> ExperimentResult:
                       Series("single run +3 se", se_hi, dashed=True)))
 
 
-def _chain_envelope(config: ExperimentConfig, kernel: Callable, *args
-                    ) -> tuple[EnvelopeSummary, ChainTrace, dict, tuple[np.ndarray, np.ndarray]]:
-    """Envelope of running means of x^3 over retained chain states.
+def _chain_figure(config: ExperimentConfig, info: dict, name: str, title: str,
+                  kernel: Callable, *args) -> ExperimentResult:
+    """A chain figure in one pass: run the chains, count and cube their
+    retained states, summarise the running means of x^3, and write.
 
-    `kernel(*args, iters, burn_in, rngs)` is a lockstep chain kernel,
+    `kernel(*args, steps, burn_in, rngs)` is a lockstep chain kernel,
     `run_gibbs_chains` or `run_mh_chains` with its leading arguments; it
     runs every replication at once on the config's substreams. Each run
     executes burn_in + iters chain steps and retains `iters` states, so the
     envelope axis always ends at config.iters. A `ChainFailure` is re-raised
-    naming its run as run_envelope does. Returns the summary, the kernel's
-    (runs, steps) trace, the info entries both chain figures share, and the
-    (counts, edges) of the retained states' histogram. The retained states
-    are counted, then cubed in place for the running means, so the trace's
-    retained states hold x^3 when it is returned: the (runs, steps) block
-    is held once.
+    naming its run as run_envelope does. An MH trace's acceptance record
+    gives `measured_acceptance`: the mean over runs of each run's
+    acceptance over its retained steps.
+
+    The retained states are taken in slabs of whole runs of at most
+    `_HIST_SLAB_STATES` states (one run if a run is longer): a slab's
+    histogram counts are added, then the slab is cubed in place, so the
+    (runs, steps) block is held once. An element falls in the same bin in
+    a slab as in the whole block, so the summed counts are the block's.
+    Writes the envelope (titled `title`), the histogram of the pooled
+    retained states against the normalized density (`name` draws) as
+    hist.csv and hist.svg, and `info`, with this pass's entries, as info.csv.
     """
     burn = config.effective_burn_in()
     cps = checkpoints(config.iters)
@@ -462,24 +421,50 @@ def _chain_envelope(config: ExperimentConfig, kernel: Callable, *args
                        list(_substreams(config.seed, config.runs)))
     except ChainFailure as exc:
         raise _run_failed("envelope run", exc.row, exc) from exc
+    if trace.accepted is not None:
+        rates = np.mean(trace.accepted[:, burn:], axis=1)  # per run
+        info["measured_acceptance"] = float(np.mean(rates))
     states = trace.retained()
-    hist = _state_histogram(states)
-    # Nothing reads the states after this line (figure3 reads only the
-    # trace's accepted and burn_in), so the cube overwrites them.
-    np.power(states, 3, out=states)
+    counts = np.zeros(_HIST_BINS, dtype=np.intp)
+    # Slabs, not whole blocks: np.histogram's temporaries grow with its
+    # input, and histogramming whole (100, 1024) blocks read chain_envelope
+    # peak_rss_mb 41.5 against 38.7 MB for slabs.
+    slab_runs = max(1, _HIST_SLAB_STATES // config.iters)
+    for first in range(0, config.runs, slab_runs):
+        slab = states[first:first + slab_runs]
+        slab_counts, edges = np.histogram(slab, bins=_HIST_BINS, range=_HIST_RANGE)
+        counts += slab_counts
+        np.power(slab, 3, out=slab)
     summary = _summarize(cps, running_moments(states, cps).mean)
-    info = {"burn_in": burn,
-            "terminal_band_width": float(summary.band_hi[-1] - summary.band_lo[-1])}
-    return summary, trace, info, hist
+
+    total = counts.sum()
+    if total == 0:
+        raise ValueError("no chain states fall inside the histogram range")
+    masses = counts / total
+    oracle_masses = np.diff(example_target_cdf_many(edges))
+    oracle_masses = oracle_masses / oracle_masses.sum()
+    info.update(burn_in=burn,
+                terminal_band_width=float(summary.band_hi[-1] - summary.band_lo[-1]),
+                tv_distance=0.5 * float(np.abs(masses - oracle_masses).sum()),
+                hist_draws=int(total), frac_in_range=float(total / states.size))
+    result = _finish_envelope_experiment(config, summary, info, ref_y=0.0,
+                                         ref_label="truth 0", title=title)
+    out = Path(config.out_dir)
+    grid = np.linspace(*_HIST_RANGE, 401)
+    result.files.update({
+        "hist.csv": _write_csv(out / "hist.csv", ["bin_lo", "bin_hi", "mass", "oracle_mass"],
+                               zip(edges, edges[1:], masses, oracle_masses)),
+        "hist.svg": svg_histogram(edges, masses, out / "hist.svg", overlay_x=grid,
+                                  overlay_y=example_target_pdf_many(grid),
+                                  title=f"{name} draws vs target density", x_label="x",
+                                  y_label="density")})
+    return result
 
 
 def figure2(config: ExperimentConfig) -> ExperimentResult:
     """Slice/Gibbs envelope of running mean x^3, plus state histogram."""
-    summary, _, info, hist = _chain_envelope(config, run_gibbs_chains, 0.0)
-    return _finish_envelope_experiment(
-        config, summary, info, ref_y=0.0, ref_label="truth 0",
-        title="Slice/Gibbs running means of x^3",
-        hist=(*hist, "Slice/Gibbs draws vs target density"))
+    return _chain_figure(config, {}, "Slice/Gibbs", "Slice/Gibbs running means of x^3",
+                         run_gibbs_chains, 0.0)
 
 
 def figure3(config: ExperimentConfig) -> ExperimentResult:
@@ -497,16 +482,9 @@ def figure3(config: ExperimentConfig) -> ExperimentResult:
         scale = config.scale
         info["scale_source"] = "fixed"
     info["scale"] = scale
-
-    summary, trace, chain_info, hist = _chain_envelope(
-        config, run_mh_chains, EXAMPLE_TARGET, RwProposal(scale), 0.0)
-    info.update(chain_info)
-    rates = np.mean(trace.accepted[:, trace.burn_in:], axis=1)  # per run
-    info["measured_acceptance"] = float(np.mean(rates))
-    return _finish_envelope_experiment(
-        config, summary, info, ref_y=0.0, ref_label="truth 0",
-        title=f"RW Metropolis running means of x^3 (scale {scale:.3g})",
-        hist=(*hist, "RW Metropolis draws vs target density"))
+    return _chain_figure(config, info, "RW Metropolis",
+                         f"RW Metropolis running means of x^3 (scale {scale:.3g})",
+                         run_mh_chains, EXAMPLE_TARGET, RwProposal(scale), 0.0)
 
 
 def _synthetic_dataset(seed: int, n: int = 20) -> np.ndarray:
@@ -555,11 +533,9 @@ def _evidence_group(rngs: Sequence[RngStream], posteriors, data: np.ndarray,
         harmonic = _harmonic_rows(ll)
         fit_mean, fit_var = np.mean(post, axis=1), np.var(post, axis=1, ddof=1)
         fit_sd = np.sqrt(fit_var)
-        fit_ok = (np.abs(fit_mean) < math.inf) & (fit_sd > 0.0) & (fit_sd < math.inf)
-        if not fit_ok.all():  # NormalDist's checks, on the lowest failing row
-            r = int(np.argmin(fit_ok))
+        for r, (m, sd) in enumerate(zip(fit_mean.tolist(), fit_sd.tolist())):
             try:
-                NormalDist(float(fit_mean[r]), float(fit_sd[r]))
+                NormalDist(m, sd)
             except ValueError as exc:
                 raise ChainFailure(r, exc) from exc
         log_sd = _libm(math.log, fit_sd)[:, None]
@@ -573,7 +549,7 @@ def _evidence_group(rngs: Sequence[RngStream], posteriors, data: np.ndarray,
         # held until the next model's replace them: no heap trim and re-fault between
         post1, prop1 = ll + model.log_prior(post), fit_logpdf(post)
         post2, prop2 = model.log_posterior_unnorm(data, prop), fit_logpdf(prop)
-        bridge = _bridge_rows(post1, prop1, post2, prop2, 1e-8, 1000)
+        bridge = _bridge_rows(post1, prop1, post2, prop2, _BRIDGE_TOL, _BRIDGE_MAX_ITER)
         by_model.append((harmonic, bridge,
                          _chib_rows(model, data, fit_mean, fit_var, fit_mean, T)))
     return [[[hm[r], bridge[r], chib[r]] for hm, bridge, chib in by_model]

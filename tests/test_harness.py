@@ -35,11 +35,10 @@ from mcstat.harness import (
     figure3,
     run_envelope,
     run_experiment,
-    _chain_envelope,
+    _chain_figure,
     _column_quantile,
     _csv_line,
     _evidence_group,
-    _state_histogram,
     _synthetic_dataset,
     _write_csv,
 )
@@ -359,49 +358,90 @@ def test_figure2_histogram_and_envelope(tmp_path):
     assert res.info["tv_distance"] <= 0.05
     assert res.summary.band_lo[-1] <= 0.0 <= res.summary.band_hi[-1]
     assert res.files["hist.svg"].exists()
+
+
+def test_chain_figure_slab_counts_equal_the_whole_block(tmp_path, monkeypatch):
     # Counted over slabs of whole runs (here 8, 8 and 4 runs of 1020
     # states), the counts and edges are those of the whole block, for
     # states on interior bin edges, just below them, at +-4.0 and outside
-    # the range too.
+    # the range too. hist.csv's masses are counts / total to the last bit,
+    # so comparing them and hist_draws exactly compares the counts.
     edges = np.linspace(-4.0, 4.0, 51)
     outside = [-4.5, np.nextafter(4.0, 5.0), 7.0, -1e300, math.inf, 0.0]
     values = np.concatenate([edges, np.nextafter(edges, -math.inf), outside])
     block = np.stack([np.resize(np.roll(values, k), 1020) for k in range(20)])
-    counts, row_edges = _state_histogram(block)
     whole_counts, whole_edges = np.histogram(block, bins=50, range=(-4.0, 4.0))
-    assert np.array_equal(counts, whole_counts) and counts.dtype == whole_counts.dtype
-    assert np.array_equal(row_edges, whole_edges)
+    # The cubes of -1e300 and inf are not finite, which running_moments
+    # rejects; the envelope is not what this test checks, so it is taken
+    # over zeros.
+    monkeypatch.setattr("mcstat.harness.running_moments",
+                        lambda values, cps: running_moments(np.zeros_like(values), cps))
+    with np.errstate(over="ignore"):
+        res = _stub_chain_figure(block, 0, tmp_path)
+    rows = _read_csv(res.files["hist.csv"])
+    assert [float(r["bin_lo"]) for r in rows] == whole_edges[:-1].tolist()
+    assert [float(r["bin_hi"]) for r in rows] == whole_edges[1:].tolist()
+    assert [float(r["mass"]) for r in rows] == (whole_counts / whole_counts.sum()).tolist()
+    assert res.info["hist_draws"] == whole_counts.sum()
 
 
-def _stub_chain_envelope(states: np.ndarray, burn: int, out_dir: Path):
-    # _chain_envelope with a stub kernel that returns a trace of `states`,
-    # so no chain runs.
+def _stub_chain_figure(states: np.ndarray, burn: int, out_dir: Path):
+    # _chain_figure with a stub kernel that returns a trace of `states`, so
+    # no chain runs.
     runs, steps = states.shape
     trace = ChainTrace(states, None, burn, tuple((0, k) for k in range(runs)))
     cfg = ExperimentConfig("figure2", runs=runs, iters=steps - burn, burn_in=burn,
                            out_dir=out_dir)
-    return _chain_envelope(cfg, lambda n, b, rngs: trace)
+    return _chain_figure(cfg, {}, "stub", "stub running means",
+                         lambda n, b, rngs: trace)
 
 
 def test_chain_envelope_holds_one_block_of_states(tmp_path):
     # Counting the histogram (one run per slab at 5000 retained states) and
     # cubing the retained states must not copy the (32, 5500) block: the
-    # traced peak of the reduction stays below half of it. A first, small
-    # call makes any first-call allocation outside the traced window.
-    _stub_chain_envelope(np.ones((2, 110)), 10, tmp_path)
+    # traced peak of the pass, writing included, stays below half of it. A
+    # first, small call makes any first-call allocation outside the traced
+    # window.
+    _stub_chain_figure(np.ones((2, 110)), 10, tmp_path)
     states = 5.0 * np.sin(np.arange(32 * 5500.0)).reshape(32, 5500)
     expected_counts, _ = np.histogram(states[:, 500:], bins=50, range=(-4.0, 4.0))
     expected_means = running_moments(states[:, 500:] ** 3, checkpoints(5000)).mean
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        summary, _, _, (counts, _) = _stub_chain_envelope(states, 500, tmp_path)
+        res = _stub_chain_figure(states, 500, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < states.nbytes / 2, (peak, states.nbytes)
-    assert np.array_equal(counts, expected_counts)
-    assert np.array_equal(summary.per_run_traces, expected_means)
+    masses = [float(r["mass"]) for r in _read_csv(res.files["hist.csv"])]
+    assert masses == (expected_counts / expected_counts.sum()).tolist()
+    assert res.info["hist_draws"] == expected_counts.sum()
+    assert np.array_equal(res.summary.per_run_traces, expected_means)
+
+
+def test_chain_figure_measures_acceptance_on_mh_traces_only(tmp_path, monkeypatch):
+    # Stub traces of 4 runs x 120 steps, burn-in 20: the MH one accepts every
+    # burn-in step and 25, 50, 75 and 100 of run k's 100 retained steps, so
+    # its measured acceptance is 0.625 over the retained steps (and 0.6875
+    # over the whole trace).
+    states = np.zeros((4, 120))
+    accepted = np.ones((4, 120), dtype=bool)
+    for k in range(4):
+        accepted[k, 20 + 25 * (k + 1):] = False
+    monkeypatch.setattr("mcstat.harness.run_gibbs_chains",
+                        lambda init, n, b, rngs: ChainTrace(
+                            states.copy(), None, b, tuple((0, k) for k in range(4))))
+    monkeypatch.setattr("mcstat.harness.run_mh_chains",
+                        lambda target, prop, init, n, b, rngs: ChainTrace(
+                            states.copy(), accepted, b, tuple((0, k) for k in range(4))))
+    cfg = dict(runs=4, iters=100, burn_in=20)
+    gibbs = figure2(ExperimentConfig("figure2", out_dir=tmp_path / "g", **cfg))
+    assert "measured_acceptance" not in gibbs.info
+    mh = figure3(ExperimentConfig("figure3", scale=1.0, out_dir=tmp_path / "m", **cfg))
+    assert mh.info["measured_acceptance"] == np.mean(accepted[:, 20:]) == 0.625
+    info = {r["key"]: r["value"] for r in _read_csv(mh.files["info.csv"])}
+    assert info["measured_acceptance"] == "0.625"
 
 
 def test_figure3_fixed_scale_reports_acceptance(tmp_path):
@@ -868,7 +908,7 @@ def _replay_envelope(config, k, scale):
         else:
             trace = run_mh_chain(EXAMPLE_TARGET, RwProposal(scale), 0.0,
                                  burn + config.iters, burn, rng)
-        values = np.power(trace.retained(), 3)  # the cube _chain_envelope takes
+        values = np.power(trace.retained(), 3)  # the cube _chain_figure takes
     cps = checkpoints(config.iters)
     means = running_moments(values, cps).mean.tolist()
     return {"envelope.csv": [_csv_line([k, cp, v]) for cp, v in zip(cps, means)]}
@@ -1121,6 +1161,14 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     assert cli_main(["figure1", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 1
     capsys.readouterr()
+
+
+def test_cli_rejects_a_config_key_set_twice(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("runs = 4\n# comment\nseed = 1\nruns = 5\n")
+    assert cli_main(["figure1", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert f"{cfg}:4: key 'runs' is set twice, on lines 1 and 4" in capsys.readouterr().err
+    assert not (tmp_path / "info.csv").exists()
 
 
 def test_cli_output_is_byte_deterministic(tmp_path):

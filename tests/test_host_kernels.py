@@ -45,7 +45,7 @@ _ALLOWED = {
         {"np.dot": 2},
         "item 1 debt: the SNIS estimate and its bootstrap; no experiment writes "
         "them to a CSV"),
-    ("harness.py", "_chain_envelope"): (
+    ("harness.py", "_chain_figure"): (
         {"np.power": 1},
         "item 1 debt: the chain figures' x³, in figure2/figure3's envelope.csv and "
         "summary.csv"),
