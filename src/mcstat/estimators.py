@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import (ChainFailure, RngStream, _count, _every, _finite, _one_dim,
+from .rng import (ChainFailure, RngStream, _check_rows, _count, _every, _finite, _one_dim,
                   _raise_unless_rows, _real)
 from .targets import ConjugateNormalModel, TargetDensity
 
@@ -67,20 +67,6 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
         return m
     with np.errstate(over="ignore"):  # a difference below -max float is -inf: weight 0
         return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
-
-
-def _check_rows(check: Callable[[np.ndarray], None], a: np.ndarray) -> None:
-    # check(a) on the whole (rows, T) block; if it fails, check(row) on each
-    # row, so the lowest failing row raises ChainFailure with its own index.
-    try:
-        check(a)
-    except ValueError:
-        for r, row in enumerate(a):
-            try:
-                check(row)
-            except ValueError as exc:
-                raise ChainFailure(r, exc) from exc
-        raise
 
 
 @dataclass(frozen=True)
@@ -119,22 +105,50 @@ def running_moments(values, cps: Sequence[int]) -> RunningEstimate:
     if v.ndim not in (1, 2) or v.shape[-1] < last:
         raise ValueError(f"values of shape {v.shape} are not (T,) or (K, T), or are "
                          f"shorter than the final checkpoint {last}")
-    block = _finite("values", v[..., :last])
-    means, m2s = np.empty((2, len(cps)) + v.shape[:-1])  # row j: checkpoint j
-    # The same step on a float (1-D input, as Python floats) or a column.
-    mean = m2 = 0.0
-    j = 0
-    for n, x in enumerate(block.tolist() if v.ndim == 1 else block.T, start=1):
-        d = x - mean
-        mean = mean + d / n
-        m2 = m2 + d * (x - mean)
-        if n == cps[j]:
-            means[j] = mean
-            m2s[j] = m2
-            j += 1
-    if j < len(cps):
-        raise ValueError(f"checkpoints must be strictly increasing positive counts: {cps}")
-    return RunningEstimate(np.asarray(cps, dtype=int), means.T, m2s.T)
+    moments = _Welford(cps, v.shape[:-1])
+    moments.update(v)
+    return moments.estimate()
+
+
+class _Welford:
+    """running_moments carried across consecutive column blocks of the same
+    K sequences (or of one): update(block) takes the next block's values,
+    estimate() returns the snapshots once the last checkpoint is reached.
+
+    The one Welford loop: carrying (n, mean, m2) between blocks keeps the
+    sequential sum's order, so any split of the values gives the bits of
+    one update on all of them. A block's values past the last checkpoint
+    are not read; a non-finite value before it raises, naming its index in
+    the whole sequence. `cps` must hold checked counts (see running_moments).
+    """
+
+    def __init__(self, cps: list[int], lead: tuple[int, ...]):
+        self.cps, self.n, self.j = cps, 0, 0
+        self.mean = self.m2 = 0.0  # floats for one sequence, (K,) arrays after a column
+        self.means, self.m2s = np.empty((2, len(cps)) + lead)  # row j: checkpoint j
+
+    def update(self, block: np.ndarray) -> None:
+        cps, mean, m2, j = self.cps, self.mean, self.m2, self.j
+        take = (cps[-1] if cps else 0) - self.n
+        block = _finite("values", block[..., :take], self.n)
+        # The same step on a float (one sequence, as Python floats) or a column.
+        for n, x in enumerate(block.tolist() if block.ndim == 1 else block.T,
+                              start=self.n + 1):
+            d = x - mean
+            mean = mean + d / n
+            m2 = m2 + d * (x - mean)
+            if n == cps[j]:
+                self.means[j] = mean
+                self.m2s[j] = m2
+                j += 1
+        self.n += block.shape[-1]
+        self.mean, self.m2, self.j = mean, m2, j
+
+    def estimate(self) -> RunningEstimate:
+        if self.j < len(self.cps):
+            raise ValueError(f"checkpoints must be strictly increasing positive counts: "
+                             f"{self.cps}")
+        return RunningEstimate(np.asarray(self.cps, dtype=int), self.means.T, self.m2s.T)
 
 
 def mc_estimate(target_sampler: Callable[[RngStream], float],

@@ -15,24 +15,27 @@ Four experiments share one config type:
 
 Replication k always consumes substream k of the config seed; datasets and
 calibration get reserved substream ids far above any run index.
-run_envelope calls its trace function once per replication. figure1
-reads every run's uniforms into one block and inverts the block in shared
-slices (`rng._invert_open`). evidence runs its replications in groups of
-max(1, 8192 // iters) rows (`_evidence_group`): one draw block per group,
-and each estimator's row core (`estimators._harmonic_rows`,
-`_bridge_rows`, `_chib_rows`), which checks its own input, once
-per model and group. The chain figures are one pass, `_chain_figure`: it
-hands all their substreams to one lockstep chain kernel
-(`run_gibbs_chains`, `run_mh_chains`), which steps every run at once;
-takes the retained states in slabs of whole runs of at most 8192 states
-(one run if a run is longer), adding each slab's histogram counts and
-then cubing the slab in place; summarises the running means of x^3; and
-writes every file. Its working set is the kernel's (runs, burn+iters)
-states (with figure3's boolean acceptance record of that shape) and the
-one draw buffer of `mcmc._staged_blocks`: the states are held once.
+run_envelope calls its trace function once per replication. The envelope
+figures stream their runs one PCG block at a time, so their working set
+does not grow with iters. figure1 reads the next 1024 uniforms of every
+run into one (runs, <= 1024) block, inverts the block in shared slices
+(`rng._invert_open`), and feeds it to the runs' carried running moments
+(`estimators._Welford`, the one Welford loop behind `running_moments`).
+evidence runs its replications in groups of max(1, 8192 // iters) rows
+(`_evidence_group`): one draw block per group, and each estimator's row
+core (`estimators._harmonic_rows`, `_bridge_rows`, `_chib_rows`), which
+checks its own input, once per model and group. The chain figures are
+one pass, `_chain_figure`, over the stages of one lockstep stage
+generator (`mcmc._gibbs_stages`, `mcmc._mh_stages`), which steps every
+run at once through 512 steps a stage: it skips the burn-in columns,
+takes each stage's retained states in slabs of whole stage rows of at
+most 8192 states, adding each slab's histogram counts and then cubing
+the slab in place, adds the acceptance counts, and feeds the cubes to
+the carried running moments; then it summarises and writes every file.
+Its working set is the kernel's two (runs, 512) draw buffers, one of
+which holds the stage's states, and figure3's (runs, 512) acceptances.
 In each case a failure names its replication and substream, in the words
-of `_run_failed`. The envelope figures fill one (runs, iters) block and
-reduce it with one lockstep `running_moments`; the 5%-95% bands are
+of `_run_failed`. The 5%-95% bands are
 `_column_quantile`, np.quantile's linear method bit for bit, which never
 imports numpy.ma. An ExperimentConfig is checked when built. `_write_csv`
 writes every CSV float cell with 17 significant digits, so outputs are
@@ -53,19 +56,18 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .estimators import (_BRIDGE_MAX_ITER, _BRIDGE_TOL, EvidenceEstimate, _bridge_rows,
-                         _chib_rows, _harmonic_rows, running_moments)
+                         _chib_rows, _harmonic_rows, _Welford)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.bridge_log_evidence, harmonic_mean_log_evidence and
 # chib_log_evidence.
 from .estimators import (bridge_log_evidence, chib_log_evidence,  # noqa: F401
                          harmonic_mean_log_evidence)
-from .mcmc import (ChainFailure, RwProposal, calibrate_scale_report, run_gibbs_chains,
-                   run_mh_chains)
+from .mcmc import ChainFailure, RwProposal, _gibbs_stages, _mh_stages, calibrate_scale_report
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.run_gibbs_chain and mcstat.harness.run_mh_chain.
 from .mcmc import run_gibbs_chain, run_mh_chain  # noqa: F401
-from .rng import (_LOG_SQRT_2PI, NormalDist, RngStream, _count, _finite, _invert_open,
-                  _libm, _real, derive_substream, normals, rng_new)
+from .rng import (_BLOCK, _LOG_SQRT_2PI, NormalDist, RngStream, _count, _finite,
+                  _invert_open, _libm, _real, derive_substream, normals, rng_new)
 # Not called here: kept as a module attribute because perfbench's tracer
 # wraps mcstat.harness.sample_normal.
 from .rng import sample_normal  # noqa: F401
@@ -98,9 +100,9 @@ _CAL_STREAM = 10**9 + 9
 
 _HIST_BINS = 50
 _HIST_RANGE = (-4.0, 4.0)
-# `_chain_figure` counts and cubes the retained states in slabs of whole runs
-# of at most this many states, or one run if a run is longer: a slab spreads
-# numpy's per-call cost, and its copy and temporaries stay small.
+# `_chain_figure` counts and cubes each stage's retained states in slabs of
+# whole stage rows of at most this many states: a slab spreads numpy's
+# per-call cost, and its copy and temporaries stay small.
 _HIST_SLAB_STATES = 8192
 
 # evidence runs its replications in groups of max(1, this // iters) rows:
@@ -353,26 +355,34 @@ def _finish_envelope_experiment(config: ExperimentConfig, summary: EnvelopeSumma
 def figure1(config: ExperimentConfig) -> ExperimentResult:
     """iid Monte Carlo envelope for E[X^3/(1+X^2+X^4)], X ~ N(mu, 1).
 
-    Row k of the (runs, iters) block is run k's open floats from substream
-    k; the quantile inverts the whole block in shared slices, and each row
-    becomes x^3/(1+x^2+x^4) at x = mu + z. Row k is then
+    Staged one PCG block at a time: each stage reads the next (at most)
+    rng's block size of open floats of every run into one (runs, n) block,
+    run k's from substream k; the quantile inverts the block in shared
+    slices, each row becomes x^3/(1+x^2+x^4) at x = mu + z, and the block
+    feeds the runs' carried running moments. Row k is then
     cubic_ratio(normals(substream k, iters, mu, 1.0)) bit for bit, since
-    normals computes mu + 1.0 * z and 1.0 * z is z. A non-finite value
-    raises, naming its run and index.
+    normals computes mu + 1.0 * z and 1.0 * z is z, and every step is per
+    element. A non-finite value raises, naming its run and iteration.
     """
     mu = config.mu
     reference = gaussian_functional_expectation(mu)
     cps = checkpoints(config.iters)
-    values = np.empty((config.runs, config.iters))
-    for row, rng in zip(values, _substreams(config.seed, config.runs)):
-        row[:] = rng.floats_open(config.iters)
-    _invert_open(values.reshape(-1))
-    for k, row in enumerate(values):
-        try:
-            row[:] = _finite("values", cubic_ratio(mu + row))
-        except Exception as exc:
-            raise _run_failed("envelope run", k, exc) from exc
-    est = running_moments(values, cps)
+    rngs = list(_substreams(config.seed, config.runs))
+    moments = _Welford(cps, (config.runs,))
+    buffer = np.empty(config.runs * min(_BLOCK, config.iters))
+    for start in range(0, config.iters, _BLOCK):
+        n = min(_BLOCK, config.iters - start)
+        values = buffer[:config.runs * n].reshape(config.runs, n)
+        for row, rng in zip(values, rngs):
+            row[:] = rng.floats_open(n)
+        _invert_open(values.reshape(-1))
+        for k, row in enumerate(values):
+            try:
+                row[:] = _finite("values", cubic_ratio(mu + row), start)
+            except Exception as exc:
+                raise _run_failed("envelope run", k, exc) from exc
+        moments.update(values)
+    est = moments.estimate()
     summary = _summarize(cps, est.mean)
 
     # +-3 SE overlay around the single (substream-0) run.
@@ -393,49 +403,61 @@ def figure1(config: ExperimentConfig) -> ExperimentResult:
 
 def _chain_figure(config: ExperimentConfig, info: dict, name: str, title: str,
                   kernel: Callable, *args) -> ExperimentResult:
-    """A chain figure in one pass: run the chains, count and cube their
-    retained states, summarise the running means of x^3, and write.
+    """A chain figure in one pass over the kernel's stages: run the chains,
+    count and cube their retained states, summarise the running means of
+    x^3, and write.
 
-    `kernel(*args, steps, burn_in, rngs)` is a lockstep chain kernel,
-    `run_gibbs_chains` or `run_mh_chains` with its leading arguments; it
-    runs every replication at once on the config's substreams. Each run
-    executes burn_in + iters chain steps and retains `iters` states, so the
-    envelope axis always ends at config.iters. A `ChainFailure` is re-raised
-    naming its run as run_envelope does. An MH trace's acceptance record
-    gives `measured_acceptance`: the mean over runs of each run's
-    acceptance over its retained steps.
+    `kernel(*args, steps, rngs)` is a lockstep stage generator,
+    `mcmc._gibbs_stages` or `mcmc._mh_stages` with its leading arguments:
+    it runs every replication at once on the config's substreams and
+    yields each stage's (runs, <= 512) states and acceptances (None for
+    Gibbs), which hold until the next stage. Each run executes
+    burn_in + iters chain steps and retains `iters` states, so the
+    envelope axis always ends at config.iters. A `ChainFailure` is
+    re-raised naming its run as run_envelope does. An MH stage's
+    acceptances give `measured_acceptance`: the mean over runs of each
+    run's acceptance over its retained steps, from integer counts.
 
-    The retained states are taken in slabs of whole runs of at most
-    `_HIST_SLAB_STATES` states (one run if a run is longer): a slab's
-    histogram counts are added, then the slab is cubed in place, so the
-    (runs, steps) block is held once. An element falls in the same bin in
-    a slab as in the whole block, so the summed counts are the block's.
-    Writes the envelope (titled `title`), the histogram of the pooled
-    retained states against the normalized density (`name` draws) as
-    hist.csv and hist.svg, and `info`, with this pass's entries, as info.csv.
+    The burn-in columns of each stage are skipped. The retained ones are
+    taken in slabs of whole stage rows of at most `_HIST_SLAB_STATES`
+    states: a slab's histogram counts are added, then the slab is cubed in
+    place, and the stage's cubes feed the runs' carried running moments.
+    An element falls in the same bin in a slab as in the whole block, so
+    the summed counts are the block's. Writes the envelope (titled
+    `title`), the histogram of the pooled retained states against the
+    normalized density (`name` draws) as hist.csv and hist.svg, and
+    `info`, with this pass's entries, as info.csv.
     """
     burn = config.effective_burn_in()
     cps = checkpoints(config.iters)
+    moments = _Welford(cps, (config.runs,))
+    counts = np.zeros(_HIST_BINS, dtype=np.intp)
+    accepts = np.zeros(config.runs, dtype=np.intp)  # per run, over its retained steps
+    skip = burn  # burn-in columns still to skip
     try:
-        trace = kernel(*args, burn + config.iters, burn,
-                       list(_substreams(config.seed, config.runs)))
+        for states, accepted in kernel(*args, burn + config.iters,
+                                       list(_substreams(config.seed, config.runs))):
+            if skip >= states.shape[1]:
+                skip -= states.shape[1]
+                continue
+            retained, skip = states[:, skip:], 0
+            if accepted is not None:
+                accepts += np.count_nonzero(accepted[:, -retained.shape[1]:], axis=1)
+            # Slabs, not whole stages: np.histogram's temporaries grow with
+            # its input, and histogramming whole (100, 1024) blocks read
+            # chain_envelope peak_rss_mb 41.5 against 38.7 MB for slabs.
+            slab_runs = max(1, _HIST_SLAB_STATES // retained.shape[1])
+            for first in range(0, config.runs, slab_runs):
+                slab = retained[first:first + slab_runs]
+                slab_counts, edges = np.histogram(slab, bins=_HIST_BINS, range=_HIST_RANGE)
+                counts += slab_counts
+                np.power(slab, 3, out=slab)
+            moments.update(retained)
     except ChainFailure as exc:
         raise _run_failed("envelope run", exc.row, exc) from exc
-    if trace.accepted is not None:
-        rates = np.mean(trace.accepted[:, burn:], axis=1)  # per run
-        info["measured_acceptance"] = float(np.mean(rates))
-    states = trace.retained()
-    counts = np.zeros(_HIST_BINS, dtype=np.intp)
-    # Slabs, not whole blocks: np.histogram's temporaries grow with its
-    # input, and histogramming whole (100, 1024) blocks read chain_envelope
-    # peak_rss_mb 41.5 against 38.7 MB for slabs.
-    slab_runs = max(1, _HIST_SLAB_STATES // config.iters)
-    for first in range(0, config.runs, slab_runs):
-        slab = states[first:first + slab_runs]
-        slab_counts, edges = np.histogram(slab, bins=_HIST_BINS, range=_HIST_RANGE)
-        counts += slab_counts
-        np.power(slab, 3, out=slab)
-    summary = _summarize(cps, running_moments(states, cps).mean)
+    if accepted is not None:
+        info["measured_acceptance"] = float(np.mean(accepts / config.iters))
+    summary = _summarize(cps, moments.estimate().mean)
 
     total = counts.sum()
     if total == 0:
@@ -446,7 +468,8 @@ def _chain_figure(config: ExperimentConfig, info: dict, name: str, title: str,
     info.update(burn_in=burn,
                 terminal_band_width=float(summary.band_hi[-1] - summary.band_lo[-1]),
                 tv_distance=0.5 * float(np.abs(masses - oracle_masses).sum()),
-                hist_draws=int(total), frac_in_range=float(total / states.size))
+                hist_draws=int(total),
+                frac_in_range=float(total / (config.runs * config.iters)))
     result = _finish_envelope_experiment(config, summary, info, ref_y=0.0,
                                          ref_label="truth 0", title=title)
     out = Path(config.out_dir)
@@ -464,7 +487,7 @@ def _chain_figure(config: ExperimentConfig, info: dict, name: str, title: str,
 def figure2(config: ExperimentConfig) -> ExperimentResult:
     """Slice/Gibbs envelope of running mean x^3, plus state histogram."""
     return _chain_figure(config, {}, "Slice/Gibbs", "Slice/Gibbs running means of x^3",
-                         run_gibbs_chains, 0.0)
+                         _gibbs_stages, 0.0)
 
 
 def figure3(config: ExperimentConfig) -> ExperimentResult:
@@ -484,7 +507,7 @@ def figure3(config: ExperimentConfig) -> ExperimentResult:
     info["scale"] = scale
     return _chain_figure(config, info, "RW Metropolis",
                          f"RW Metropolis running means of x^3 (scale {scale:.3g})",
-                         run_mh_chains, EXAMPLE_TARGET, RwProposal(scale), 0.0)
+                         _mh_stages, EXAMPLE_TARGET, RwProposal(scale), 0.0)
 
 
 def _synthetic_dataset(seed: int, n: int = 20) -> np.ndarray:

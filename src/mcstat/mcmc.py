@@ -13,15 +13,24 @@ turns x | u into a standard normal truncated to [-b(u), b(u)] with
 matters because b(u) -> 0 as u -> 1).
 
 A trace replays bit-exactly from a fresh stream with the recorded
-(seed, stream_id). Both chain runners read their draws in blocks of rng's
-block size: step t of a chain uses open floats 2t and 2t+1 of its stream,
-exactly as the step-by-step scalar draws would, and the stream ends where
-those scalar draws would leave it.
+(seed, stream_id). Every chain reads its draws in blocks: step t uses open
+floats 2t and 2t+1 of its stream, exactly as the step-by-step scalar draws
+would, and the stream ends where those scalar draws would leave it. The
+single chain runners read rng's block size of steps (two PCG blocks) at a
+time, which spreads numpy's per-call cost at K = 1; the lockstep kernels
+read one PCG block, _STAGE = 512 steps, a stage. An MH proposal float
+outside (0, 1) raises norm_ppf_many's error naming its step, so every
+runner gives the same text whatever its block size.
 
 Replicated chains, one derived substream each, step in lockstep: the
 kernels run_gibbs_chains and run_mh_chains advance K chains at once and
 return one ChainTrace of (K, iters) arrays, as tfp.mcmc batches chains
-(Lao et al. 2020). Row k equals the scalar runner on stream k bit for bit
+(Lao et al. 2020). Each is a private stage generator, _gibbs_stages or
+_mh_stages, whose stages run_*_chains collect: a stage steps all K chains
+through one PCG block of draws, carries the chain state to the next, and
+yields its (K, <= 512) states (and acceptances). The chain figures consume
+the stages as they come, so their working set does not grow with the
+number of steps. Row k equals the scalar runner on stream k bit for bit
 and leaves that stream where the scalar runner would: the step is the
 same arithmetic on arrays, with every transcendental taken from the C
 library (rng._libm one element at a time, or rng._libm_exp's one C loop).
@@ -38,27 +47,31 @@ support test, and logpdf otherwise. The row
 steps (run_mh_chains' loop, _slice_rows) share with the float loops only
 the slice bound, rng's normal quantile and rng's failure texts. A row
 whose step fails raises ChainFailure with the row's index and the float
-step's message. Both lockstep kernels read and stage their draws through
-one block loop, _staged_blocks, which holds the only draw buffer, and
-keep only their per-step arithmetic.
+step's message. Both stage generators read their draws through one draw
+reader, _stage_draws, which holds the only draw buffers, and keep only
+their per-step arithmetic; _mh_stages inverts the normals and takes the
+log uniforms of all K rows together, in slices of at most one PCG block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .rng import (_BLOCK, _DEAD_INTERVAL, _HALF_0D, _MIN_TAIL_MASS, _MIN_TAIL_MASS_0D, _ONE_0D,
-                  _P_RANGE, _SQRT2, _SQRT2_0D, _ZERO_0D, ChainFailure, RngStream, _count,
-                  _finite, _libm, _norm_ppf_lower, _norm_ppf_many_unchecked,
-                  _raise_unless_rows, _real, _zero_d, norm_ppf_many)
+                  _P_RANGE, _SQRT2, _SQRT2_0D, _ZERO_0D, ChainFailure, RngStream, _check_rows,
+                  _count, _every, _finite, _libm, _norm_ppf_lower, _norm_ppf_many_unchecked,
+                  _raise_unless_rows, _real, _zero_d)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.mcmc.sample_normal and mcstat.mcmc.sample_truncated_normal.
 from .rng import sample_normal, sample_truncated_normal  # noqa: F401
 from .targets import TargetDensity
+
+# Steps per stage: each chain reads one PCG block, 2 open floats a step.
+_STAGE = _BLOCK // 2
 
 __all__ = [
     "ChainTrace",
@@ -131,16 +144,19 @@ class RwProposal:
         object.__setattr__(self, "scale", _real("scale", self.scale, 0.0))
 
 
-def _mh_draws(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # One stream's block of 2n open floats as n MH steps' draws: proposal
-    # normals from the even floats, uniforms from the odd ones.
-    return norm_ppf_many(block[0::2]), block[1::2]
+def _mh_draws(block: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    # One stream's block of 2n open floats, from step `start` on, as n MH
+    # steps' draws: proposal normals from the even floats, uniforms from the
+    # odd ones.
+    zs = block[0::2]
+    _check_open(zs, start)
+    return _norm_ppf_many_unchecked(zs), block[1::2]
 
 
-def _mh_row_draws(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _mh_draws with libm's log of the uniforms, for the lockstep MH kernel.
-    zs, us = _mh_draws(block)
-    return zs, _libm(math.log, us)
+def _check_open(p: np.ndarray, start: int) -> None:
+    # norm_ppf_many's check of the proposal floats p of the steps from
+    # `start` on, naming the first bad one's step, whatever the block size.
+    _every("p", p, (p > _ZERO_0D) & (p < _ONE_0D), "in (0, 1)", start)
 
 
 def _mh_steps(logpdf, scale: float, x: float, lfx: float, zs: list[float],
@@ -187,7 +203,7 @@ def run_mh_chain(target: TargetDensity, prop: RwProposal, init: float,
     logpdf = target._float_logpdf()
     for start in range(0, iters, _BLOCK):
         stop = min(start + _BLOCK, iters)
-        zs, us = _mh_draws(rng.floats_open(2 * (stop - start)))
+        zs, us = _mh_draws(rng.floats_open(2 * (stop - start)), start)
         x, lfx, states[start:stop], accepted[start:stop] = _mh_steps(
             logpdf, prop.scale, x, lfx, zs.tolist(), us.tolist())
     return ChainTrace(states, accepted, burn_in, (rng.seed, rng.stream_id))
@@ -202,60 +218,90 @@ def run_mh_chains(target: TargetDensity, prop: RwProposal, init: float,
     run_mh_chain(target, prop, init, iters, burn_in, rngs[k]) bit for bit,
     seed_info[k] is rngs[k]'s (seed, stream_id), and rngs[k] ends where
     that call would leave it. Each row's normals and log uniforms are read
-    from its own stream, one block of at most rng's block size at a time.
-    `target.log_unnorm` must accept a float array (see
-    TargetDensity.logpdf_many). A row whose draws fail raises ChainFailure.
+    from its own stream, one PCG block (rng's block size of open floats) at
+    a time. `target.log_unnorm` must accept a float array (see
+    TargetDensity.logpdf_many). A row whose draws fail raises ChainFailure
+    with run_mh_chain's error.
     """
     _check_streams(rngs)
     iters, burn_in = _check_lengths(iters, burn_in)
+    return _collect(_mh_stages(target, prop, init, iters, rngs), iters, burn_in, rngs)
+
+
+def _mh_stages(target: TargetDensity, prop: RwProposal, init: float, steps: int,
+               rngs: Sequence[RngStream]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # run_mh_chains' stages: per stage of _stage_draws, the (K, n) states and
+    # acceptances, valid until the next stage. The proposal normals and log
+    # uniforms of all rows are taken together, in slices of at most one PCG
+    # block; the lowest row whose draws fail raises run_mh_chain's error.
     x, lfx = (np.full(len(rngs), v) for v in _mh_start(target, init))
-    states = np.empty((len(rngs), iters))
-    accepted = np.empty((len(rngs), iters), dtype=bool)
     scale = np.array(prop.scale)  # 0-d: see rng's module docstring
     logpdf_many = target.logpdf_many
-    # States hold the proposal normals until step t overwrites its column.
-    for start, stop, log_us in _staged_blocks(rngs, states, _mh_row_draws):
+    accepted = np.empty(len(rngs) * min(_STAGE, steps), dtype=bool)
+    start = 0
+    for states, log_us in _stage_draws(rngs, steps):
+        _check_rows(lambda p: _check_open(p, start), states)
+        start += states.shape[1]
+        zs, us = states.reshape(-1), log_us.reshape(-1)
+        for i in range(0, zs.size, _BLOCK):
+            zs[i:i + _BLOCK] = _norm_ppf_many_unchecked(zs[i:i + _BLOCK])
+            us[i:i + _BLOCK] = _libm(math.log, us[i:i + _BLOCK])
+        acc_stage = accepted[:states.size].reshape(states.shape)
         # A proposal that overflows is inf, silently, as in run_mh_chain's floats.
         with np.errstate(over="ignore"):
-            for t in range(start, stop):
+            for t in range(states.shape[1]):
                 y = x + states[:, t] * scale
                 lfy = logpdf_many(y)
                 log_alpha = lfy - lfx
-                acc = (log_alpha >= _ZERO_0D) | (log_us[:, t - start] < log_alpha)
+                acc = (log_alpha >= _ZERO_0D) | (log_us[:, t] < log_alpha)
                 x = np.where(acc, y, x)
                 lfx = np.where(acc, lfy, lfx)
                 states[:, t] = x
-                accepted[:, t] = acc
-    return ChainTrace(states, accepted, burn_in, tuple((r.seed, r.stream_id) for r in rngs))
+                acc_stage[:, t] = acc
+        yield states, acc_stage
 
 
-def _staged_blocks(rngs: Sequence[RngStream], states: np.ndarray,
-                   split: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                   ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The lockstep kernels' one block loop over their (K, iters) `states`.
+def _stage_draws(rngs: Sequence[RngStream], steps: int,
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The lockstep kernels' one draw reader, for `steps` steps of K chains.
 
-    Per block of n <= rng's block size steps, reads 2n open floats from each
-    row's own stream, row by row, and `split`s them into n first draws (the
-    MH proposal normals, the Gibbs auxiliary floats) and n second draws (the
-    MH log uniforms, the Gibbs CDF floats). A row's first draws go straight
-    into its own columns of the block, states[row, start:stop]: step t reads
-    column t and then overwrites it with the new state. The second draws
-    wait in the one draw buffer, `seconds`, of shape (K, min(block, iters)),
-    step t's at column t - start. So a kernel holds its trace and one
-    buffer. A row whose draws fail raises ChainFailure with its index.
-    Yields (start, stop, seconds) once per block, after staging the block.
+    Per stage of n <= _STAGE steps it reads one PCG block, 2n open floats,
+    from each row's own stream, row by row, and yields two (K, n) arrays:
+    the n first draws of every row (the MH proposal normals' floats, the
+    Gibbs auxiliary floats) and the n second draws (the MH uniforms, the
+    Gibbs CDF floats). That is where each draw waits. A first draw waits in
+    the stage's states: step t reads column t and then overwrites it with
+    the new state. A second draw waits in the draw buffer, at column t. The
+    two arrays are views of two buffers of K * min(_STAGE, steps) floats,
+    made once and overwritten by the next stage, so a stage kernel's
+    working set does not grow with `steps`.
     """
-    k, iters = states.shape
-    seconds = np.empty((k, min(_BLOCK, iters)))
-    for start in range(0, iters, _BLOCK):
-        stop = min(start + _BLOCK, iters)
+    k = len(rngs)
+    firsts, seconds = np.empty((2, k * min(_STAGE, steps)))
+    for start in range(0, steps, _STAGE):
+        n = min(_STAGE, steps - start)
+        states, draws = firsts[:k * n].reshape(k, n), seconds[:k * n].reshape(k, n)
         for row, rng in enumerate(rngs):
-            try:
-                states[row, start:stop], seconds[row, :stop - start] = split(
-                    rng.floats_open(2 * (stop - start)))
-            except ValueError as exc:
-                raise ChainFailure(row, exc) from exc
-        yield start, stop, seconds
+            block = rng.floats_open(2 * n)
+            states[row], draws[row] = block[0::2], block[1::2]
+        yield states, draws
+
+
+def _collect(stages: Iterator[tuple[np.ndarray, np.ndarray | None]], iters: int,
+             burn_in: int, rngs: Sequence[RngStream]) -> ChainTrace:
+    # The (K, iters) trace of a stage kernel's stages.
+    states = np.empty((len(rngs), iters))
+    accepted = None
+    start = 0
+    for stage, acc in stages:
+        stop = start + stage.shape[1]
+        states[:, start:stop] = stage
+        if acc is not None:
+            if accepted is None:
+                accepted = np.empty(states.shape, dtype=bool)
+            accepted[:, start:stop] = acc
+        start = stop
+    return ChainTrace(states, accepted, burn_in, tuple((r.seed, r.stream_id) for r in rngs))
 
 
 def _mh_start(target: TargetDensity, init: float) -> tuple[float, float]:
@@ -468,16 +514,21 @@ def run_gibbs_chains(init: float, iters: int, burn_in: int,
     """
     _check_streams(rngs)
     iters, burn_in = _check_lengths(iters, burn_in)
+    return _collect(_gibbs_stages(init, iters, rngs), iters, burn_in, rngs)
+
+
+def _gibbs_stages(init: float, steps: int, rngs: Sequence[RngStream],
+                  ) -> Iterator[tuple[np.ndarray, None]]:
+    # run_gibbs_chains' stages: per stage of _stage_draws, the (K, n) states,
+    # valid until the next stage, and None for the acceptances.
     x = np.full(len(rngs), _real("init", init))
-    states = np.empty((len(rngs), iters))
-    # States hold the auxiliary floats until step t overwrites its column.
-    for start, stop, f_cdfs in _staged_blocks(rngs, states, lambda b: (b[0::2], b[1::2])):
+    for states, f_cdfs in _stage_draws(rngs, steps):
         # x^4 of a large state is inf, silently, as in run_gibbs_chain's floats.
         with np.errstate(over="ignore"):
-            for t in range(start, stop):
-                x = _slice_rows(x, states[:, t], f_cdfs[:, t - start])
+            for t in range(states.shape[1]):
+                x = _slice_rows(x, states[:, t], f_cdfs[:, t])
                 states[:, t] = x
-    return ChainTrace(states, None, burn_in, tuple((r.seed, r.stream_id) for r in rngs))
+        yield states, None
 
 
 # ---------------------------------------------------------------------------

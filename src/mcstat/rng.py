@@ -15,12 +15,13 @@ gives a whole block of states from the current one (O'Neill 2014, "PCG";
 Brown 1994, "Random Number Generation with Arbitrary Strides").  The table
 is pair-swapped, so the block's uint32 outputs, viewed as little-endian
 uint64, are next_u64's words.  Blocks hold at most `_BLOCK` floats, so
-transient memory does not grow with n; the chain runners and the lockstep
-chain kernels in mcmc read their streams in blocks of the same size.  `normals` draws its n floats at once and inverts them in
+transient memory does not grow with n; the chain runners in mcmc read
+their streams two blocks at a time, and the lockstep chain kernels one
+block a stage.  `normals` draws its n floats at once and inverts them in
 slices of at most `_PPF_SLICE`, through `_invert_open`; the evidence
-experiment draws its whole replication with one call.  figure1 reads every
-run's floats into one (runs, iters) block and inverts the whole block with
-`_invert_open`, so its slices are shared across runs.
+experiment draws its whole replication with one call.  figure1 reads one
+block of every run's floats at a time into one (runs, <= _BLOCK) array
+and inverts it with `_invert_open`, so its slices are shared across runs.
 
 `norm_ppf_many` is `norm_ppf` over an array of any shape.  The two share the
 rational approximations and the Halley step, written once for floats and
@@ -152,20 +153,25 @@ def _real(name: str, v, lo: float = -math.inf, hi: float = math.inf) -> float:
     return x
 
 
-def _every(name: str, a: np.ndarray, ok: np.ndarray, rule: str) -> None:
+def _every(name: str, a: np.ndarray, ok: np.ndarray, rule: str, start: int = 0) -> None:
     """Raise `<name> must be <rule>, got <v> at index <i>` at the first
     element of `a` where `ok` is False; i is an int for 1-D input and a
-    tuple such as (row, t) for more dimensions."""
+    tuple such as (row, t) for more dimensions. Its last coordinate counts
+    from `start`, for an `a` that continues a longer sequence."""
     if np.count_nonzero(ok) < ok.size:
         i = np.unravel_index(int(np.argmin(ok)), a.shape)
-        i = int(i[0]) if a.ndim == 1 else tuple(map(int, i))
-        raise ValueError(f"{name} must be {rule}, got {float(a[i])!r} at index {i}")
+        v = float(a[i])
+        i = tuple(map(int, i))
+        if start:
+            i = i[:-1] + (i[-1] + start,)
+        raise ValueError(f"{name} must be {rule}, got {v!r} at index "
+                         f"{i[0] if a.ndim == 1 else i}")
 
 
-def _finite(name: str, a) -> np.ndarray:
+def _finite(name: str, a, start: int = 0) -> np.ndarray:
     """`a` as a float array; its first NaN or +-inf raises (see _every)."""
     a = np.asarray(a, dtype=float)
-    _every(name, a, np.isfinite(a), "finite")
+    _every(name, a, np.isfinite(a), "finite", start)
     return a
 
 
@@ -195,6 +201,20 @@ def _raise_unless_rows(ok, message, *values):
     if np.count_nonzero(ok) < ok.size:
         row = int(np.argmin(ok))
         raise ChainFailure(row, ValueError(message.format(*(float(v[row]) for v in values))))
+
+
+def _check_rows(check, a: np.ndarray) -> None:
+    # check(a) on the whole (rows, T) block; if it fails, check(row) on each
+    # row, so the lowest failing row raises ChainFailure with its own index.
+    try:
+        check(a)
+    except ValueError:
+        for r, row in enumerate(a):
+            try:
+                check(row)
+            except ValueError as exc:
+                raise ChainFailure(r, exc) from exc
+        raise
 
 
 class RngStream:
@@ -251,7 +271,7 @@ class RngStream:
         n = _count("n", n)
         out = np.empty(n)
         powers, sums = _jump_table()
-        shifts = sums * np.uint64(self._inc)
+        shifts = sums[:2 * min(n, _BLOCK)] * np.uint64(self._inc)  # only the words read
         for start in range(0, n, _BLOCK):
             words = 2 * min(_BLOCK, n - start)
             states = powers[:words] * np.uint64(self._state) + shifts[:words]

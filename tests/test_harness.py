@@ -20,7 +20,7 @@ import mcstat
 from mcstat.cli import _OPTIONS
 from mcstat.cli import main as cli_main
 from mcstat.estimators import (bridge_log_evidence, chib_log_evidence,
-                               harmonic_mean_log_evidence, running_moments)
+                               harmonic_mean_log_evidence, running_moments, _Welford)
 from mcstat.harness import (
     _CAL_STREAM,
     _EVIDENCE_DIAGNOSTIC,
@@ -42,9 +42,9 @@ from mcstat.harness import (
     _synthetic_dataset,
     _write_csv,
 )
-from mcstat.mcmc import (CalibrationError, ChainTrace, RwProposal, calibrate_scale_report,
-                         run_gibbs_chain, run_mh_chain)
-from mcstat.rng import RngStream, derive_substream, normal_logpdf, normals, rng_new
+from mcstat.mcmc import (_STAGE, CalibrationError, RwProposal,
+                         calibrate_scale_report, run_gibbs_chain, run_mh_chain)
+from mcstat.rng import _BLOCK, RngStream, derive_substream, normal_logpdf, normals, rng_new
 from mcstat.svgplot import Band, Series, svg_histogram, svg_line_plot
 from mcstat.targets import (EXAMPLE_TARGET, ConjugateNormalModel, analytic_log_evidence,
                             cubic_ratio, gaussian_functional_expectation, get_model,
@@ -294,22 +294,25 @@ def test_figure1_at_a_huge_negative_mu_from_the_cli(tmp_path):
     assert all(math.isfinite(float(row["running_mean"])) for row in rows)
 
 
-# 5 x 1500: slice boundaries of the shared inversion (every 4096 floats)
-# fall inside runs 2 and 4; 2 x 5000: each run spans two slices.
-@pytest.mark.parametrize("runs, iters", [(5, 1500), (2, 5000)])
+# figure1 stages one PCG block (1024 floats) of every run at a time. 5 x 1924:
+# the second stage's slice boundary of the shared inversion (every 4096
+# floats) falls inside run 4; 2 x 5000: each run spans five stages.
+@pytest.mark.parametrize("runs, iters", [(5, 1924), (2, 5000)])
 @pytest.mark.parametrize("mu", [0.0, 2.5])
 def test_figure1_block_rows_are_the_per_run_draws(tmp_path, monkeypatch, runs, iters, mu):
     blocks = []
 
-    def keep_block(values, cps):
-        blocks.append(values.copy())
-        return running_moments(values, cps)
+    class KeepBlocks(_Welford):
+        def update(self, block):
+            blocks.append(block.copy())
+            super().update(block)
 
-    monkeypatch.setattr("mcstat.harness.running_moments", keep_block)
+    monkeypatch.setattr("mcstat.harness._Welford", KeepBlocks)
     figure1(ExperimentConfig("figure1", seed=7, runs=runs, iters=iters, mu=mu,
                              out_dir=tmp_path))
-    [block] = blocks
-    assert block.shape == (runs, iters)
+    assert [b.shape for b in blocks] == [(runs, min(_BLOCK, iters - start))
+                                         for start in range(0, iters, _BLOCK)]
+    block = np.concatenate(blocks, axis=1)
     for k, row in enumerate(block):
         want = cubic_ratio(normals(derive_substream(rng_new(7), k), iters, mu, 1.0))
         assert row.tobytes() == want.tobytes(), k
@@ -361,21 +364,26 @@ def test_figure2_histogram_and_envelope(tmp_path):
 
 
 def test_chain_figure_slab_counts_equal_the_whole_block(tmp_path, monkeypatch):
-    # Counted over slabs of whole runs (here 8, 8 and 4 runs of 1020
-    # states), the counts and edges are those of the whole block, for
-    # states on interior bin edges, just below them, at +-4.0 and outside
-    # the range too. hist.csv's masses are counts / total to the last bit,
-    # so comparing them and hist_draws exactly compares the counts.
+    # Counted over slabs of whole stage rows (here stages of 512 and 508
+    # states a run, slabs of 16 runs and then 4), the counts and edges are
+    # those of the whole block, for states on interior bin edges, just below
+    # them, at +-4.0 and outside the range too. hist.csv's masses are
+    # counts / total to the last bit, so comparing them and hist_draws
+    # exactly compares the counts.
     edges = np.linspace(-4.0, 4.0, 51)
     outside = [-4.5, np.nextafter(4.0, 5.0), 7.0, -1e300, math.inf, 0.0]
     values = np.concatenate([edges, np.nextafter(edges, -math.inf), outside])
     block = np.stack([np.resize(np.roll(values, k), 1020) for k in range(20)])
     whole_counts, whole_edges = np.histogram(block, bins=50, range=(-4.0, 4.0))
-    # The cubes of -1e300 and inf are not finite, which running_moments
-    # rejects; the envelope is not what this test checks, so it is taken
+
+    # The cubes of -1e300 and inf are not finite, which the running moments
+    # reject; the envelope is not what this test checks, so it is taken
     # over zeros.
-    monkeypatch.setattr("mcstat.harness.running_moments",
-                        lambda values, cps: running_moments(np.zeros_like(values), cps))
+    class ZeroMoments(_Welford):
+        def update(self, block):
+            super().update(np.zeros_like(block))
+
+    monkeypatch.setattr("mcstat.harness._Welford", ZeroMoments)
     with np.errstate(over="ignore"):
         res = _stub_chain_figure(block, 0, tmp_path)
     rows = _read_csv(res.files["hist.csv"])
@@ -385,23 +393,28 @@ def test_chain_figure_slab_counts_equal_the_whole_block(tmp_path, monkeypatch):
     assert res.info["hist_draws"] == whole_counts.sum()
 
 
+def _stub_stages(states: np.ndarray, accepted: np.ndarray | None = None):
+    # A stage generator's stages over a whole trace: views of its (K, <= 512)
+    # column stages, and of the acceptances' (None for Gibbs).
+    for start in range(0, states.shape[1], _STAGE):
+        yield (states[:, start:start + _STAGE],
+               None if accepted is None else accepted[:, start:start + _STAGE])
+
+
 def _stub_chain_figure(states: np.ndarray, burn: int, out_dir: Path):
-    # _chain_figure with a stub kernel that returns a trace of `states`, so
-    # no chain runs.
+    # _chain_figure with a stub stage generator over `states`, so no chain runs.
     runs, steps = states.shape
-    trace = ChainTrace(states, None, burn, tuple((0, k) for k in range(runs)))
     cfg = ExperimentConfig("figure2", runs=runs, iters=steps - burn, burn_in=burn,
                            out_dir=out_dir)
     return _chain_figure(cfg, {}, "stub", "stub running means",
-                         lambda n, b, rngs: trace)
+                         lambda n, rngs: _stub_stages(states))
 
 
 def test_chain_envelope_holds_one_block_of_states(tmp_path):
-    # Counting the histogram (one run per slab at 5000 retained states) and
-    # cubing the retained states must not copy the (32, 5500) block: the
-    # traced peak of the pass, writing included, stays below half of it. A
-    # first, small call makes any first-call allocation outside the traced
-    # window.
+    # Counting the histogram (slabs of 16 stage rows) and cubing the
+    # retained states must not copy the (32, 5500) block: the traced peak
+    # of the pass, writing included, stays below half of it. A first, small
+    # call makes any first-call allocation outside the traced window.
     _stub_chain_figure(np.ones((2, 110)), 10, tmp_path)
     states = 5.0 * np.sin(np.arange(32 * 5500.0)).reshape(32, 5500)
     expected_counts, _ = np.histogram(states[:, 500:], bins=50, range=(-4.0, 4.0))
@@ -420,26 +433,46 @@ def test_chain_envelope_holds_one_block_of_states(tmp_path):
     assert np.array_equal(res.summary.per_run_traces, expected_means)
 
 
+@pytest.mark.parametrize("experiment", ["figure1", "figure2"])
+def test_envelope_working_set_does_not_grow_with_iters(tmp_path, experiment):
+    # The experiments stream their draws one PCG block per run at a time, so
+    # the traced peak at 32 x 10^4 is within 256 KiB of the one at 32 x 2500;
+    # holding the (runs, iters) values would add 1.8 MB, and figure2's (runs,
+    # burn+iters) states 2 MB. (Few runs at 2 x 10^4 and 8 x 10^4 iterations
+    # show the same, but take figure2 about 50 s under tracemalloc.)
+    def peak(iters):
+        cfg = ExperimentConfig(experiment, runs=32, iters=iters, out_dir=tmp_path / str(iters))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_experiment(ExperimentConfig(experiment, runs=32, iters=200, out_dir=tmp_path / "warm"))
+    short, long = peak(2500), peak(10_000)
+    assert abs(long - short) < 256 * 1024, (short, long)
+
+
 def test_chain_figure_measures_acceptance_on_mh_traces_only(tmp_path, monkeypatch):
-    # Stub traces of 4 runs x 120 steps, burn-in 20: the MH one accepts every
-    # burn-in step and 25, 50, 75 and 100 of run k's 100 retained steps, so
-    # its measured acceptance is 0.625 over the retained steps (and 0.6875
-    # over the whole trace).
-    states = np.zeros((4, 120))
-    accepted = np.ones((4, 120), dtype=bool)
+    # Stub traces of 4 runs x 1640 steps, burn-in 600, which ends inside the
+    # second stage: the MH one accepts every burn-in step and 260, 520, 780
+    # and 1040 of run k's 1040 retained steps, so its measured acceptance is
+    # 0.625 over the retained steps (and about 0.76 over the whole trace).
+    states = np.zeros((4, 1640))
+    accepted = np.ones((4, 1640), dtype=bool)
     for k in range(4):
-        accepted[k, 20 + 25 * (k + 1):] = False
-    monkeypatch.setattr("mcstat.harness.run_gibbs_chains",
-                        lambda init, n, b, rngs: ChainTrace(
-                            states.copy(), None, b, tuple((0, k) for k in range(4))))
-    monkeypatch.setattr("mcstat.harness.run_mh_chains",
-                        lambda target, prop, init, n, b, rngs: ChainTrace(
-                            states.copy(), accepted, b, tuple((0, k) for k in range(4))))
-    cfg = dict(runs=4, iters=100, burn_in=20)
+        accepted[k, 600 + 260 * (k + 1):] = False
+    monkeypatch.setattr("mcstat.harness._gibbs_stages",
+                        lambda init, n, rngs: _stub_stages(states.copy()))
+    monkeypatch.setattr("mcstat.harness._mh_stages",
+                        lambda target, prop, init, n, rngs: _stub_stages(states.copy(),
+                                                                         accepted))
+    cfg = dict(runs=4, iters=1040, burn_in=600)
     gibbs = figure2(ExperimentConfig("figure2", out_dir=tmp_path / "g", **cfg))
     assert "measured_acceptance" not in gibbs.info
     mh = figure3(ExperimentConfig("figure3", scale=1.0, out_dir=tmp_path / "m", **cfg))
-    assert mh.info["measured_acceptance"] == np.mean(accepted[:, 20:]) == 0.625
+    assert mh.info["measured_acceptance"] == np.mean(accepted[:, 600:]) == 0.625
     info = {r["key"]: r["value"] for r in _read_csv(mh.files["info.csv"])}
     assert info["measured_acceptance"] == "0.625"
 

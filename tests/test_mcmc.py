@@ -11,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from mcstat.mcmc import (
     _SLICE_BOUND_0D,
+    _STAGE,
+    _gibbs_stages,
+    _mh_stages,
     _slice_bound,
     _slice_rows,
     _slice_steps,
@@ -450,7 +453,7 @@ def test_gibbs_chain_ks_fit_quick():
 # Lockstep kernels: bit for bit the scalar runners on the same substreams
 # ---------------------------------------------------------------------------
 
-_LOCKSTEP_ITERS = 3 * _BLOCK + 7  # crosses the kernels' block edges
+_LOCKSTEP_ITERS = 3 * _BLOCK + 7  # crosses the kernels' stage edges
 # Proposals from a scale above ~0.5 leave this support often.
 NARROW = TargetDensity(lambda x: -0.5 * x * x, -0.5, 1.5, "narrow")
 
@@ -475,13 +478,17 @@ def _assert_bitwise_equal(lockstep, scalar, rngs, ref_rngs, iters):
     assert [r.state_bytes() for r in rngs] == [r.state_bytes() for r in ref_rngs]
 
 
-# (k, iters): at each K, a run that crosses the kernels' block edges and one
-# shorter than a block; at K = 1 and 3, a run whose last block is full (at
-# K = 100 too, it would add about 5 s to the suite).
+# (k, iters): at each K, a run that crosses the kernels' stage edges (a stage
+# is _STAGE steps, one PCG block of each stream) and one shorter than a
+# stage; at K = 1 and 3, a run whose last stage is full, one of exactly one
+# stage, and runs one step past one and two stages (at K = 100 too, they
+# would add about 5 s to the suite).
 _K_ITERS = pytest.mark.parametrize("k, iters", [
     pytest.param(k, iters, id=f"{k}-{name}") for k in (1, 3, 100)
-    for name, iters in (("blocks", _LOCKSTEP_ITERS), ("full", 2 * _BLOCK), ("short", 300))
-    if (k, name) != (100, "full")])
+    for name, iters in (("blocks", _LOCKSTEP_ITERS), ("full", 2 * _BLOCK), ("short", 300),
+                        ("stage", _STAGE), ("stage+1", _STAGE + 1),
+                        ("2stages+1", 2 * _STAGE + 1))
+    if k < 100 or name in ("blocks", "short")])
 
 
 @_K_ITERS
@@ -573,26 +580,32 @@ def test_mh_chains_match_scalar_runner_bitwise(k, scale, target, iters):
         assert not lockstep.accepted.any()
 
 
-@pytest.mark.parametrize("kernel", [
-    lambda rngs, iters: run_gibbs_chains(0.0, iters, 0, rngs),
-    lambda rngs, iters: run_mh_chains(EXAMPLE, RwProposal(1.2), 0.0, iters, 0, rngs)],
+@pytest.mark.parametrize("stages, collect", [
+    (lambda rngs, iters: _gibbs_stages(0.0, iters, rngs),
+     lambda rngs, iters: run_gibbs_chains(0.0, iters, 0, rngs)),
+    (lambda rngs, iters: _mh_stages(EXAMPLE, RwProposal(1.2), 0.0, iters, rngs),
+     lambda rngs, iters: run_mh_chains(EXAMPLE, RwProposal(1.2), 0.0, iters, 0, rngs))],
     ids=["gibbs", "mh"])
-def test_lockstep_kernels_stage_one_draw_buffer(kernel):
-    # Two blocks, the second partial: the traced peak is the trace's arrays,
-    # one (K, block) buffer of floats and per-row temporaries, which the
-    # slack bounds at a quarter of a megabyte. A second buffer of that size
-    # is 512 KiB at K = 64.
+def test_lockstep_kernels_stage_one_draw_buffer(stages, collect):
+    # Three stages, the last partial. Stepped stage by stage, the traced peak
+    # is the two (K, 512) draw buffers (one of states and first draws, one of
+    # second draws), MH's (K, 512) acceptances and per-row temporaries, which
+    # the slack bounds at a quarter of a megabyte; collected, it adds the
+    # trace's arrays. A second pair of buffers is 512 KiB at K = 64.
     k, iters = 64, _BLOCK + 300
-    kernel(_substreams(64, 2), 20)  # warm caches and lazy imports first
-    rngs = _substreams(64, k)
-    tracemalloc.start()
-    try:
-        trace = kernel(rngs, iters)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = trace.states.nbytes + (0 if trace.accepted is None else trace.accepted.nbytes)
-    assert peak < held + k * min(_BLOCK, iters) * 8 + 256 * 1024
+    collect(_substreams(64, 2), 20)  # warm caches and lazy imports first
+    for how, call in (("stepped", lambda rngs: [None for _ in stages(rngs, iters)]),
+                      ("collected", lambda rngs: collect(rngs, iters))):
+        rngs = _substreams(64, k)
+        tracemalloc.start()
+        try:
+            result = call(rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = 0 if how == "stepped" else result.states.nbytes + (
+            0 if result.accepted is None else result.accepted.nbytes)
+        assert peak < held + k * min(_BLOCK, iters) * 8 + 256 * 1024, (how, peak, held)
 
 
 @pytest.mark.parametrize("shape", [(10,), (3, 10)], ids=["1d", "2d"])
@@ -625,25 +638,51 @@ def test_chain_trace_checks_shapes_and_burn_in_on_the_last_axis(shape):
                 ChainTrace(np.zeros(bad), accepted, 0, seed_info)
 
 
-def test_lockstep_failure_names_the_row_with_the_scalar_error():
+class _LateNanStream(RngStream):
+    """A stream whose open floats from index 1201 on are NaN: step 600's
+    second draw, in the second stage; it advances as RngStream does."""
+
+    __slots__ = ("_read",)
+    FIRST_NAN = 2 * 600 + 1
+
+    def __init__(self, seed, stream_id):
+        super().__init__(seed, stream_id)
+        self._read = 0
+
+    def floats_open(self, n):
+        out = super().floats_open(n)
+        out[max(self.FIRST_NAN - self._read, 0):] = math.nan
+        self._read += n
+        return out
+
+
+@pytest.mark.parametrize("stream, gibbs_text, mh_text", [
+    (NanStream, "u must be in (0, 1], got nan", "p must be in (0, 1), got nan at index 0"),
+    # Gibbs fails at step 600's CDF float; MH's log of a NaN uniform decides
+    # nothing, and step 601's normal fails, in the lockstep kernel's second
+    # stage and in the scalar runner's first block.
+    (_LateNanStream, "p must be in (0, 1), got nan",
+     "p must be in (0, 1), got nan at index 601")],
+    ids=["first-stage", "later-stage"])
+def test_lockstep_failure_names_the_row_with_the_scalar_error(stream, gibbs_text, mh_text):
     # NaN streams at the rows in `bad`: the lowest of them is named
     def streams(bad):
         rngs = _substreams(63, 4)
         for row in bad:
-            rngs[row] = NanStream(rngs[row].seed, rngs[row].stream_id)
+            rngs[row] = stream(rngs[row].seed, rngs[row].stream_id)
         return rngs
 
-    for bad, (lockstep, scalar) in itertools.product([(2,), (1, 3)], [
-            (lambda r: run_gibbs_chains(0.0, 300, 0, r),
-             lambda r: run_gibbs_chain(0.0, 300, 0, r)),
-            (lambda r: run_mh_chains(EXAMPLE, RwProposal(1.2), 0.0, 300, 0, r),
-             lambda r: run_mh_chain(EXAMPLE, RwProposal(1.2), 0.0, 300, 0, r))]):
+    for bad, (lockstep, scalar, text) in itertools.product([(2,), (1, 3)], [
+            (lambda r: run_gibbs_chains(0.0, 1100, 0, r),
+             lambda r: run_gibbs_chain(0.0, 1100, 0, r), gibbs_text),
+            (lambda r: run_mh_chains(EXAMPLE, RwProposal(1.2), 0.0, 1100, 0, r),
+             lambda r: run_mh_chain(EXAMPLE, RwProposal(1.2), 0.0, 1100, 0, r), mh_text)]):
         with pytest.raises(ValueError) as scalar_err:
             scalar(streams(bad)[bad[0]])
         with pytest.raises(ChainFailure) as err:
             lockstep(streams(bad))
         assert err.value.row == bad[0]
-        assert str(err.value) == str(scalar_err.value)
+        assert str(err.value) == str(scalar_err.value) == text
 
 
 def test_lockstep_kernels_reject_what_the_scalar_runners_reject():
