@@ -19,7 +19,8 @@ run_envelope calls its trace function once per replication. The envelope
 figures stream their runs one PCG block at a time, so their working set
 does not grow with iters. figure1 reads the next 1024 uniforms of every
 run into one (runs, <= 1024) block, inverts the block in shared slices
-(`rng._invert_open`), and feeds it to the runs' carried running moments
+(`rng._invert_open`), takes x^3/(1+x^2+x^4) of slabs of whole rows, and
+feeds the block to the runs' carried running moments
 (`estimators._Welford`, the one Welford loop behind `running_moments`).
 evidence runs its replications in groups of max(1, 8192 // iters) rows
 (`_evidence_group`): one draw block per group, and each estimator's row
@@ -66,8 +67,8 @@ from .mcmc import ChainFailure, RwProposal, _gibbs_stages, _mh_stages, calibrate
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.harness.run_gibbs_chain and mcstat.harness.run_mh_chain.
 from .mcmc import run_gibbs_chain, run_mh_chain  # noqa: F401
-from .rng import (_BLOCK, _LOG_SQRT_2PI, NormalDist, RngStream, _count, _finite,
-                  _invert_open, _libm, _real, derive_substream, normals, rng_new)
+from .rng import (_BLOCK, _LOG_SQRT_2PI, NormalDist, RngStream, _check_rows, _count,
+                  _finite, _invert_open, _libm, _real, derive_substream, normals, rng_new)
 # Not called here: kept as a module attribute because perfbench's tracer
 # wraps mcstat.harness.sample_normal.
 from .rng import sample_normal  # noqa: F401
@@ -100,10 +101,10 @@ _CAL_STREAM = 10**9 + 9
 
 _HIST_BINS = 50
 _HIST_RANGE = (-4.0, 4.0)
-# `_chain_figure` counts and cubes each stage's retained states in slabs of
-# whole stage rows of at most this many states: a slab spreads numpy's
-# per-call cost, and its copy and temporaries stay small.
-_HIST_SLAB_STATES = 8192
+# figure1 transforms and checks, and `_chain_figure` counts and cubes, each
+# stage in slabs of whole stage rows of at most this many states: a slab
+# spreads numpy's per-call cost, and its copy and temporaries stay small.
+_SLAB_STATES = 8192
 
 # evidence runs its replications in groups of max(1, this // iters) rows:
 # numpy calls span a group's rows, and its arrays stay bounded.
@@ -358,10 +359,11 @@ def figure1(config: ExperimentConfig) -> ExperimentResult:
     Staged one PCG block at a time: each stage reads the next (at most)
     rng's block size of open floats of every run into one (runs, n) block,
     run k's from substream k; the quantile inverts the block in shared
-    slices, each row becomes x^3/(1+x^2+x^4) at x = mu + z, and the block
-    feeds the runs' carried running moments. Row k is then
-    cubic_ratio(normals(substream k, iters, mu, 1.0)) bit for bit, since
-    normals computes mu + 1.0 * z and 1.0 * z is z, and every step is per
+    slices, each slab of whole rows (see _SLAB_STATES) becomes
+    x^3/(1+x^2+x^4) at x = z + mu and is checked, and the block feeds the
+    runs' carried running moments. Row k is then cubic_ratio(normals(
+    substream k, iters, mu, 1.0)) bit for bit, since normals computes
+    mu + 1.0 * z, 1.0 * z is z, addition commutes, and every step is per
     element. A non-finite value raises, naming its run and iteration.
     """
     mu = config.mu
@@ -370,17 +372,21 @@ def figure1(config: ExperimentConfig) -> ExperimentResult:
     rngs = list(_substreams(config.seed, config.runs))
     moments = _Welford(cps, (config.runs,))
     buffer = np.empty(config.runs * min(_BLOCK, config.iters))
+    slab_runs = max(1, _SLAB_STATES // min(_BLOCK, config.iters))
     for start in range(0, config.iters, _BLOCK):
         n = min(_BLOCK, config.iters - start)
         values = buffer[:config.runs * n].reshape(config.runs, n)
         for row, rng in zip(values, rngs):
             row[:] = rng.floats_open(n)
         _invert_open(values.reshape(-1))
-        for k, row in enumerate(values):
+        for first in range(0, config.runs, slab_runs):
+            slab = values[first:first + slab_runs]
+            slab += mu
+            slab[:] = cubic_ratio(slab)
             try:
-                row[:] = _finite("values", cubic_ratio(mu + row), start)
-            except Exception as exc:
-                raise _run_failed("envelope run", k, exc) from exc
+                _check_rows(lambda x: _finite("values", x, start), slab)
+            except ChainFailure as exc:
+                raise _run_failed("envelope run", first + exc.row, exc) from exc
         moments.update(values)
     est = moments.estimate()
     summary = _summarize(cps, est.mean)
@@ -419,7 +425,7 @@ def _chain_figure(config: ExperimentConfig, info: dict, name: str, title: str,
     run's acceptance over its retained steps, from integer counts.
 
     The burn-in columns of each stage are skipped. The retained ones are
-    taken in slabs of whole stage rows of at most `_HIST_SLAB_STATES`
+    taken in slabs of whole stage rows of at most `_SLAB_STATES`
     states: a slab's histogram counts are added, then the slab is cubed in
     place, and the stage's cubes feed the runs' carried running moments.
     An element falls in the same bin in a slab as in the whole block, so
@@ -446,7 +452,7 @@ def _chain_figure(config: ExperimentConfig, info: dict, name: str, title: str,
             # Slabs, not whole stages: np.histogram's temporaries grow with
             # its input, and histogramming whole (100, 1024) blocks read
             # chain_envelope peak_rss_mb 41.5 against 38.7 MB for slabs.
-            slab_runs = max(1, _HIST_SLAB_STATES // retained.shape[1])
+            slab_runs = max(1, _SLAB_STATES // retained.shape[1])
             for first in range(0, config.runs, slab_runs):
                 slab = retained[first:first + slab_runs]
                 slab_counts, edges = np.histogram(slab, bins=_HIST_BINS, range=_HIST_RANGE)

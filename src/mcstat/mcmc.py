@@ -19,8 +19,8 @@ would, and the stream ends where those scalar draws would leave it. The
 single chain runners read rng's block size of steps (two PCG blocks) at a
 time, which spreads numpy's per-call cost at K = 1; the lockstep kernels
 read one PCG block, _STAGE = 512 steps, a stage. An MH proposal float
-outside (0, 1) raises norm_ppf_many's error naming its step, so every
-runner gives the same text whatever its block size.
+outside (0, 1) raises norm_ppf_many's error naming its step (rng's
+_check_p), so every runner gives the same text whatever its block size.
 
 Replicated chains, one derived substream each, step in lockstep: the
 kernels run_gibbs_chains and run_mh_chains advance K chains at once and
@@ -62,8 +62,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .rng import (_BLOCK, _DEAD_INTERVAL, _HALF_0D, _MIN_TAIL_MASS, _MIN_TAIL_MASS_0D, _ONE_0D,
-                  _P_RANGE, _SQRT2, _SQRT2_0D, _ZERO_0D, ChainFailure, RngStream, _check_rows,
-                  _count, _every, _finite, _libm, _norm_ppf_lower, _norm_ppf_many_unchecked,
+                  _P_RANGE, _SQRT2, _SQRT2_0D, _ZERO_0D, ChainFailure, RngStream, _check_p,
+                  _check_rows, _count, _finite, _libm, _norm_ppf_lower, _norm_ppf_many_unchecked,
                   _raise_unless_rows, _real, _zero_d)
 # Not called here: kept as module attributes because perfbench's tracer
 # wraps mcstat.mcmc.sample_normal and mcstat.mcmc.sample_truncated_normal.
@@ -149,14 +149,8 @@ def _mh_draws(block: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray
     # steps' draws: proposal normals from the even floats, uniforms from the
     # odd ones.
     zs = block[0::2]
-    _check_open(zs, start)
+    _check_p(zs, start)  # names the first bad float's step, whatever the block size
     return _norm_ppf_many_unchecked(zs), block[1::2]
-
-
-def _check_open(p: np.ndarray, start: int) -> None:
-    # norm_ppf_many's check of the proposal floats p of the steps from
-    # `start` on, naming the first bad one's step, whatever the block size.
-    _every("p", p, (p > _ZERO_0D) & (p < _ONE_0D), "in (0, 1)", start)
 
 
 def _mh_steps(logpdf, scale: float, x: float, lfx: float, zs: list[float],
@@ -240,7 +234,7 @@ def _mh_stages(target: TargetDensity, prop: RwProposal, init: float, steps: int,
     accepted = np.empty(len(rngs) * min(_STAGE, steps), dtype=bool)
     start = 0
     for states, log_us in _stage_draws(rngs, steps):
-        _check_rows(lambda p: _check_open(p, start), states)
+        _check_rows(lambda p: _check_p(p, start), states)
         start += states.shape[1]
         zs, us = states.reshape(-1), log_us.reshape(-1)
         for i in range(0, zs.size, _BLOCK):

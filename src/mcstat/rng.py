@@ -483,8 +483,15 @@ def norm_ppf_many(p) -> np.ndarray:
     Takes any shape. The first element outside (0, 1) raises (see _every).
     """
     p = np.asarray(p, dtype=float)
-    _every("p", p, (p > 0.0) & (p < 1.0), "in (0, 1)")
+    _check_p(p)
     return _norm_ppf_many_unchecked(p)
+
+
+def _check_p(p: np.ndarray, start: int = 0) -> None:
+    # norm_ppf_many's check of a float array p, also run on the MH proposal
+    # floats: the first element outside (0, 1) raises (see _every), its last
+    # index counted from `start`.
+    _every("p", p, (p > _ZERO_0D) & (p < _ONE_0D), "in (0, 1)", start)
 
 
 def _norm_ppf_many_unchecked(p: np.ndarray) -> np.ndarray:

@@ -648,22 +648,29 @@ def test_evidence_failure_in_a_lockstep_stage_names_the_replication(tmp_path, mo
 
 def test_figure1_non_finite_value_names_run_and_iteration(tmp_path, capsys,
                                                          monkeypatch):
-    # the third call is run 2's block; its fifth value is iteration 5
-    calls = []
+    # cubic_ratio gives NaN at run k's value of iteration t (0-based), in
+    # whichever slab of rows holds it. 12 x 1500: run 9 lies in the second
+    # slab of 8 rows, and t = 1100 in the second stage.
+    def nan_at(k, t):
+        bad = normals(derive_substream(rng_new(0), k), t + 1, 0.0, 1.0)[t]
 
-    def nan_at_run2_iter5(x):
-        calls.append(None)
-        y = cubic_ratio(x)
-        if len(calls) == 3:
-            y[4] = math.nan
-        return y
+        def patched(x):
+            y = cubic_ratio(x)
+            y[x == bad] = math.nan
+            return y
 
-    monkeypatch.setattr("mcstat.harness.cubic_ratio", nan_at_run2_iter5)
-    msg = r"envelope run 2 \(substream 2\) failed: values must be finite, got nan at index 4$"
+        monkeypatch.setattr("mcstat.harness.cubic_ratio", patched)
+        return (rf"envelope run {k} \(substream {k}\) failed: values must be finite, "
+                rf"got nan at index {t}$")
+
+    msg = nan_at(9, 1100)
+    with pytest.raises(RuntimeError, match=msg):
+        figure1(ExperimentConfig("figure1", seed=0, runs=12, iters=1500,
+                                 out_dir=tmp_path / "late"))
+    msg = nan_at(2, 4)
     with pytest.raises(RuntimeError, match=msg):
         figure1(ExperimentConfig("figure1", seed=0, runs=4, iters=200,
                                  out_dir=tmp_path / "lib"))
-    calls.clear()
     rc = cli_main(["figure1", "--runs", "4", "--iters", "200",
                    "--out", str(tmp_path / "cli")])
     assert rc == 2
